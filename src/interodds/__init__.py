@@ -26,9 +26,6 @@ from .errors import (
 from .patterns import (
     MAX_FACTORS,
     PatternIndex,
-    alternating_binomial_sum,
-    alternating_sign,
-    downset_indicator,
     pattern_index,
     subpatterns,
 )
@@ -39,35 +36,29 @@ from .measures import (
     StructuralParams,
     canonical_kind,
     excess_or,
-    excess_or_explicit,
     measure,
     measure_parts,
     odds_ratio,
     or_increment,
+    parts_gradients,
     predicted_or,
-    predicted_or_increments,
 )
 from .logit import (
     CaseControlDataset,
     FitOptions,
     FitResult,
     FullParams,
-    design_row,
     fit_design,
     fit_logit,
-    loglik_and_derivatives,
     loglik_score_info,
 )
 from .inference import (
     EstimateReport,
-    PartsGradients,
     Transform,
     bootstrap_ci,
     ci_transform,
     delta_ci,
     measure_gradient,
-    normal_quantile,
-    parts_gradients,
 )
 from .simulate import ConfounderModel, SimDesign, simulate, true_measure
 from .dataio import (
@@ -101,7 +92,6 @@ __all__ = [
     "NonBinaryFactorError",
     "OrderRangeError",
     "PatternIndex",
-    "PartsGradients",
     "PrevalenceError",
     "SeparationError",
     "SimDesign",
@@ -110,25 +100,18 @@ __all__ = [
     "Transform",
     "TransformRangeError",
     "UndefinedSynergyError",
-    "alternating_binomial_sum",
-    "alternating_sign",
     "bootstrap_ci",
     "canonical_kind",
     "ci_transform",
     "delta_ci",
-    "design_row",
-    "downset_indicator",
     "excess_or",
-    "excess_or_explicit",
     "fit_design",
     "fit_logit",
     "load_csv",
-    "loglik_and_derivatives",
     "loglik_score_info",
     "measure",
     "measure_gradient",
     "measure_parts",
-    "normal_quantile",
     "odds_ratio",
     "or_increment",
     "parse_design_file",
@@ -136,7 +119,6 @@ __all__ = [
     "pattern_index",
     "parts_gradients",
     "predicted_or",
-    "predicted_or_increments",
     "psi_coordinate_names",
     "run_self_checks",
     "simulate",

@@ -10,8 +10,7 @@ slower route to the same interval.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, sqrt
+from math import sqrt
 from typing import Callable, Optional
 
 import numpy as np
@@ -22,18 +21,16 @@ from .errors import (
     InterOddsError,
     NegativeVarianceError,
     TransformRangeError,
-    UndefinedSynergyError,
 )
 from .logit import CaseControlDataset, FitOptions, FitResult, fit_design, fit_logit
 from .measures import (
     MeasureSpec,
     StructuralParams,
-    _spread,
-    _validate_fixed,
+    canonical_kind,
     measure,
     measure_parts,
+    parts_gradients,
 )
-from .patterns import pattern_index
 
 # Relative gap below which the attributable-proportion denominator is
 # treated as tied; the gradient then follows the joint-OR branch.
@@ -47,52 +44,6 @@ def normal_quantile(beta: float) -> float:
     return float(ndtri(beta))
 
 
-@lru_cache(maxsize=4096)
-def _full_indicator(p: int, mask: int) -> np.ndarray:
-    idx = pattern_index(p)
-    out = ((idx.masks & ~mask) == 0).astype(float)
-    out.setflags(write=False)
-    return out
-
-
-@dataclass(eq=False)
-class PartsGradients:
-    """Gradients of the measure parts w.r.t. the structural coefficients."""
-
-    joint: np.ndarray
-    predicted: np.ndarray
-    baseline: np.ndarray
-
-
-def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
-    """Analytic gradients of (joint, predicted, baseline) odds ratios.
-
-    Each odds ratio differentiates to itself times the 0/1 indicator of
-    the coordinates it sums over; the predicted part is the matching
-    linear combination over the subpatterns below the truncation order.
-    """
-    varying, fixed_mask = _validate_fixed(params.p, spec.fixed)
-    nj = len(varying)
-    table = params.or_table
-
-    full1 = _spread((1 << nj) - 1, varying) | fixed_mask
-    joint = float(table[full1]) * _full_indicator(params.p, full1)
-    baseline = float(table[fixed_mask]) * _full_indicator(params.p, fixed_mask)
-
-    t = spec.effective_order - 1
-    predicted = np.zeros((1 << params.p) - 1)
-    for w in range(1 << nj):
-        k = w.bit_count()
-        if k > t:
-            continue
-        full = _spread(w, varying) | fixed_mask
-        coef = (-1.0) ** (t - k) * comb(nj - 1 - k, t - k)
-        predicted = predicted + coef * float(table[full]) * _full_indicator(
-            params.p, full
-        )
-    return PartsGradients(joint=joint, predicted=predicted, baseline=baseline)
-
-
 def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     """Gradient of the measure w.r.t. the structural coefficients.
 
@@ -101,29 +52,31 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     subgradient is used there (ties have measure zero for continuous
     estimates).
     """
+    return _evaluate(params, spec)[2]
+
+
+def _evaluate(params: StructuralParams, spec: MeasureSpec) -> tuple:
+    """Parts, value and gradient of a measure from one evaluation of the parts."""
     parts = measure_parts(params, spec)
+    point = parts.value(spec.kind)  # raises where the synergy index is undefined
     g = parts_gradients(params, spec)
     a, b, c = parts.joint, parts.predicted, parts.baseline
     if spec.kind == "OR":
-        return (1.0 / c) * g.joint - (a / c**2) * g.baseline
-    if spec.kind == "EOR":
-        return (1.0 / c) * (g.joint - g.predicted) - ((a - b) / c**2) * g.baseline
-    if spec.kind == "AP":
-        if a >= b:
-            return (b / a**2) * g.joint - (1.0 / a) * g.predicted
-        return (1.0 / b) * g.joint - (a / b**2) * g.predicted
-    if not (a > c and b > c):
-        raise UndefinedSynergyError(
-            "synergy index gradient needs joint and predicted odds ratios "
-            f"above the baseline; got joint={a:.6g}, predicted={b:.6g}, "
-            f"baseline={c:.6g}"
+        grad = (1.0 / c) * g.joint - (a / c**2) * g.baseline
+    elif spec.kind == "EOR":
+        grad = (1.0 / c) * (g.joint - g.predicted) - ((a - b) / c**2) * g.baseline
+    elif spec.kind == "AP" and a >= b:
+        grad = (b / a**2) * g.joint - (1.0 / a) * g.predicted
+    elif spec.kind == "AP":
+        grad = (1.0 / b) * g.joint - (a / b**2) * g.predicted
+    else:
+        d = b - c
+        grad = (
+            (1.0 / d) * g.joint
+            - ((a - c) / d**2) * g.predicted
+            + ((a - b) / d**2) * g.baseline
         )
-    d = b - c
-    return (
-        (1.0 / d) * g.joint
-        - ((a - c) / d**2) * g.predicted
-        + ((a - b) / d**2) * g.baseline
-    )
+    return parts, point, grad
 
 
 @dataclass(eq=False)
@@ -182,14 +135,12 @@ def ci_transform(kind: str) -> Transform:
     attributable proportion, and the logarithm for the synergy index and
     the joint odds ratio.
     """
-    kind = str(kind).upper()
+    kind = canonical_kind(kind)
     if kind == "EOR":
         return _identity()
     if kind == "AP":
         return _atanh_like()
-    if kind in ("SI", "OR", "OR_JOINT"):
-        return _log()
-    raise ValueError(f"unknown measure kind {kind!r}")
+    return _log()
 
 
 @dataclass
@@ -232,8 +183,7 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     psi_hat = fit.params.psi
-    point = measure(psi_hat, spec)
-    grad = measure_gradient(psi_hat, spec)
+    parts, point, grad = _evaluate(psi_hat, spec)
     var = float(grad @ fit.sigma_psi @ grad)
     if var < -1e-10:
         raise NegativeVarianceError(
@@ -255,7 +205,6 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
 
     note = None
     if spec.kind == "AP":
-        parts = measure_parts(psi_hat, spec)
         if abs(parts.joint - parts.predicted) < AP_TIE_RTOL * max(
             parts.joint, parts.predicted
         ):

@@ -30,7 +30,7 @@ from .errors import (
     SingularDesignError,
 )
 from .measures import StructuralParams
-from .patterns import downset_indicator, pattern_index
+from .patterns import downset_indicator, downset_rows
 
 
 @dataclass(eq=False)
@@ -95,18 +95,8 @@ class CaseControlDataset:
     @cached_property
     def design_matrix(self) -> np.ndarray:
         """n x (2^p + q) matrix: intercept, saturated factor block, confounders."""
-        idx = pattern_index(self.p)
-        masks = self.exposure_masks
-        block = ((idx.masks[None, :] & ~masks[:, None]) == 0).astype(float)
-        return np.hstack(
-            [np.ones((self.n, 1)), block, self.covariates]
-        )
-
-    def take(self, rows) -> "CaseControlDataset":
-        """New dataset holding the given rows (used by resampling)."""
-        return CaseControlDataset(
-            self.exposures[rows], self.covariates[rows], self.outcome[rows]
-        )
+        block = downset_rows(self.p, self.exposure_masks)
+        return np.hstack([np.ones((self.n, 1)), block, self.covariates])
 
 
 def design_row(v, z) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import OrderRangeError, UndefinedSynergyError
-from .patterns import MAX_FACTORS, as_mask, pattern_index
+from .patterns import MAX_FACTORS, as_mask, downset_rows, pattern_index
 
 KINDS = ("OR", "EOR", "AP", "SI")
 
@@ -136,14 +136,7 @@ class MeasureSpec:
     def __post_init__(self):
         self.kind = canonical_kind(self.kind)
         self.fixed = dict(self.fixed)
-        for j, level in self.fixed.items():
-            if not (isinstance(j, (int, np.integer)) and 0 <= j < self.p):
-                raise ValueError(f"fixed factor {j!r} outside 0..{self.p - 1}")
-            if level not in (0, 1):
-                raise ValueError(f"fixed level for factor {j} must be 0 or 1")
-        if len(self.fixed) >= self.p:
-            raise ValueError("at least one factor must vary")
-        nj = self.p - len(self.fixed)
+        nj = len(_validate_fixed(self.p, self.fixed)[0])
         if self.kind == "OR":
             if self.order is not None and not 1 <= self.order <= nj:
                 raise OrderRangeError(
@@ -163,7 +156,7 @@ class MeasureSpec:
     @property
     def varying(self) -> tuple:
         """The factor positions in J, ascending."""
-        return tuple(j for j in range(self.p) if j not in self.fixed)
+        return _validate_fixed(self.p, self.fixed)[0]
 
     @property
     def effective_order(self) -> int:
@@ -178,14 +171,39 @@ class MeasureParts:
     predicted: float  # reconstruction from increments below the target order
     baseline: float  # OR with every varying factor off
 
+    def value(self, kind: str) -> float:
+        """The measure of the given kind; see :func:`measure`."""
+        kind = canonical_kind(kind)
+        a, b, c = self.joint, self.predicted, self.baseline
+        if kind == "OR":
+            return a / c
+        if kind == "EOR":
+            return (a - b) / c
+        if kind == "AP":
+            return (a - b) / max(a, b)
+        if not (a > c and b > c):
+            raise UndefinedSynergyError(
+                "synergy index needs the joint and predicted odds ratios to "
+                f"exceed the baseline; got joint={a:.6g}, predicted={b:.6g}, "
+                f"baseline={c:.6g}"
+            )
+        return (a - c) / (b - c)
+
+
+@dataclass(eq=False)
+class PartsGradients:
+    """Gradients of the measure parts w.r.t. the structural coefficients."""
+
+    joint: np.ndarray
+    predicted: np.ndarray
+    baseline: np.ndarray
+
 
 def _validate_fixed(p: int, fixed) -> tuple:
     """Return (varying factors tuple, bitmask of fixed-at-1 factors)."""
-    if not fixed:
-        return _all_varying(p), 0
     held_mask = 0
     level_mask = 0
-    for j, level in fixed.items():
+    for j, level in (fixed or {}).items():
         if not (isinstance(j, (int, np.integer)) and 0 <= j < p):
             raise ValueError(f"fixed factor {j!r} outside 0..{p - 1}")
         held_mask |= 1 << j
@@ -194,11 +212,6 @@ def _validate_fixed(p: int, fixed) -> tuple:
         elif level != 0:
             raise ValueError(f"fixed level for factor {j} must be 0 or 1")
     return _varying_of(p, held_mask), level_mask
-
-
-@lru_cache(maxsize=None)
-def _all_varying(p):
-    return tuple(range(p))
 
 
 @lru_cache(maxsize=100_000)
@@ -416,16 +429,54 @@ def excess_or_explicit(params: StructuralParams, fixed, order: int) -> float:
     )
 
 
+@lru_cache(maxsize=100_000)
+def _spec_terms(p, varying, fixed_mask, order):
+    """The term table of a measure spec: which odds ratios, with which weights.
+
+    ``masks`` lists the joint pattern, the baseline pattern, then the
+    prediction terms of order below ``order``.  Row 0, 1 and 2 of
+    ``weights`` combine the odds ratios at ``masks`` into the joint,
+    predicted and baseline parts.
+    """
+    joint = _spread((1 << len(varying)) - 1, varying) | fixed_mask
+    pred_masks, coeffs = _prediction_terms(
+        p, varying, (1 << len(varying)) - 1, fixed_mask, order - 1
+    )
+    masks = np.concatenate([[joint, fixed_mask], pred_masks])
+    weights = np.zeros((3, len(masks)))
+    weights[0, 0] = weights[2, 1] = 1.0
+    weights[1, 2:] = coeffs
+    masks.setflags(write=False)
+    weights.setflags(write=False)
+    return masks, weights
+
+
+def _terms_for(params: StructuralParams, spec: MeasureSpec) -> tuple:
+    varying, fixed_mask = _validate_fixed(params.p, spec.fixed)
+    return _spec_terms(params.p, varying, fixed_mask, spec.effective_order)
+
+
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
     """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    varying, fixed_mask = _validate_fixed(params.p, spec.fixed)
-    nj = len(varying)
-    joint = _or_at(params, varying, (1 << nj) - 1, fixed_mask)
-    baseline = _or_at(params, varying, 0, fixed_mask)
-    predicted = predicted_or(
-        params, (1,) * nj, spec.fixed, spec.effective_order - 1
+    masks, weights = _terms_for(params, spec)
+    ors = params.or_table[masks]
+    return MeasureParts(
+        joint=float(ors[0]),
+        predicted=fsum((weights[1, 2:] * ors[2:]).tolist()),
+        baseline=float(ors[1]),
     )
-    return MeasureParts(joint=joint, predicted=predicted, baseline=baseline)
+
+
+def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
+    """Analytic gradients of (joint, predicted, baseline) odds ratios.
+
+    Each odds ratio differentiates to itself times the 0/1 indicator of
+    the coordinates it sums over, so every part's gradient is its
+    weighted odds ratios times the indicator rows of their patterns.
+    """
+    masks, weights = _terms_for(params, spec)
+    grads = (weights * params.or_table[masks]) @ downset_rows(params.p, masks)
+    return PartsGradients(joint=grads[0], predicted=grads[1], baseline=grads[2])
 
 
 def measure(params: StructuralParams, spec: MeasureSpec) -> float:
@@ -450,18 +501,4 @@ def measure(params: StructuralParams, spec: MeasureSpec) -> float:
         For SI when joint <= baseline or predicted <= baseline (strict
         comparisons, no tolerance).
     """
-    parts = measure_parts(params, spec)
-    a, b, c = parts.joint, parts.predicted, parts.baseline
-    if spec.kind == "OR":
-        return a / c
-    if spec.kind == "EOR":
-        return (a - b) / c
-    if spec.kind == "AP":
-        return (a - b) / max(a, b)
-    if not (a > c and b > c):
-        raise UndefinedSynergyError(
-            "synergy index needs the joint and predicted odds ratios to "
-            f"exceed the baseline; got joint={a:.6g}, predicted={b:.6g}, "
-            f"baseline={c:.6g}"
-        )
-    return (a - c) / (b - c)
+    return measure_parts(params, spec).value(spec.kind)

@@ -1,0 +1,41 @@
+import ast
+import re
+from pathlib import Path
+
+import pytest
+
+import interodds
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _names_imported_from_package(source):
+    return {
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == "interodds"
+        for alias in node.names
+    }
+
+
+def test_every_exported_name_resolves():
+    assert len(set(interodds.__all__)) == len(interodds.__all__)
+    for name in interodds.__all__:
+        assert hasattr(interodds, name), name
+
+
+@pytest.mark.parametrize(
+    "path", sorted(ROOT.glob("demos/*.py")), ids=lambda path: path.name
+)
+def test_demo_imports_are_exported(path):
+    names = _names_imported_from_package(path.read_text(encoding="utf-8"))
+    assert names, f"{path.name} imports nothing from interodds"
+    assert names <= set(interodds.__all__), names - set(interodds.__all__)
+
+
+def test_readme_quick_start_imports_are_exported():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    names = set().union(*(_names_imported_from_package(b) for b in blocks))
+    assert names, "README has no python block importing from interodds"
+    assert names <= set(interodds.__all__), names - set(interodds.__all__)

@@ -85,6 +85,7 @@ def test_increment_order_zero_is_baseline():
 
 def test_increment_running_example():
     assert close(or_increment(RUN2, (1, 1), {}), 5.0)
+    assert or_increment(RUN2, (1, 1)) == or_increment(RUN2, (1, 1), {})
 
 
 def test_increment_zero_params_cancels():

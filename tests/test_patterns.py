@@ -92,6 +92,11 @@ def test_pattern_index_canonical_order():
     idx3 = pattern_index(3)
     assert idx3.patterns()[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
     assert idx3.patterns()[-1] == (1, 1, 1)
+    for p in range(1, 11):
+        # the definitional key: cardinality, then the one-positions
+        key = lambda w: (sum(w), tuple(j for j in range(p) if w[j]))
+        nonzero = [as_bits(m, p) for m in range(1, 1 << p)]
+        assert pattern_index(p).patterns() == sorted(nonzero, key=key)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
