@@ -56,6 +56,7 @@ from .inference import (
     EstimateReport,
     Transform,
     bootstrap_ci,
+    bootstrap_replicates,
     ci_transform,
     delta_ci,
     measure_gradient,
@@ -101,6 +102,7 @@ __all__ = [
     "TransformRangeError",
     "UndefinedSynergyError",
     "bootstrap_ci",
+    "bootstrap_replicates",
     "canonical_kind",
     "ci_transform",
     "delta_ci",

@@ -23,6 +23,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 
@@ -46,7 +47,7 @@ from .errors import (
     SingularDesignError,
     UndefinedSynergyError,
 )
-from .inference import bootstrap_ci, delta_ci
+from .inference import MIN_BOOT, bootstrap_ci, bootstrap_replicates, delta_ci
 from .logit import CaseControlDataset, fit_logit
 from .measures import MeasureSpec
 from .selfcheck import run_all
@@ -139,6 +140,10 @@ class AnalysisConfig:
             raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
         if self.ci_method not in ("delta", "boot", "both"):
             raise ValueError(f"unknown ci method {self.ci_method!r}")
+        if self.ci_method != "delta" and self.n_boot < MIN_BOOT:
+            raise ValueError(
+                f"need at least {MIN_BOOT} bootstrap replicates, got {self.n_boot}"
+            )
 
 
 def _report_from_estimate(rep):
@@ -226,6 +231,7 @@ def run_analysis(config: AnalysisConfig):
 
     entries = []
     any_failed = False
+    replicates = None  # built at the first bootstrap interval, then shared
     for kind, order in config.measures:
         label_order = order
         try:
@@ -260,6 +266,10 @@ def run_analysis(config: AnalysisConfig):
                 any_failed = True
         if config.ci_method in ("boot", "both"):
             try:
+                if replicates is None:
+                    replicates = bootstrap_replicates(
+                        data, config.n_boot, config.seed
+                    )
                 rep = bootstrap_ci(
                     data,
                     spec,
@@ -267,6 +277,7 @@ def run_analysis(config: AnalysisConfig):
                     n_boot=config.n_boot,
                     seed=config.seed,
                     base_fit=fit,
+                    replicates=replicates,
                 )
                 entries.append(base | _report_from_estimate(rep))
             except InterOddsError as exc:
@@ -372,6 +383,24 @@ def _config_from_args(args) -> AnalysisConfig:
     )
 
 
+def _write_stdout(text):
+    """Print ``text``; a reader that closed the pipe early is not an error.
+
+    The rest of the output, and the flush at interpreter exit, then go to
+    the null device instead of raising ``BrokenPipeError`` again.
+    """
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except (AttributeError, OSError, ValueError):  # no file descriptor
+            sys.stdout = os.fdopen(devnull, "w")
+        else:
+            os.close(devnull)
+
+
 def cmd_analyze(args) -> int:
     try:
         config = _config_from_args(args)
@@ -392,7 +421,7 @@ def cmd_analyze(args) -> int:
     except ValueError as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    print(render_report(report, config.output_format))
+    _write_stdout(render_report(report, config.output_format))
     return code
 
 
@@ -418,12 +447,12 @@ def cmd_simulate(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(
+    lines = [
         f"wrote {data.n} records to {args.out} "
         f"({data.n1} cases, {data.n0} controls)"
-    )
+    ]
     if specs:
-        print("true measure values:")
+        lines.append("true measure values:")
         names = [f"v{j + 1}" for j in range(design.p)]
         for spec in specs:
             held = [(names[j], level) for j, level in sorted(fixed.items())]
@@ -433,20 +462,19 @@ def cmd_simulate(args) -> int:
             )
             try:
                 value = true_measure(design, spec)
-                print(f"  {label}: {value:.6g}")
+                lines.append(f"  {label}: {value:.6g}")
             except UndefinedSynergyError as exc:
-                print(f"  {label}: undefined ({exc})")
+                lines.append(f"  {label}: undefined ({exc})")
+    _write_stdout("\n".join(lines))
     return EXIT_OK
 
 
 def cmd_check(args) -> int:
     results = run_all(fast=not args.full)
-    ok = True
-    for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        ok = ok and result.passed
-        print(f"{status} {result.name}: {result.detail}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    _write_stdout("\n".join(
+        f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}" for r in results
+    ))
+    return EXIT_OK if all(r.passed for r in results) else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:

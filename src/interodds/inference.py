@@ -36,6 +36,9 @@ from .measures import (
 # treated as tied; the gradient then follows the joint-OR branch.
 AP_TIE_RTOL = 1e-9
 
+# Fewest bootstrap replicates that give usable 2.5% / 97.5% percentiles.
+MIN_BOOT = 200
+
 
 def normal_quantile(beta: float) -> float:
     """Standard normal quantile (rational-approximation implementation)."""
@@ -225,6 +228,94 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     )
 
 
+@dataclass(eq=False)
+class BootstrapReplicates:
+    """Refitted structural coefficients of the bootstrap replicates.
+
+    ``psi[b]`` belongs to replicate ``b`` and is ``None`` where its refit
+    failed.  Fitting stops once more than 10% of the refits have failed,
+    since every measure's interval is then refused, so ``psi`` may be
+    shorter than ``n_boot``.
+    """
+
+    n_boot: int
+    seed: int
+    psi: list
+
+    @property
+    def max_failures(self) -> int:
+        return int(0.10 * self.n_boot)
+
+
+def bootstrap_replicates(
+    data: CaseControlDataset,
+    n_boot: int = 1000,
+    seed: int = 0,
+    options: Optional[FitOptions] = None,
+) -> BootstrapReplicates:
+    """Refit the model once on each stratified bootstrap resample.
+
+    Records are resampled with replacement independently within cases and
+    within controls, so every replicate keeps the original case/control
+    counts (the retrospective design fixes them).  Each replicate draws
+    from its own seed-sequence substream indexed by replicate number,
+    which makes the result independent of execution order.
+
+    The design is first collapsed to its distinct (design row, outcome)
+    cells, and a replicate is refitted as a weighted fit on the cells it
+    drew, with the draw counts as frequency weights.  That is the same
+    fit as on the drawn records, up to the order of summation.  It is much
+    smaller only where records repeat, as with no or only discrete
+    confounders; a continuous confounder leaves one cell per record.
+
+    Raises
+    ------
+    ValueError
+        ``n_boot`` below 200.
+    """
+    if n_boot < MIN_BOOT:
+        raise ValueError(
+            f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
+        )
+    # a design row is a function of the exposure pattern and covariates, so
+    # these compact keys give the same cells as the rows themselves
+    keys = np.column_stack([data.outcome, data.exposure_masks, data.covariates])
+    _, first, cell_of = np.unique(
+        keys, axis=0, return_index=True, return_inverse=True
+    )
+    cell_of = cell_of.reshape(-1)
+    X_cells = data.design_matrix[first]
+    y_cells = data.outcome[first].astype(float)
+    case_rows = np.flatnonzero(data.outcome == 1)
+    control_rows = np.flatnonzero(data.outcome == 0)
+    n1, n0 = len(case_rows), len(control_rows)
+
+    replicates = BootstrapReplicates(n_boot, seed, [])
+    failed = 0
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        rng = np.random.default_rng(child)
+        rows = np.concatenate(
+            [
+                case_rows[rng.integers(0, n1, size=n1)],
+                control_rows[rng.integers(0, n0, size=n0)],
+            ]
+        )
+        counts = np.bincount(cell_of[rows], minlength=len(first))
+        drawn = counts > 0
+        try:
+            refit = fit_design(
+                X_cells[drawn], y_cells[drawn], data.p, data.q,
+                options=options, check_rank=False, weights=counts[drawn],
+            )
+            replicates.psi.append(refit.params.psi)
+        except InterOddsError:
+            replicates.psi.append(None)
+            failed += 1
+            if failed > replicates.max_failures:
+                break
+    return replicates
+
+
 def bootstrap_ci(
     data: CaseControlDataset,
     spec: MeasureSpec,
@@ -233,64 +324,59 @@ def bootstrap_ci(
     seed: int = 0,
     options: Optional[FitOptions] = None,
     base_fit: Optional[FitResult] = None,
+    replicates: Optional[BootstrapReplicates] = None,
 ) -> EstimateReport:
     """Stratified percentile-bootstrap confidence interval.
 
-    Records are resampled with replacement independently within cases and
-    within controls, so every replicate keeps the original case/control
-    counts (the retrospective design fixes them).  Each replicate draws
-    from its own seed-sequence substream indexed by replicate number,
-    which makes the result independent of execution order; replicates
-    whose refit fails or whose measure is undefined are dropped and
-    counted.  ``base_fit`` may supply the full-data fit (for the point
-    estimate) when the caller already has one.
+    The replicates are those of :func:`bootstrap_replicates`.  Pass
+    ``replicates`` built from the same ``data``, ``n_boot`` and ``seed``
+    to share one set of refits among several measures; without it they
+    are built here.  The interval is the same either way.  Replicates
+    whose refit failed, or whose measure is undefined, are dropped and
+    counted: a failed refit counts against every measure, an undefined
+    measure only against its own.  ``base_fit`` may supply the full-data
+    fit (for the point estimate) when the caller already has one.
 
     Raises
     ------
     BootstrapFailureError
         More than 10% of replicates dropped.
     ValueError
-        ``n_boot`` below 200 or alpha outside (0, 1).
+        ``n_boot`` below 200, alpha outside (0, 1), or ``replicates``
+        made with another ``n_boot`` or ``seed``.
     """
-    if n_boot < 200:
-        raise ValueError(f"need at least 200 bootstrap replicates, got {n_boot}")
+    if n_boot < MIN_BOOT:
+        raise ValueError(
+            f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
+        )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    if replicates is not None and (replicates.n_boot, replicates.seed) != (
+        n_boot, seed
+    ):
+        raise ValueError("replicates were made with another n_boot or seed")
 
     if base_fit is None:
         base_fit = fit_logit(data, options=options)
     point = measure(base_fit.params.psi, spec)
+    if replicates is None:
+        replicates = bootstrap_replicates(data, n_boot, seed, options)
 
-    X = data.design_matrix
-    y = data.outcome.astype(float)
-    case_rows = np.flatnonzero(data.outcome == 1)
-    control_rows = np.flatnonzero(data.outcome == 0)
-    n1, n0 = len(case_rows), len(control_rows)
-
-    children = np.random.SeedSequence(seed).spawn(n_boot)
-    max_failures = int(0.10 * n_boot)
     values = []
     failed = 0
-    for child in children:
-        rng = np.random.default_rng(child)
-        rows = np.concatenate(
-            [
-                case_rows[rng.integers(0, n1, size=n1)],
-                control_rows[rng.integers(0, n0, size=n0)],
-            ]
-        )
-        try:
-            refit = fit_design(
-                X[rows], y[rows], data.p, data.q, options=options, check_rank=False
+    for psi in replicates.psi:
+        if psi is not None:  # None: the refit failed, for every measure
+            try:
+                values.append(measure(psi, spec))
+                continue
+            except InterOddsError:
+                pass  # undefined for this measure only
+        failed += 1
+        if failed > replicates.max_failures:
+            raise BootstrapFailureError(
+                f"{failed} of {n_boot} bootstrap replicates failed "
+                "(limit is 10%)"
             )
-            values.append(measure(refit.params.psi, spec))
-        except InterOddsError:
-            failed += 1
-            if failed > max_failures:
-                raise BootstrapFailureError(
-                    f"{failed} of {n_boot} bootstrap replicates failed "
-                    "(limit is 10%)"
-                )
     values = np.asarray(values)
     ci_low, ci_high = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
     return EstimateReport(

@@ -166,19 +166,23 @@ class FitResult:
         return np.sqrt(np.diag(self.sigma_psi))
 
 
-def loglik_score_info(beta, X, y):
+def loglik_score_info(beta, X, y, weights=None):
     """Log likelihood, score vector and information matrix at ``beta``.
 
     ``loglik = sum(y * eta - log(1 + exp(eta)))``, ``score = X' (y - theta)``
     and ``info = X' diag(theta (1 - theta)) X`` with ``theta = expit(eta)``.
+    With frequency ``weights`` every row's term is multiplied by its weight.
     """
     eta = X @ beta
     theta = expit(eta)
-    loglik = float(y @ eta - np.logaddexp(0.0, eta).sum())
-    score = X.T @ (y - theta)
     w = theta * (1.0 - theta)
+    resid = y - theta
+    if weights is not None:
+        w = weights * w
+        resid = weights * resid
+    score = X.T @ resid
     info = (X * w[:, None]).T @ X
-    return loglik, score, info
+    return _loglik(eta, y, weights), score, info
 
 
 def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
@@ -190,9 +194,10 @@ def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
     )
 
 
-def _loglik_only(beta, X, y):
-    eta = X @ beta
-    return float(y @ eta - np.logaddexp(0.0, eta).sum())
+def _loglik(eta, y, weights=None):
+    if weights is None:
+        return float(y @ eta - np.logaddexp(0.0, eta).sum())
+    return float(weights @ (y * eta - np.logaddexp(0.0, eta)))
 
 
 def _solve_newton_step(info, score):
@@ -208,23 +213,34 @@ def _solve_newton_step(info, score):
     return cho_solve(factor, score), factor, ridge_used
 
 
-def fit_design(X, y, p, q, options=None, start=None, check_rank=True):
+def fit_design(X, y, p, q, options=None, start=None, check_rank=True, weights=None):
     """Newton/step-halving ML fit on an explicit design matrix.
 
     The public entry point is :func:`fit_logit`; this variant exists so
-    bootstrap resampling can reuse a precomputed design.  Raises
+    bootstrap resampling can reuse a precomputed design.  ``weights`` are
+    positive frequency weights: row ``i`` stands for ``weights[i]``
+    identical records, and ``None`` means one record per row.  A fit on
+    the distinct rows of a design, weighted by how often each occurs, is
+    the same fit as on the design itself, up to the order of summation;
+    the record-count and class checks count weighted records.  Raises
     SingularDesignError / SeparationError / ConvergenceError as described
     there.
     """
     options = options or FitOptions()
-    n, ncols = X.shape
+    ncols = X.shape[1]
     y = np.asarray(y, dtype=float)
+    if weights is None:
+        n, n1 = X.shape[0], int(y.sum())
+    else:
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != y.shape or not np.all(weights > 0):
+            raise ValueError("weights must be positive, one per design row")
+        n, n1 = int(weights.sum()), int(weights @ y)
 
     if n < ncols + 1:
         raise ValueError(
             f"need at least {ncols + 1} records to fit {ncols} coefficients, got {n}"
         )
-    n1 = int(y.sum())
     if n1 == 0 or n1 == n:
         raise EmptyClassError("both cases and controls are required for fitting")
 
@@ -236,7 +252,7 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True):
         raise SingularDesignError("design matrix is rank deficient (collinear columns)")
 
     beta = np.zeros(ncols) if start is None else np.array(start, dtype=float)
-    loglik, score, info = loglik_score_info(beta, X, y)
+    loglik, score, info = loglik_score_info(beta, X, y, weights)
     converged = False
     ridge_used = False
     iterations = 0
@@ -259,7 +275,7 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True):
         accepted = False
         while t > 2.0 ** -34:
             candidate = beta + t * step
-            if _loglik_only(candidate, X, y) >= loglik:
+            if _loglik(X @ candidate, y, weights) >= loglik:
                 accepted = True
                 break
             t *= 0.5
@@ -275,7 +291,7 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True):
                 f"coefficient magnitude {worst:.3g} exceeds the divergence "
                 f"bound {options.coef_bound}; separation suspected"
             )
-        loglik, score, info = loglik_score_info(beta, X, y)
+        loglik, score, info = loglik_score_info(beta, X, y, weights)
         if float(np.max(np.abs(delta))) <= options.step_tol:
             converged = True
             break

@@ -1,9 +1,15 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import interodds.cli as cli
+import interodds.inference as inference
 from interodds.cli import main, measure_label, order_phrase, render_estimate
 from interodds.measures import StructuralParams
 from interodds.simulate import ConfounderModel, SimDesign, simulate
@@ -158,6 +164,29 @@ def test_analyze_single_fit_shared_across_measures(dataset_csv, monkeypatch):
     assert len(calls) == 1
 
 
+def test_analyze_bootstrap_refits_each_replicate_once(
+    dataset_csv, capsys, monkeypatch
+):
+    calls = []
+    real = inference.fit_design
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_design", counting_fit)
+    code = main(
+        analyze_args(
+            dataset_csv, "--measure", "EOR:2,AP:2,SI:2", "--ci", "boot",
+            "--n-boot", "200", "--format", "json",
+        )
+    )
+    assert code == 0
+    assert len(calls) == 200
+    entries = json.loads(capsys.readouterr().out)["measures"]
+    assert [e["n_boot"] for e in entries] == [200, 200, 200]
+
+
 def test_analyze_bootstrap_deterministic(dataset_csv, capsys):
     args = analyze_args(
         dataset_csv, "--measure", "AP:2", "--ci", "boot", "--n-boot", "200",
@@ -212,6 +241,34 @@ def test_exit_code_missing_file(capsys):
         ]
     )
     assert code == 2
+
+
+def test_exit_code_too_few_bootstrap_replicates(dataset_csv, capsys, monkeypatch):
+    loads = []
+    real = cli.load_csv
+
+    def counting_load(*args, **kwargs):
+        loads.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "load_csv", counting_load)
+    for method in ("boot", "both"):
+        code = main(
+            analyze_args(
+                dataset_csv, "--measure", "AP:2", "--ci", method, "--n-boot", "50"
+            )
+        )
+        assert code == 2
+        assert "need at least 200 bootstrap replicates, got 50" in (
+            capsys.readouterr().err
+        )
+    assert loads == []
+    code = main(
+        analyze_args(dataset_csv, "--measure", "AP:2", "--ci", "delta",
+                     "--n-boot", "50")
+    )
+    assert code == 0
+    assert loads == [1]
 
 
 def test_exit_code_bad_measure_token(dataset_csv):
@@ -327,6 +384,58 @@ def test_simulate_then_analyze_round_trip(tmp_path, capsys):
     entry = report["measures"][0]
     assert entry["ci_low"] <= 5.0 / 9.0 + 0.15
     assert entry["ci_high"] >= 5.0 / 9.0 - 0.15
+
+
+# ---------------------------------------------------------- closed stdout pipe
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def run_into_closed_pipe(monkeypatch, argv):
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
+    code = main(argv)
+    if sys.stdout is not pipe:
+        sys.stdout.close()
+    return code
+
+
+def test_closed_stdout_keeps_exit_code(dataset_csv, tmp_path, capsys, monkeypatch):
+    assert run_into_closed_pipe(
+        monkeypatch, analyze_args(dataset_csv, "--measure", "OR")
+    ) == 0
+    assert run_into_closed_pipe(
+        monkeypatch, analyze_args(dataset_csv, "--measure", "OR,SI:1")
+    ) == 5
+    design_path = tmp_path / "design.txt"
+    design_path.write_text(DESIGN)
+    argv = ["simulate", "--design", str(design_path), "--out", str(tmp_path / "s.csv")]
+    assert run_into_closed_pipe(monkeypatch, argv) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_analyze_into_closed_pipe_prints_no_traceback(dataset_csv):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from interodds.cli import main; sys.exit(main())",
+             *analyze_args(dataset_csv, "--measure", "OR", "--format", "json")],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr.decode() == ""
+    assert proc.returncode == 0
 
 
 # ----------------------------------------------------------------------- check

@@ -1,22 +1,31 @@
 import numpy as np
 import pytest
 
+import interodds.inference as inference
 from interodds.errors import (
     BootstrapFailureError,
+    InterOddsError,
     NegativeVarianceError,
     TransformRangeError,
     UndefinedSynergyError,
 )
 from interodds.inference import (
     bootstrap_ci,
+    bootstrap_replicates,
     ci_transform,
     delta_ci,
     measure_gradient,
     normal_quantile,
     parts_gradients,
 )
-from interodds.logit import CaseControlDataset, FitResult, FullParams, fit_logit
-from interodds.measures import MeasureSpec, StructuralParams
+from interodds.logit import (
+    CaseControlDataset,
+    FitResult,
+    FullParams,
+    fit_design,
+    fit_logit,
+)
+from interodds.measures import MeasureSpec, StructuralParams, measure
 from interodds.selfcheck import gradient_fd_error
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
@@ -310,15 +319,165 @@ def test_bootstrap_report_fields():
     assert rep.point == measure(fit.params.psi, spec)
 
 
-def test_bootstrap_too_many_failures():
+def degenerate_dataset():
     # one exposed record per class: resamples that drop either one give a
     # zero cell, the coefficient diverges, and the replicate fails
-    rng = np.random.default_rng(7)
     n_half = 15
     y = np.repeat([0, 1], n_half).astype(np.int8)
     v = np.zeros(2 * n_half, dtype=np.int8)
     v[0] = 1
     v[n_half] = 1
-    data = CaseControlDataset(v.reshape(-1, 1), np.zeros((2 * n_half, 0)), y)
+    return CaseControlDataset(v.reshape(-1, 1), np.zeros((2 * n_half, 0)), y)
+
+
+def test_bootstrap_too_many_failures():
+    data = degenerate_dataset()
     with pytest.raises(BootstrapFailureError):
         bootstrap_ci(data, MeasureSpec(p=1, kind="EOR", order=1), n_boot=200, seed=3)
+
+
+def test_bootstrap_too_many_failures_with_shared_replicates():
+    data = degenerate_dataset()
+    replicates = bootstrap_replicates(data, 200, 3)
+    # refitting stops at the first refit failure past the limit
+    assert replicates.psi.count(None) == 21
+    for kind in ("OR", "EOR"):
+        spec = MeasureSpec(p=1, kind=kind, order=1)
+        with pytest.raises(BootstrapFailureError, match="^21 of 200 "):
+            bootstrap_ci(data, spec, n_boot=200, seed=3, replicates=replicates)
+
+
+def resampled_rows(data, n_boot, seed):
+    """Each replicate's stratified draw, written out independently."""
+    cases = np.flatnonzero(data.outcome == 1)
+    controls = np.flatnonzero(data.outcome == 0)
+    for child in np.random.SeedSequence(seed).spawn(n_boot):
+        rng = np.random.default_rng(child)
+        yield np.concatenate(
+            [
+                cases[rng.integers(0, len(cases), size=len(cases))],
+                controls[rng.integers(0, len(controls), size=len(controls))],
+            ]
+        )
+
+
+def gathered_refit(data, rows):
+    """The refit on the drawn records themselves, one design row each."""
+    X, y = data.design_matrix, data.outcome.astype(float)
+    return fit_design(X[rows], y[rows], data.p, data.q, check_rank=False)
+
+
+def discrete_dataset(seed=0, n0=400, n1=400):
+    design = SimDesign(
+        p=2,
+        q=1,
+        psi_true=RUN2,
+        kappa_true=np.array([-0.6, 0.3]),
+        exposure_probs=np.array([0.4, 0.35]),
+        n0=n0,
+        n1=n1,
+        seed=seed,
+        z_models=(ConfounderModel.discrete([0.0, 1.0], [0.5, 0.5]),),
+    )
+    return simulate(design)
+
+
+@pytest.mark.parametrize(
+    "make_data, max_rows",
+    [(discrete_dataset, 16), (boot_dataset, 800)],
+    ids=["discrete_confounder", "normal_confounder"],
+)
+def test_replicate_refit_on_cells_matches_gathered_refit(
+    make_data, max_rows, monkeypatch
+):
+    data = make_data(seed=21)
+    rows_fitted = []
+    real = inference.fit_design
+
+    def recording_fit(X, *args, **kwargs):
+        rows_fitted.append(X.shape[0])
+        return real(X, *args, **kwargs)
+
+    monkeypatch.setattr(inference, "fit_design", recording_fit)
+    replicates = bootstrap_replicates(data, 200, seed=9)
+    assert len(replicates.psi) == 200 and None not in replicates.psi
+    # 2 x 2 exposure cells x 2 confounder levels x 2 outcomes at most; a
+    # normal confounder leaves one cell per distinct drawn record
+    assert max(rows_fitted) <= max_rows
+    if make_data is boot_dataset:
+        assert min(rows_fitted) > 16
+    for b, rows in zip(range(5), resampled_rows(data, 200, seed=9)):
+        expected = gathered_refit(data, rows).params.psi.psi
+        assert np.max(np.abs(replicates.psi[b].psi - expected)) <= 1e-9
+
+
+def test_bootstrap_shared_replicates_give_the_same_interval():
+    data = discrete_dataset(seed=4)
+    fit = fit_logit(data)
+    replicates = bootstrap_replicates(data, 200, seed=6)
+    for kind in ("OR", "EOR", "AP"):
+        spec = MeasureSpec(p=2, kind=kind, order=2)
+        alone = bootstrap_ci(data, spec, n_boot=200, seed=6, base_fit=fit)
+        shared = bootstrap_ci(
+            data, spec, n_boot=200, seed=6, base_fit=fit, replicates=replicates
+        )
+        assert shared == alone
+
+
+def test_bootstrap_replicates_must_match_n_boot_and_seed():
+    data = discrete_dataset(seed=4)
+    replicates = bootstrap_replicates(data, 200, seed=6)
+    spec = MeasureSpec(p=2, kind="OR")
+    with pytest.raises(ValueError, match="replicates"):
+        bootstrap_ci(data, spec, n_boot=200, seed=7, replicates=replicates)
+    with pytest.raises(ValueError, match="replicates"):
+        bootstrap_ci(data, spec, n_boot=300, seed=6, replicates=replicates)
+    with pytest.raises(ValueError, match="200"):
+        bootstrap_replicates(data, 199, seed=6)
+
+
+def cell_count_dataset(case_counts, control_counts):
+    """p = 2, q = 0 records with the given counts in cells 00, 10, 01, 11."""
+    patterns = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    v, y = [], []
+    for outcome, counts in ((1, case_counts), (0, control_counts)):
+        for pattern, count in zip(patterns, counts):
+            v += [pattern] * count
+            y += [outcome] * count
+    return CaseControlDataset(np.array(v), np.zeros((len(v), 0)), np.array(y))
+
+
+def test_bootstrap_failures_counted_per_spec():
+    # three controls in cell 11: resamples without any of them separate;
+    # psi_1 + psi_2 about two standard errors above 0: resamples below it
+    # leave the synergy index undefined
+    data = cell_count_dataset((60, 40, 40, 12), (80, 34, 34, 3))
+    specs = [MeasureSpec(p=2, kind=k, order=2) for k in ("EOR", "AP", "SI")]
+    si = specs[2]
+    refit_failed = si_undefined = 0
+    for rows in resampled_rows(data, 200, seed=2):
+        try:
+            psi = gathered_refit(data, rows).params.psi
+        except InterOddsError:
+            refit_failed += 1
+            continue
+        try:
+            measure(psi, si)
+        except InterOddsError:
+            si_undefined += 1
+    assert refit_failed > 0 and si_undefined > 0
+    assert refit_failed + si_undefined <= 20
+
+    replicates = bootstrap_replicates(data, 200, seed=2)
+    fit = fit_logit(data)
+    n_failed = {
+        spec.kind: bootstrap_ci(
+            data, spec, n_boot=200, seed=2, base_fit=fit, replicates=replicates
+        ).n_failed
+        for spec in specs
+    }
+    assert n_failed == {
+        "EOR": refit_failed,
+        "AP": refit_failed,
+        "SI": refit_failed + si_undefined,
+    }

@@ -12,12 +12,13 @@ from interodds.logit import (
     FitOptions,
     FullParams,
     design_row,
+    fit_design,
     fit_logit,
     loglik_and_derivatives,
     loglik_score_info,
 )
 from interodds.measures import StructuralParams
-from interodds.patterns import downset_indicator
+from interodds.patterns import downset_indicator, pattern_index
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
 
@@ -250,3 +251,85 @@ def test_full_params_vector_round_trip():
     back = FullParams.from_vector(vec, 2, 2)
     assert np.allclose(back.psi.psi, psi.psi)
     assert np.allclose(back.kappa, params.kappa)
+
+
+# ------------------------------------------------------- weighted fit, oracle
+
+
+def collapsed_cells(data):
+    """Distinct (design row, outcome) cells and how many records each holds."""
+    cells, counts = np.unique(
+        np.column_stack([data.design_matrix, data.outcome]),
+        axis=0,
+        return_counts=True,
+    )
+    return cells[:, :-1], cells[:, -1], counts
+
+
+def saturated_mle(data):
+    """Closed-form MLE of psi and its covariance for q = 0.
+
+    The saturated model fits every exposure cell's log odds exactly, so
+    psi is the Moebius inversion of the cell log odds log(a / b), and the
+    covariance is M diag(1/a + 1/b) M' for the inversion matrix M.
+    """
+    masks = data.exposure_masks
+    a = np.bincount(masks[data.outcome == 1], minlength=1 << data.p)
+    b = np.bincount(masks[data.outcome == 0], minlength=1 << data.p)
+    M = np.zeros((len(pattern_index(data.p).masks), 1 << data.p))
+    for row, m in enumerate(pattern_index(data.p).masks.tolist()):
+        for u in range(1 << data.p):
+            if u & ~m == 0:
+                M[row, u] = (-1) ** (bin(m).count("1") - bin(u).count("1"))
+    return M @ np.log(a / b), (M * (1.0 / a + 1.0 / b)) @ M.T
+
+
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_fit_matches_closed_form_saturated_mle(p):
+    rng = np.random.default_rng(40 + p)
+    n = 3000
+    v = rng.integers(0, 2, size=(n, p))
+    y = rng.random(n) < 1.0 / (1.0 + np.exp(0.5 - 0.4 * v.sum(axis=1)))
+    data = CaseControlDataset(v, np.zeros((n, 0)), y.astype(np.int8))
+    psi, sigma = saturated_mle(data)
+
+    fit = fit_logit(data)
+    assert np.max(np.abs(fit.params.psi.psi - psi)) <= 1e-6
+    assert np.max(np.abs(fit.sigma_psi - sigma)) <= 1e-6
+
+    X_cells, y_cells, counts = collapsed_cells(data)
+    assert len(counts) == 2 << p
+    weighted = fit_design(X_cells, y_cells, p, 0, weights=counts)
+    assert np.max(np.abs(weighted.params.psi.psi - psi)) <= 1e-6
+    assert np.max(np.abs(weighted.sigma_psi - sigma)) <= 1e-6
+
+
+def test_weighted_fit_equals_fit_on_repeated_records():
+    data = small_dataset(n=300, seed=16)
+    counts = np.random.default_rng(16).integers(1, 4, size=data.n)
+    rows = np.repeat(np.arange(data.n), counts)
+    X, y = data.design_matrix, data.outcome.astype(float)
+    repeated = fit_design(X[rows], y[rows], 2, 1)
+    weighted = fit_design(X, y, 2, 1, weights=counts)
+    assert np.allclose(weighted.params.to_vector(), repeated.params.to_vector(),
+                       rtol=0, atol=1e-9)
+    assert np.allclose(weighted.sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
+    assert weighted.loglik == pytest.approx(repeated.loglik, rel=1e-12)
+
+
+def test_weights_must_be_positive_one_per_row():
+    data = small_dataset(n=100, seed=17)
+    X, y = data.design_matrix, data.outcome.astype(float)
+    with pytest.raises(ValueError, match="weights"):
+        fit_design(X, y, 2, 1, weights=np.r_[0.0, np.ones(data.n - 1)])
+    with pytest.raises(ValueError, match="weights"):
+        fit_design(X, y, 2, 1, weights=np.ones(data.n - 1))
+
+
+def test_weighted_record_count_and_class_checks():
+    X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    # three rows are too few for three coefficients, nine weighted ones are not
+    with pytest.raises(ValueError, match="got 3"):
+        fit_design(X, np.array([0.0, 1.0, 1.0]), 1, 1)
+    with pytest.raises(EmptyClassError):
+        fit_design(X, np.ones(3), 1, 1, weights=np.full(3, 3.0))
