@@ -270,15 +270,7 @@ def run_analysis(config: AnalysisConfig):
                     replicates = bootstrap_replicates(
                         data, config.n_boot, config.seed
                     )
-                rep = bootstrap_ci(
-                    data,
-                    spec,
-                    alpha=config.alpha,
-                    n_boot=config.n_boot,
-                    seed=config.seed,
-                    base_fit=fit,
-                    replicates=replicates,
-                )
+                rep = bootstrap_ci(fit, replicates, spec, alpha=config.alpha)
                 entries.append(base | _report_from_estimate(rep))
             except InterOddsError as exc:
                 entries.append(

@@ -80,6 +80,12 @@ def load_csv(path, outcome, risk_factors, covariates=()):
             raise CsvParseError(
                 [(0, c, "column selected more than once") for c in sorted(dup)]
             )
+        repeated = [c for c in wanted if header.count(c) > 1]
+        if repeated:
+            raise CsvParseError(
+                [(0, c, "column appears more than once in the header")
+                 for c in repeated]
+            )
         pos = {c: header.index(c) for c in wanted}
 
         problems = []

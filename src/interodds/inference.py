@@ -22,7 +22,7 @@ from .errors import (
     NegativeVarianceError,
     TransformRangeError,
 )
-from .logit import CaseControlDataset, FitOptions, FitResult, fit_design, fit_logit
+from .logit import CaseControlDataset, FitResult, fit_design
 from .measures import (
     MeasureSpec,
     StructuralParams,
@@ -239,7 +239,6 @@ class BootstrapReplicates:
     """
 
     n_boot: int
-    seed: int
     psi: list
 
     @property
@@ -248,10 +247,7 @@ class BootstrapReplicates:
 
 
 def bootstrap_replicates(
-    data: CaseControlDataset,
-    n_boot: int = 1000,
-    seed: int = 0,
-    options: Optional[FitOptions] = None,
+    data: CaseControlDataset, n_boot: int = 1000, seed: int = 0
 ) -> BootstrapReplicates:
     """Refit the model once on each stratified bootstrap resample.
 
@@ -290,7 +286,7 @@ def bootstrap_replicates(
     control_rows = np.flatnonzero(data.outcome == 0)
     n1, n0 = len(case_rows), len(control_rows)
 
-    replicates = BootstrapReplicates(n_boot, seed, [])
+    replicates = BootstrapReplicates(n_boot, [])
     failed = 0
     for child in np.random.SeedSequence(seed).spawn(n_boot):
         rng = np.random.default_rng(child)
@@ -305,7 +301,7 @@ def bootstrap_replicates(
         try:
             refit = fit_design(
                 X_cells[drawn], y_cells[drawn], data.p, data.q,
-                options=options, check_rank=False, weights=counts[drawn],
+                weights=counts[drawn],
             )
             replicates.psi.append(refit.params.psi)
         except InterOddsError:
@@ -317,51 +313,31 @@ def bootstrap_replicates(
 
 
 def bootstrap_ci(
-    data: CaseControlDataset,
+    fit: FitResult,
+    replicates: BootstrapReplicates,
     spec: MeasureSpec,
     alpha: float = 0.05,
-    n_boot: int = 1000,
-    seed: int = 0,
-    options: Optional[FitOptions] = None,
-    base_fit: Optional[FitResult] = None,
-    replicates: Optional[BootstrapReplicates] = None,
 ) -> EstimateReport:
     """Stratified percentile-bootstrap confidence interval.
 
-    The replicates are those of :func:`bootstrap_replicates`.  Pass
-    ``replicates`` built from the same ``data``, ``n_boot`` and ``seed``
-    to share one set of refits among several measures; without it they
-    are built here.  The interval is the same either way.  Replicates
-    whose refit failed, or whose measure is undefined, are dropped and
-    counted: a failed refit counts against every measure, an undefined
-    measure only against its own.  ``base_fit`` may supply the full-data
-    fit (for the point estimate) when the caller already has one.
+    The point estimate is the measure at ``fit``, the full-data fit; the
+    interval comes from the refits of :func:`bootstrap_replicates`, which
+    one set of replicates serves for every measure.  Replicates whose
+    refit failed, or whose measure is undefined, are dropped and counted:
+    a failed refit counts against every measure, an undefined measure
+    only against its own.
 
     Raises
     ------
     BootstrapFailureError
         More than 10% of replicates dropped.
     ValueError
-        ``n_boot`` below 200, alpha outside (0, 1), or ``replicates``
-        made with another ``n_boot`` or ``seed``.
+        alpha outside (0, 1).
     """
-    if n_boot < MIN_BOOT:
-        raise ValueError(
-            f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
-        )
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if replicates is not None and (replicates.n_boot, replicates.seed) != (
-        n_boot, seed
-    ):
-        raise ValueError("replicates were made with another n_boot or seed")
 
-    if base_fit is None:
-        base_fit = fit_logit(data, options=options)
-    point = measure(base_fit.params.psi, spec)
-    if replicates is None:
-        replicates = bootstrap_replicates(data, n_boot, seed, options)
-
+    point = measure(fit.params.psi, spec)
     values = []
     failed = 0
     for psi in replicates.psi:
@@ -374,7 +350,7 @@ def bootstrap_ci(
         failed += 1
         if failed > replicates.max_failures:
             raise BootstrapFailureError(
-                f"{failed} of {n_boot} bootstrap replicates failed "
+                f"{failed} of {replicates.n_boot} bootstrap replicates failed "
                 "(limit is 10%)"
             )
     values = np.asarray(values)
@@ -388,6 +364,6 @@ def bootstrap_ci(
         ci_high=float(ci_high),
         alpha=alpha,
         method="BOOTSTRAP_PERCENTILE",
-        n_boot=n_boot,
+        n_boot=replicates.n_boot,
         n_failed=failed,
     )

@@ -169,20 +169,19 @@ class FitResult:
 def loglik_score_info(beta, X, y, weights=None):
     """Log likelihood, score vector and information matrix at ``beta``.
 
-    ``loglik = sum(y * eta - log(1 + exp(eta)))``, ``score = X' (y - theta)``
-    and ``info = X' diag(theta (1 - theta)) X`` with ``theta = expit(eta)``.
-    With frequency ``weights`` every row's term is multiplied by its weight.
+    ``loglik = sum(w * (y * eta - log(1 + exp(eta))))``,
+    ``score = X' diag(w) (y - theta)`` and
+    ``info = X' diag(w theta (1 - theta)) X`` with ``theta = expit(eta)``,
+    where ``w`` are frequency weights, one per row by default.
     """
+    if weights is None:
+        weights = np.ones(len(y))
     eta = X @ beta
     theta = expit(eta)
-    w = theta * (1.0 - theta)
-    resid = y - theta
-    if weights is not None:
-        w = weights * w
-        resid = weights * resid
-    score = X.T @ resid
-    info = (X * w[:, None]).T @ X
-    return _loglik(eta, y, weights), score, info
+    score = X.T @ (weights * (y - theta))
+    info = (X * (weights * (theta * (1.0 - theta)))[:, None]).T @ X
+    loglik = float(weights @ (y * eta - np.logaddexp(0.0, eta)))
+    return loglik, score, info
 
 
 def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
@@ -194,48 +193,35 @@ def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
     )
 
 
-def _loglik(eta, y, weights=None):
-    if weights is None:
-        return float(y @ eta - np.logaddexp(0.0, eta).sum())
-    return float(weights @ (y * eta - np.logaddexp(0.0, eta)))
-
-
-def _solve_newton_step(info, score):
-    """Newton direction via SPD factorization, tiny-ridge fallback."""
-    dim = info.shape[0]
-    ridge_used = False
+def _factor(info):
+    """Cholesky factor of the information, with a tiny-ridge fallback."""
     try:
-        factor = cho_factor(info, lower=True)
+        return cho_factor(info, lower=True), False
     except LinAlgError:
+        dim = info.shape[0]
         ridge = 1e-10 * np.trace(info) / dim
-        factor = cho_factor(info + ridge * np.eye(dim), lower=True)
-        ridge_used = True
-    return cho_solve(factor, score), factor, ridge_used
+        return cho_factor(info + ridge * np.eye(dim), lower=True), True
 
 
-def fit_design(X, y, p, q, options=None, start=None, check_rank=True, weights=None):
+def fit_design(X, y, p, q, options=None, start=None, weights=None):
     """Newton/step-halving ML fit on an explicit design matrix.
 
-    The public entry point is :func:`fit_logit`; this variant exists so
-    bootstrap resampling can reuse a precomputed design.  ``weights`` are
-    positive frequency weights: row ``i`` stands for ``weights[i]``
-    identical records, and ``None`` means one record per row.  A fit on
-    the distinct rows of a design, weighted by how often each occurs, is
-    the same fit as on the design itself, up to the order of summation;
-    the record-count and class checks count weighted records.  Raises
-    SingularDesignError / SeparationError / ConvergenceError as described
-    there.
+    :func:`fit_logit` fits a dataset's own design; bootstrap refits call
+    this directly on the collapsed design.  ``weights`` are positive
+    frequency weights, one per row by default: row ``i`` stands for
+    ``weights[i]`` identical records.  A fit on the distinct rows of a
+    design, weighted by how often each occurs, is the same fit as on the
+    design itself, up to the order of summation; the record-count and
+    class checks count weighted records.  Raises SingularDesignError /
+    SeparationError / ConvergenceError as described there.
     """
     options = options or FitOptions()
     ncols = X.shape[1]
     y = np.asarray(y, dtype=float)
-    if weights is None:
-        n, n1 = X.shape[0], int(y.sum())
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != y.shape or not np.all(weights > 0):
-            raise ValueError("weights must be positive, one per design row")
-        n, n1 = int(weights.sum()), int(weights @ y)
+    weights = np.ones(len(y)) if weights is None else np.asarray(weights, float)
+    if weights.shape != y.shape or not np.all(weights > 0):
+        raise ValueError("weights must be positive, one per design row")
+    n, n1 = int(weights.sum()), int(weights @ y)
 
     if n < ncols + 1:
         raise ValueError(
@@ -248,7 +234,7 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True, weights=No
     if np.any(spans == 0):
         col = int(np.argmin(spans)) + 1
         raise SingularDesignError(f"design column {col} is constant")
-    if check_rank and np.linalg.matrix_rank(X) < ncols:
+    if np.linalg.matrix_rank(X) < ncols:
         raise SingularDesignError("design matrix is rank deficient (collinear columns)")
 
     beta = np.zeros(ncols) if start is None else np.array(start, dtype=float)
@@ -268,30 +254,32 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True, weights=No
                 f"information matrix condition number {cond:.3g} exceeds "
                 f"{options.cond_cap:.0e}; separation suspected"
             )
-        step, _, used = _solve_newton_step(info, score)
+        factor, used = _factor(info)
         ridge_used = ridge_used or used
+        step = cho_solve(factor, score)
 
+        # the accepted trial's loglik, score and information carry over
         t = 1.0
-        accepted = False
-        while t > 2.0 ** -34:
+        while True:
             candidate = beta + t * step
-            if _loglik(X @ candidate, y, weights) >= loglik:
-                accepted = True
+            trial = loglik_score_info(candidate, X, y, weights)
+            if trial[0] >= loglik:
                 break
             t *= 0.5
-        if not accepted:
-            raise ConvergenceError(
-                f"step-halving found no non-decreasing step at iteration {iterations}"
-            )
+            if t <= 2.0 ** -34:
+                raise ConvergenceError(
+                    "step-halving found no non-decreasing step at "
+                    f"iteration {iterations}"
+                )
         delta = t * step
-        beta = beta + delta
+        beta = candidate
         worst = float(np.max(np.abs(beta)))
         if worst > options.coef_bound:
             raise SeparationError(
                 f"coefficient magnitude {worst:.3g} exceeds the divergence "
                 f"bound {options.coef_bound}; separation suspected"
             )
-        loglik, score, info = loglik_score_info(beta, X, y, weights)
+        loglik, score, info = trial
         if float(np.max(np.abs(delta))) <= options.step_tol:
             converged = True
             break
@@ -302,7 +290,7 @@ def fit_design(X, y, p, q, options=None, start=None, check_rank=True, weights=No
         )
 
     gnorm = float(np.max(np.abs(score)))
-    step, factor, used = _solve_newton_step(info, score)
+    factor, used = _factor(info)
     ridge_used = ridge_used or used
     full_cov = cho_solve(factor, np.eye(ncols))
     full_cov = 0.5 * (full_cov + full_cov.T)
@@ -353,5 +341,4 @@ def fit_logit(data: CaseControlDataset, options=None, start=None) -> FitResult:
         data.q,
         options=options,
         start=start,
-        check_rank=True,
     )

@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from interodds.cli import main, render_estimate
-from interodds.inference import bootstrap_ci, delta_ci
+from interodds.inference import bootstrap_ci, bootstrap_replicates, delta_ci
 from interodds.logit import fit_logit
 from interodds.measures import (
     MeasureSpec,
@@ -194,7 +194,7 @@ def test_delta_vs_bootstrap_agreement():
         fit = fit_logit(data)
         d = delta_ci(fit, spec, alpha=0.05)
         b = bootstrap_ci(
-            data, spec, alpha=0.05, n_boot=500, seed=seed, base_fit=fit
+            fit, bootstrap_replicates(data, 500, seed), spec, alpha=0.05
         )
         if (
             abs(d.ci_low - b.ci_low) <= 0.05

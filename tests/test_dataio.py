@@ -79,6 +79,19 @@ def test_missing_column(tmp_path):
         load_csv(path, "y", ["v1", "v2"])
 
 
+def test_duplicate_header_name_rejected(tmp_path):
+    path = write(tmp_path, "y,v1,v1,z\n1,0,1,0.5\n0,1,0,1.5\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "y", ["v1"], ["z"])
+    assert err.value.problems == [
+        (0, "v1", "column appears more than once in the header")
+    ]
+    # a repeated name among the columns not selected is harmless
+    path = write(tmp_path, "y,v1,w,w\n1,0,1,1\n0,1,0,0\n", name="e.csv")
+    data = load_csv(path, "y", ["v1"])
+    assert data.exposures[:, 0].tolist() == [0, 1]
+
+
 def test_non_binary_risk_factor_names_row_and_column(tmp_path):
     path = write(tmp_path, "y,v1\n1,1\n0,2\n1,0\n0,1\n")
     with pytest.raises(NonBinaryFactorError, match=r"'v1'.*'2'.*row 2"):

@@ -287,29 +287,32 @@ def boot_dataset(seed=0, n0=400, n1=400):
 
 def test_bootstrap_deterministic_given_seed():
     data = boot_dataset()
+    fit = fit_logit(data)
     spec = MeasureSpec(p=2, kind="AP", order=2)
-    rep1 = bootstrap_ci(data, spec, n_boot=200, seed=42)
-    rep2 = bootstrap_ci(data, spec, n_boot=200, seed=42)
+    rep1 = bootstrap_ci(fit, bootstrap_replicates(data, 200, seed=42), spec)
+    rep2 = bootstrap_ci(fit, bootstrap_replicates(data, 200, seed=42), spec)
     assert (rep1.ci_low, rep1.ci_high, rep1.point) == (
         rep2.ci_low,
         rep2.ci_high,
         rep2.point,
     )
-    rep3 = bootstrap_ci(data, spec, n_boot=200, seed=43)
+    rep3 = bootstrap_ci(fit, bootstrap_replicates(data, 200, seed=43), spec)
     assert (rep1.ci_low, rep1.ci_high) != (rep3.ci_low, rep3.ci_high)
 
 
 def test_bootstrap_requires_enough_replicates():
     data = boot_dataset()
     with pytest.raises(ValueError):
-        bootstrap_ci(data, MeasureSpec(p=2, kind="AP", order=2), n_boot=100)
+        bootstrap_replicates(data, 100)
+    with pytest.raises(ValueError, match="200"):
+        bootstrap_replicates(data, 199, seed=6)
 
 
 def test_bootstrap_report_fields():
     data = boot_dataset(seed=5)
     fit = fit_logit(data)
     spec = MeasureSpec(p=2, kind="OR")
-    rep = bootstrap_ci(data, spec, n_boot=200, seed=1, base_fit=fit)
+    rep = bootstrap_ci(fit, bootstrap_replicates(data, 200, seed=1), spec)
     assert rep.method == "BOOTSTRAP_PERCENTILE"
     assert rep.n_boot == 200
     assert rep.n_failed == 0
@@ -330,21 +333,16 @@ def degenerate_dataset():
     return CaseControlDataset(v.reshape(-1, 1), np.zeros((2 * n_half, 0)), y)
 
 
-def test_bootstrap_too_many_failures():
-    data = degenerate_dataset()
-    with pytest.raises(BootstrapFailureError):
-        bootstrap_ci(data, MeasureSpec(p=1, kind="EOR", order=1), n_boot=200, seed=3)
-
-
 def test_bootstrap_too_many_failures_with_shared_replicates():
     data = degenerate_dataset()
+    fit = fit_logit(data)
     replicates = bootstrap_replicates(data, 200, 3)
     # refitting stops at the first refit failure past the limit
     assert replicates.psi.count(None) == 21
     for kind in ("OR", "EOR"):
         spec = MeasureSpec(p=1, kind=kind, order=1)
         with pytest.raises(BootstrapFailureError, match="^21 of 200 "):
-            bootstrap_ci(data, spec, n_boot=200, seed=3, replicates=replicates)
+            bootstrap_ci(fit, replicates, spec)
 
 
 def resampled_rows(data, n_boot, seed):
@@ -364,7 +362,7 @@ def resampled_rows(data, n_boot, seed):
 def gathered_refit(data, rows):
     """The refit on the drawn records themselves, one design row each."""
     X, y = data.design_matrix, data.outcome.astype(float)
-    return fit_design(X[rows], y[rows], data.p, data.q, check_rank=False)
+    return fit_design(X[rows], y[rows], data.p, data.q)
 
 
 def discrete_dataset(seed=0, n0=400, n1=400):
@@ -411,31 +409,6 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
         assert np.max(np.abs(replicates.psi[b].psi - expected)) <= 1e-9
 
 
-def test_bootstrap_shared_replicates_give_the_same_interval():
-    data = discrete_dataset(seed=4)
-    fit = fit_logit(data)
-    replicates = bootstrap_replicates(data, 200, seed=6)
-    for kind in ("OR", "EOR", "AP"):
-        spec = MeasureSpec(p=2, kind=kind, order=2)
-        alone = bootstrap_ci(data, spec, n_boot=200, seed=6, base_fit=fit)
-        shared = bootstrap_ci(
-            data, spec, n_boot=200, seed=6, base_fit=fit, replicates=replicates
-        )
-        assert shared == alone
-
-
-def test_bootstrap_replicates_must_match_n_boot_and_seed():
-    data = discrete_dataset(seed=4)
-    replicates = bootstrap_replicates(data, 200, seed=6)
-    spec = MeasureSpec(p=2, kind="OR")
-    with pytest.raises(ValueError, match="replicates"):
-        bootstrap_ci(data, spec, n_boot=200, seed=7, replicates=replicates)
-    with pytest.raises(ValueError, match="replicates"):
-        bootstrap_ci(data, spec, n_boot=300, seed=6, replicates=replicates)
-    with pytest.raises(ValueError, match="200"):
-        bootstrap_replicates(data, 199, seed=6)
-
-
 def cell_count_dataset(case_counts, control_counts):
     """p = 2, q = 0 records with the given counts in cells 00, 10, 01, 11."""
     patterns = [(0, 0), (1, 0), (0, 1), (1, 1)]
@@ -471,10 +444,7 @@ def test_bootstrap_failures_counted_per_spec():
     replicates = bootstrap_replicates(data, 200, seed=2)
     fit = fit_logit(data)
     n_failed = {
-        spec.kind: bootstrap_ci(
-            data, spec, n_boot=200, seed=2, base_fit=fit, replicates=replicates
-        ).n_failed
-        for spec in specs
+        spec.kind: bootstrap_ci(fit, replicates, spec).n_failed for spec in specs
     }
     assert n_failed == {
         "EOR": refit_failed,
