@@ -262,6 +262,28 @@ def _increment_terms(p, varying, vj_local, fixed_mask):
 
 
 @lru_cache(maxsize=100_000)
+def _increment_sum_terms(p, varying, vj_local, fixed_mask, order):
+    """The increment terms of every ``w <= v_j`` with ``|w| <= order``.
+
+    One concatenated gather for all of them; ``slices`` holds each
+    increment's slice of it, so every increment is still summed on its own
+    before the increments are added up.
+    """
+    parts = [
+        _increment_terms(p, varying, w, fixed_mask)
+        for w in range(1 << len(varying))
+        if not (w & ~vj_local or w.bit_count() > order)
+    ]
+    ends = np.cumsum([len(m) for m, _ in parts]).tolist()
+    slices = tuple(map(slice, [0, *ends[:-1]], ends))
+    masks = np.concatenate([m for m, _ in parts])
+    signs = np.concatenate([s for _, s in parts])
+    masks.setflags(write=False)
+    signs.setflags(write=False)
+    return masks, signs, slices
+
+
+@lru_cache(maxsize=100_000)
 def _prediction_terms(p, varying, vj_local, fixed_mask, order):
     """Gather masks and closed-form coefficients for a truncated prediction.
 
@@ -290,7 +312,7 @@ def odds_ratio(params: StructuralParams, v) -> float:
     Equals ``exp`` of the sum of ``psi`` over the nonzero subpatterns of
     ``v``; exactly 1.0 when ``v`` is the zero pattern.
     """
-    bits = tuple(int(b) for b in v)
+    bits = tuple(map(int, v))
     if len(bits) != params.p:
         raise ValueError(f"pattern length {len(bits)} != p = {params.p}")
     return float(params.or_table[as_mask(bits)])
@@ -358,14 +380,11 @@ def predicted_or_increments(params: StructuralParams, v_j, fixed, order: int) ->
     d = vj_local.bit_count()
     if not 0 <= order <= d:
         raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
-    table = params.or_table
-    increments = []
-    for w in range(1 << len(varying)):
-        if w & ~vj_local or w.bit_count() > order:
-            continue
-        masks, signs = _increment_terms(params.p, varying, w, fixed_mask)
-        increments.append(fsum((signs * table[masks]).tolist()))
-    return fsum(increments)
+    masks, signs, slices = _increment_sum_terms(
+        params.p, varying, vj_local, fixed_mask, order
+    )
+    terms = (signs * params.or_table[masks]).tolist()
+    return fsum(map(fsum, map(terms.__getitem__, slices)))
 
 
 def excess_or(params: StructuralParams, fixed, order: int) -> float:

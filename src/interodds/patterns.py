@@ -28,10 +28,10 @@ MAX_FACTORS = 20
 
 def as_mask(bits) -> int:
     """Pack a 0/1 sequence into a bitmask (factor j -> bit j)."""
-    bits = tuple(int(b) for b in bits)
+    bits = tuple(map(int, bits))
     if not 1 <= len(bits) <= MAX_FACTORS:
         raise ValueError(f"pattern length must be in 1..{MAX_FACTORS}, got {len(bits)}")
-    if any(b not in (0, 1) for b in bits):
+    if not {0, 1}.issuperset(bits):
         raise ValueError(f"pattern entries must be 0 or 1, got {bits}")
     mask = 0
     for j, b in enumerate(bits):

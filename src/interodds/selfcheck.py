@@ -108,22 +108,22 @@ def prediction_equivalence_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322)
     worst = 0.0
     for p in p_values:
         rng = np.random.default_rng(seed + 31 * p)
-        splits = list(iter_splits(p))
-        for _ in range(draws):
-            params = random_params(p, rng)
-            for fixed in splits:
-                varying = tuple(j for j in range(p) if j not in fixed)
-                nj = len(varying)
-                for vj in range(1 << nj):
-                    v_bits = tuple((vj >> i) & 1 for i in range(nj))
-                    d = vj.bit_count()
+        drawn = [random_params(p, rng) for _ in range(draws)]
+        for fixed in iter_splits(p):
+            varying = tuple(j for j in range(p) if j not in fixed)
+            nj = len(varying)
+            for vj in range(1 << nj):
+                v_bits = tuple((vj >> i) & 1 for i in range(nj))
+                d = vj.bit_count()
+                full_bits = _full_bits(p, fixed, varying, vj)
+                for params in drawn:
                     for order in range(d):
                         closed = predicted_or(params, v_bits, fixed, order)
                         ref = predicted_or_increments(params, v_bits, fixed, order)
                         worst = max(worst, rel_err(closed, ref))
                     full = predicted_or(params, v_bits, fixed, d)
                     ref = predicted_or_increments(params, v_bits, fixed, d)
-                    target = odds_ratio(params, _full_bits(p, fixed, varying, vj))
+                    target = odds_ratio(params, full_bits)
                     worst = max(worst, rel_err(full, target))
                     worst = max(worst, rel_err(ref, target))
     return worst

@@ -304,8 +304,6 @@ def test_bootstrap_requires_enough_replicates():
     data = boot_dataset()
     with pytest.raises(ValueError):
         bootstrap_replicates(data, 100)
-    with pytest.raises(ValueError, match="200"):
-        bootstrap_replicates(data, 199, seed=6)
 
 
 def test_bootstrap_report_fields():
@@ -331,6 +329,14 @@ def degenerate_dataset():
     v[0] = 1
     v[n_half] = 1
     return CaseControlDataset(v.reshape(-1, 1), np.zeros((2 * n_half, 0)), y)
+
+
+def test_bootstrap_too_many_failures():
+    data = degenerate_dataset()
+    fit = fit_logit(data)
+    with pytest.raises(BootstrapFailureError):
+        replicates = bootstrap_replicates(data, 200, seed=3)
+        bootstrap_ci(fit, replicates, MeasureSpec(p=1, kind="EOR", order=1))
 
 
 def test_bootstrap_too_many_failures_with_shared_replicates():
@@ -407,6 +413,25 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
     for b, rows in zip(range(5), resampled_rows(data, 200, seed=9)):
         expected = gathered_refit(data, rows).params.psi.psi
         assert np.max(np.abs(replicates.psi[b].psi - expected)) <= 1e-9
+
+
+def replicate_values(replicates):
+    return [None if fit is None else fit.psi.tolist() for fit in replicates.psi]
+
+
+def test_bootstrap_replicates_must_match_n_boot_and_seed():
+    data = discrete_dataset(seed=4)
+    replicates = bootstrap_replicates(data, 300, seed=6)
+    assert replicates.n_boot == len(replicates.psi) == 300
+    # the seed alone fixes the draws
+    again = bootstrap_replicates(data, 300, seed=6)
+    assert replicate_values(again) == replicate_values(replicates)
+    other = bootstrap_replicates(data, 300, seed=7)
+    assert replicate_values(other) != replicate_values(replicates)
+    rep = bootstrap_ci(fit_logit(data), replicates, MeasureSpec(p=2, kind="OR"))
+    assert rep.n_boot == 300
+    with pytest.raises(ValueError, match="200"):
+        bootstrap_replicates(data, 199, seed=6)
 
 
 def cell_count_dataset(case_counts, control_counts):
