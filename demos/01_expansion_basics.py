@@ -9,7 +9,8 @@ interaction increment.
 
 import numpy as np
 
-from interodds import StructuralParams, odds_ratio, or_increment, subpatterns
+from interodds import StructuralParams, odds_ratio, or_increment
+from interodds.patterns import subpatterns
 
 psi = StructuralParams(np.log([2.0, 3.0, 1.5]), p=2)
 

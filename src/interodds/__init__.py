@@ -27,7 +27,6 @@ from .patterns import (
     MAX_FACTORS,
     PatternIndex,
     pattern_index,
-    subpatterns,
 )
 from .measures import (
     KINDS,
@@ -124,7 +123,6 @@ __all__ = [
     "psi_coordinate_names",
     "run_self_checks",
     "simulate",
-    "subpatterns",
     "true_measure",
     "write_csv",
 ]

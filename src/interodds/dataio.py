@@ -6,6 +6,7 @@ written with ``repr`` so a written file reloads to bit-identical values.
 """
 
 import csv
+from itertools import islice
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from .logit import CaseControlDataset
 from .measures import StructuralParams, canonical_kind
 from .patterns import pattern_index
 from .simulate import ConfounderModel, SimDesign
+
+# Records the column-wise pass of load_csv holds at once; reading a whole
+# file at once would keep every record's cell strings alive together
+_CHUNK_ROWS = 16_384
 
 
 def parse_measure_token(token: str):
@@ -36,6 +41,10 @@ def parse_measure_token(token: str):
 
 def load_csv(path, outcome, risk_factors, covariates=()):
     """Load a case-control dataset from a headered CSV file.
+
+    A leading UTF-8 byte-order mark is skipped.  A clean file is parsed
+    column by column; a file with any bad record or cell is read again
+    row by row, which lists every offender.
 
     Parameters
     ----------
@@ -62,80 +71,140 @@ def load_csv(path, outcome, risk_factors, covariates=()):
     """
     risk_factors = list(risk_factors)
     covariates = list(covariates)
-    with open(path, newline="", encoding="utf-8") as handle:
+    wanted = [outcome] + risk_factors + covariates
+    p = len(risk_factors)
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
+        header = _read_header(reader, wanted)
+        table = _parse_columns(
+            reader, len(header), [header.index(c) for c in wanted], 1 + p
+        )
+    if table is None:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            next(reader)
+            table = _parse_rows(reader, header, outcome, risk_factors, covariates)
+
+    if not table.shape[1]:
+        raise EmptyClassError("no data rows")
+    y = table[0].astype(np.int8)
+    if y.sum() == 0 or y.sum() == len(y):
+        raise EmptyClassError(
+            "dataset needs both cases and controls; got "
+            f"{int(y.sum())} cases out of {len(y)} records"
+        )
+    return CaseControlDataset(
+        table[1 : 1 + p].T.astype(np.int8, order="C"),
+        np.ascontiguousarray(table[1 + p :].T),
+        y,
+    )
+
+
+def _read_header(reader, wanted):
+    """The stripped header row, once every wanted column is in it once."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise CsvParseError([(0, "<file>", "empty file, header row required")])
+    header = [h.strip() for h in header]
+    missing = [c for c in wanted if c not in header]
+    if missing:
+        raise CsvParseError(
+            [(0, c, "column not found in header") for c in missing]
+        )
+    dup = [c for c in set(wanted) if wanted.count(c) > 1]
+    if dup:
+        raise CsvParseError(
+            [(0, c, "column selected more than once") for c in sorted(dup)]
+        )
+    repeated = [c for c in wanted if header.count(c) > 1]
+    if repeated:
+        raise CsvParseError(
+            [(0, c, "column appears more than once in the header")
+             for c in repeated]
+        )
+    return header
+
+
+def _parse_columns(reader, width, cols, n_binary):
+    """Parse the records of a clean file, ``_CHUNK_ROWS`` at a time.
+
+    Returns the ``(len(cols), n)`` table of the selected columns, or None
+    when :func:`_parse_rows` would report any record or cell: a wrong cell
+    count, text that ``float()`` rejects, a value that is not finite, or
+    a value other than 0 or 1 in the first ``n_binary`` columns.
+    ``np.array(..., dtype=float)`` converts each cell with ``float()``,
+    as the row pass does.
+    """
+    chunks = [np.empty((len(cols), 0))]
+    while rows := list(islice(reader, _CHUNK_ROWS)):
+        if set(map(len, rows)) != {width}:
+            return None
+        columns = list(zip(*rows))
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CsvParseError([(0, "<file>", "empty file, header row required")])
-        header = [h.strip() for h in header]
-        wanted = [outcome] + risk_factors + covariates
-        missing = [c for c in wanted if c not in header]
-        if missing:
-            raise CsvParseError(
-                [(0, c, "column not found in header") for c in missing]
-            )
-        dup = [c for c in set(wanted) if wanted.count(c) > 1]
-        if dup:
-            raise CsvParseError(
-                [(0, c, "column selected more than once") for c in sorted(dup)]
-            )
-        repeated = [c for c in wanted if header.count(c) > 1]
-        if repeated:
-            raise CsvParseError(
-                [(0, c, "column appears more than once in the header")
-                 for c in repeated]
-            )
-        pos = {c: header.index(c) for c in wanted}
+            chunks.append(np.array([columns[c] for c in cols], dtype=float))
+        except ValueError:
+            return None
+    table = np.concatenate(chunks, axis=1)
+    binary = table[:n_binary]
+    if not (np.isfinite(table).all() and ((binary == 0) | (binary == 1)).all()):
+        return None
+    return table
 
-        problems = []
-        non_binary = []
-        v_rows, z_rows, y_rows = [], [], []
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                problems.append(
-                    (rownum, "<row>", f"expected {len(header)} cells, got {len(row)}")
-                )
-                continue
-            bad = False
 
-            def parse_float(col):
-                nonlocal bad
-                text = row[pos[col]].strip()
-                if not text:
-                    problems.append((rownum, col, "missing value"))
-                    bad = True
-                    return np.nan
-                try:
-                    value = float(text)
-                except ValueError:
-                    problems.append((rownum, col, f"not a number: {text!r}"))
-                    bad = True
-                    return np.nan
-                if not np.isfinite(value):
-                    problems.append((rownum, col, f"not finite: {text!r}"))
-                    bad = True
-                return value
+def _parse_rows(reader, header, outcome, risk_factors, covariates):
+    """Parse the records one by one and report every bad one.
 
-            y = parse_float(outcome)
-            if np.isfinite(y) and y not in (0.0, 1.0):
-                problems.append(
-                    (rownum, outcome, f"outcome must be 0 or 1, got {y!r}")
-                )
+    Raises the load errors that name rows and cells; on a clean file it
+    returns the same table as :func:`_parse_columns`.
+    """
+    pos = {c: header.index(c) for c in [outcome] + risk_factors + covariates}
+    problems = []
+    non_binary = []
+    records = []
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != len(header):
+            problems.append(
+                (rownum, "<row>", f"expected {len(header)} cells, got {len(row)}")
+            )
+            continue
+        bad = False
+
+        def parse_float(col):
+            nonlocal bad
+            text = row[pos[col]].strip()
+            if not text:
+                problems.append((rownum, col, "missing value"))
                 bad = True
-            v = []
-            for col in risk_factors:
-                value = parse_float(col)
-                if np.isfinite(value) and value not in (0.0, 1.0):
-                    non_binary.append((rownum, col, row[pos[col]].strip()))
-                    bad = True
-                v.append(value)
-            z = [parse_float(col) for col in covariates]
-            if bad:
-                continue
-            y_rows.append(int(y))
-            v_rows.append([int(x) for x in v])
-            z_rows.append(z)
+                return np.nan
+            try:
+                value = float(text)
+            except ValueError:
+                problems.append((rownum, col, f"not a number: {text!r}"))
+                bad = True
+                return np.nan
+            if not np.isfinite(value):
+                problems.append((rownum, col, f"not finite: {text!r}"))
+                bad = True
+            return value
+
+        y = parse_float(outcome)
+        if np.isfinite(y) and y not in (0.0, 1.0):
+            problems.append(
+                (rownum, outcome, f"outcome must be 0 or 1, got {y!r}")
+            )
+            bad = True
+        v = []
+        for col in risk_factors:
+            value = parse_float(col)
+            if np.isfinite(value) and value not in (0.0, 1.0):
+                non_binary.append((rownum, col, row[pos[col]].strip()))
+                bad = True
+            v.append(value)
+        z = [parse_float(col) for col in covariates]
+        if bad:
+            continue
+        records.append([y] + v + z)
 
     if non_binary:
         rownum, col, text = non_binary[0]
@@ -145,19 +214,8 @@ def load_csv(path, outcome, risk_factors, covariates=()):
         )
     if problems:
         raise CsvParseError(problems)
-    if not y_rows:
-        raise EmptyClassError("no data rows")
-    y = np.array(y_rows, dtype=np.int8)
-    if y.sum() == 0 or y.sum() == len(y):
-        raise EmptyClassError(
-            "dataset needs both cases and controls; got "
-            f"{int(y.sum())} cases out of {len(y)} records"
-        )
-    return CaseControlDataset(
-        np.array(v_rows, dtype=np.int8),
-        np.array(z_rows, dtype=float).reshape(len(y), len(covariates)),
-        y,
-    )
+    width = 1 + len(risk_factors) + len(covariates)
+    return np.array(records, dtype=float).reshape(-1, width).T
 
 
 def write_csv(data, path, outcome_name="y", risk_names=None, covariate_names=None):

@@ -180,8 +180,6 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     """
     if not fit.converged:
         raise ValueError("delta_ci requires a converged fit")
-    if fit.params.psi.p != spec.p:
-        raise ValueError("spec factor count does not match the fit")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
@@ -332,7 +330,8 @@ def bootstrap_ci(
     BootstrapFailureError
         More than 10% of replicates dropped.
     ValueError
-        alpha outside (0, 1).
+        alpha outside (0, 1), or a spec whose factor count differs from
+        the fit's.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")

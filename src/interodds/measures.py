@@ -471,6 +471,10 @@ def _spec_terms(p, varying, fixed_mask, order):
 
 
 def _terms_for(params: StructuralParams, spec: MeasureSpec) -> tuple:
+    if params.p != spec.p:
+        raise ValueError(
+            f"spec has {spec.p} risk factors but the parameters have {params.p}"
+        )
     varying, fixed_mask = _validate_fixed(params.p, spec.fixed)
     return _spec_terms(params.p, varying, fixed_mask, spec.effective_order)
 
@@ -519,5 +523,7 @@ def measure(params: StructuralParams, spec: MeasureSpec) -> float:
     UndefinedSynergyError
         For SI when joint <= baseline or predicted <= baseline (strict
         comparisons, no tolerance).
+    ValueError
+        ``spec`` and ``params`` disagree on the number of risk factors.
     """
     return measure_parts(params, spec).value(spec.kind)

@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from interodds import dataio
 from interodds.dataio import (
     load_csv,
     parse_design_file,
@@ -130,6 +135,132 @@ def test_empty_file(tmp_path):
     path = write(tmp_path, "")
     with pytest.raises(CsvParseError):
         load_csv(path, "y", ["v1"])
+
+
+def test_byte_order_mark_and_crlf_accepted(tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfy,v1,z\r\n1,1,0.5\r\n0,0,1.5\r\n1,0,2.5\r\n")
+    data = load_csv(path, "y", ["v1"], ["z"])
+    assert data.outcome.tolist() == [1, 0, 1]
+    assert data.exposures[:, 0].tolist() == [1, 0, 0]
+    assert data.covariates[:, 0].tolist() == [0.5, 1.5, 2.5]
+    # the row pass that reports bad cells reads the same header
+    path.write_bytes(b"\xef\xbb\xbfy,v1,z\r\n1,1,oops\r\n0,0,1.5\r\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "y", ["v1"], ["z"])
+    assert err.value.problems == [(1, "z", "not a number: 'oops'")]
+
+
+def load_outcome(path, row_pass_only=False):
+    """What load_csv returns or raises, in a form that compares with ==.
+
+    ``row_pass_only`` makes the column pass give up at once; otherwise it
+    runs with 3-record chunks, so small tables cross chunk boundaries.
+    """
+    patch = (
+        mock.patch.object(dataio, "_parse_columns", lambda *args: None)
+        if row_pass_only
+        else mock.patch.object(dataio, "_CHUNK_ROWS", 3)
+    )
+    with patch:
+        try:
+            data = load_csv(path, "y", ["v1", "v2"], ["z1"])
+        except CsvParseError as err:
+            return type(err), err.problems
+        except (NonBinaryFactorError, EmptyClassError) as err:
+            return type(err), str(err)
+    return (
+        data.outcome.dtype, data.outcome.tolist(),
+        data.exposures.dtype, data.exposures.tolist(),
+        data.covariates.dtype, data.covariates.tolist(),
+    )
+
+
+GOOD_BINARY = ["0", "1"]
+GOOD_REAL = ["0", "1", "-2.5", "0.1", repr(1 / 3), repr(-1e-300), "7e15"]
+# rejected cells, and accepted ones in spellings a parser might treat apart
+ODD_CELLS = ["", " ", "oops", "inf", "nan", "2", "1_0", '"1"', " 1 ", "-0"]
+
+
+@st.composite
+def csv_tables(draw):
+    """Small tables of valid cells with up to three odd cells or bad records."""
+    rows = draw(st.lists(
+        st.tuples(*[st.sampled_from(GOOD_BINARY)] * 2, st.just("x"),
+                  st.sampled_from(GOOD_BINARY), st.sampled_from(GOOD_REAL)).map(list),
+        max_size=8,
+    ))
+    for _ in range(draw(st.integers(0, 3)) if rows else 0):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        fault = draw(st.sampled_from(["cell", "cell", "short", "long", "blank"]))
+        if not row:  # already made blank
+            continue
+        if fault == "cell":
+            row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(ODD_CELLS))
+        elif fault == "short":
+            row.pop()
+        elif fault == "long":
+            row.append("0")
+        else:
+            row.clear()
+    return "".join(",".join(row) + "\n" for row in [["y", "v1", "w", "v2", "z1"]] + rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=csv_tables())
+def test_column_and_row_passes_agree(text, tmp_path_factory):
+    path = tmp_path_factory.mktemp("agree") / "t.csv"
+    path.write_text(text, encoding="utf-8")
+    assert load_outcome(path) == load_outcome(path, row_pass_only=True)
+
+
+def test_each_single_fault_gives_the_row_pass_result(tmp_path):
+    clean = [["1", "1", "x", "0", "0.5"], ["0", "0", "x", "1", "-2"],
+             ["1", "0", "x", "1", "3"], ["0", "1", "x", "0", "0"]]
+    tables = []
+    for r in range(len(clean)):
+        for c in range(5):
+            for cell in ODD_CELLS:
+                rows = [row[:] for row in clean]
+                rows[r][c] = cell
+                tables.append(rows)
+        for shape in (clean[r][:-1], clean[r] + ["0"], []):
+            tables.append(clean[:r] + [shape] + clean[r + 1 :])
+    path = tmp_path / "t.csv"
+    for rows in tables:
+        path.write_text(
+            "".join(",".join(row) + "\n" for row in [["y", "v1", "w", "v2", "z1"]] + rows)
+        )
+        assert load_outcome(path) == load_outcome(path, row_pass_only=True), rows
+
+
+def test_bad_cell_past_the_first_chunk_names_its_row(tmp_path):
+    n = dataio._CHUNK_ROWS + 10
+    lines = ["y,v1,z1"] + [f"{i % 2},{i // 2 % 2},{i / 7!r}" for i in range(n)]
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    data = load_csv(path, "y", ["v1"], ["z1"])
+    assert data.n == n
+    assert data.covariates[:, 0].tolist() == [i / 7 for i in range(n)]
+    assert data.outcome.tolist() == [i % 2 for i in range(n)]
+    bad_row = dataio._CHUNK_ROWS + 6  # 1-based data-row number
+    lines[bad_row] = "1,0,oops"
+    path = write(tmp_path, "\n".join(lines) + "\n")
+    with pytest.raises(CsvParseError) as err:
+        load_csv(path, "y", ["v1"], ["z1"])
+    assert err.value.problems == [(bad_row, "z1", "not a number: 'oops'")]
+
+
+def test_clean_file_never_enters_the_row_pass(tmp_path):
+    def row_pass(*args):
+        raise AssertionError("row pass entered")
+
+    clean = write(tmp_path, "y,v1,z1\n1,1,0.5\n0,0,-1e-3\n1,0,2\n")
+    bad = write(tmp_path, "y,v1,z1\n1,1,0.5\n0,0,\n", name="bad.csv")
+    with mock.patch.object(dataio, "_parse_rows", row_pass):
+        data = load_csv(clean, "y", ["v1"], ["z1"])
+        assert data.covariates[:, 0].tolist() == [0.5, -1e-3, 2.0]
+        with pytest.raises(AssertionError, match="row pass entered"):
+            load_csv(bad, "y", ["v1"], ["z1"])
 
 
 def test_measure_tokens():

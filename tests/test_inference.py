@@ -261,6 +261,12 @@ def test_delta_ci_notes_ap_tie():
     assert rep2.note is not None
 
 
+def test_delta_ci_rejects_spec_with_other_factor_count():
+    fit = make_fit(RUN2, np.eye(3) * 0.01)
+    with pytest.raises(ValueError, match="3 risk factors.*have 2"):
+        delta_ci(fit, MeasureSpec(p=3, kind="OR"))
+
+
 def test_delta_ci_alpha_validation():
     fit = make_fit(RUN2, np.eye(3) * 0.01)
     with pytest.raises(ValueError):
@@ -318,6 +324,13 @@ def test_bootstrap_report_fields():
     from interodds.measures import measure
 
     assert rep.point == measure(fit.params.psi, spec)
+
+
+def test_bootstrap_rejects_spec_with_other_factor_count():
+    data = boot_dataset(seed=5)
+    replicates = bootstrap_replicates(data, 200, seed=1)
+    with pytest.raises(ValueError, match="3 risk factors.*have 2"):
+        bootstrap_ci(fit_logit(data), replicates, MeasureSpec(p=3, kind="OR"))
 
 
 def degenerate_dataset():

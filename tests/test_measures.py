@@ -67,6 +67,11 @@ def test_odds_ratio_rejects_wrong_length():
         odds_ratio(RUN2, (1, 0, 1))
 
 
+def test_measure_rejects_spec_with_other_factor_count():
+    with pytest.raises(ValueError, match="3 risk factors.*have 2"):
+        measure(RUN2, MeasureSpec(p=3, kind="OR"))
+
+
 def test_structural_params_validation():
     with pytest.raises(ValueError):
         StructuralParams(np.zeros(2), 2)  # needs 3 entries
