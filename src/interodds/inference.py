@@ -2,8 +2,8 @@
 
 The delta method propagates the asymptotic covariance of the structural
 coefficients through a measure: the gradient of the measure with respect
-to those coefficients is assembled analytically from the gradients of its
-three odds-ratio parts, the variance is the usual quadratic form, and the
+to those coefficients is assembled analytically through its three
+odds-ratio parts, the variance is the usual quadratic form, and the
 interval is built symmetrically on a variance-stabilizing scale and mapped
 back.  A stratified percentile bootstrap is provided as an independent,
 slower route to the same interval.
@@ -26,6 +26,7 @@ from .logit import CaseControlDataset, FitResult, fit_design
 from .measures import (
     MeasureSpec,
     StructuralParams,
+    _gather,
     canonical_kind,
     measure,
     measure_parts,
@@ -55,34 +56,33 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     subgradient is used there (ties have measure zero for continuous
     estimates).
     """
-    return _evaluate(params, spec)[2]
+    return _point_and_gradient(params, spec)[2]
 
 
-def _evaluate(params: StructuralParams, spec: MeasureSpec) -> tuple:
-    """Parts, value and gradient of a measure from one evaluation of the parts."""
-    parts = measure_parts(params, spec)
+def _point_and_gradient(params: StructuralParams, spec: MeasureSpec) -> tuple:
+    """Parts, value and gradient of a measure from one gather of its plan.
+
+    ``r`` holds the derivatives of the measure by its (joint, predicted,
+    baseline) parts; the plan's part weights carry them to its odds ratios.
+    """
+    parts, ors, weights, rows = _gather(params, spec)
     point = parts.value(spec.kind)  # raises where the synergy index is undefined
-    g = parts_gradients(params, spec)
     a, b, c = parts.joint, parts.predicted, parts.baseline
     if spec.kind == "OR":
-        grad = (1.0 / c) * g.joint - (a / c**2) * g.baseline
+        r = (1.0 / c, 0.0, -a / c**2)
     elif spec.kind == "EOR":
-        grad = (1.0 / c) * (g.joint - g.predicted) - ((a - b) / c**2) * g.baseline
+        r = (1.0 / c, -1.0 / c, -(a - b) / c**2)
     elif spec.kind == "AP" and a >= b:
-        grad = (b / a**2) * g.joint - (1.0 / a) * g.predicted
+        r = (b / a**2, -1.0 / a, 0.0)
     elif spec.kind == "AP":
-        grad = (1.0 / b) * g.joint - (a / b**2) * g.predicted
+        r = (1.0 / b, -a / b**2, 0.0)
     else:
         d = b - c
-        grad = (
-            (1.0 / d) * g.joint
-            - ((a - c) / d**2) * g.predicted
-            + ((a - b) / d**2) * g.baseline
-        )
-    return parts, point, grad
+        r = (1.0 / d, -(a - c) / d**2, (a - b) / d**2)
+    return parts, point, np.dot(np.dot(r, weights) * ors, rows)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Transform:
     """Monotone increasing map from a measure's range to the real line."""
 
@@ -92,43 +92,35 @@ class Transform:
     derivative: Callable[[float], float]
 
 
-def _identity() -> Transform:
-    return Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0)
+def _unit(x: float) -> float:
+    if not -1.0 < x < 1.0:
+        raise TransformRangeError(f"value {x} outside the open interval (-1, 1)")
+    return x
 
 
-def _atanh_like() -> Transform:
-    def apply(x):
-        if not -1.0 < x < 1.0:
-            raise TransformRangeError(
-                f"value {x} outside the open interval (-1, 1)"
-            )
-        return float(np.log((1.0 + x) / (1.0 - x)))
-
-    def invert(y):
-        return float(np.tanh(0.5 * y))
-
-    def derivative(x):
-        if not -1.0 < x < 1.0:
-            raise TransformRangeError(
-                f"value {x} outside the open interval (-1, 1)"
-            )
-        return 2.0 / (1.0 - x * x)
-
-    return Transform("atanh_like", apply, invert, derivative)
+def _positive(x: float) -> float:
+    if not x > 0.0:
+        raise TransformRangeError(f"value {x} outside (0, inf)")
+    return x
 
 
-def _log() -> Transform:
-    def apply(x):
-        if not x > 0.0:
-            raise TransformRangeError(f"value {x} outside (0, inf)")
-        return float(np.log(x))
-
-    def derivative(x):
-        if not x > 0.0:
-            raise TransformRangeError(f"value {x} outside (0, inf)")
-        return 1.0 / x
-
-    return Transform("log", apply, lambda y: float(np.exp(y)), derivative)
+_LOG = Transform(
+    "log",
+    lambda x: float(np.log(_positive(x))),
+    lambda y: float(np.exp(y)),
+    lambda x: 1.0 / _positive(x),
+)
+_TRANSFORMS = {
+    "OR": _LOG,
+    "EOR": Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0),
+    "AP": Transform(
+        "atanh_like",
+        lambda x: float(np.log((1.0 + _unit(x)) / (1.0 - x))),
+        lambda y: float(np.tanh(0.5 * y)),
+        lambda x: 2.0 / (1.0 - _unit(x) * x),
+    ),
+    "SI": _LOG,
+}
 
 
 def ci_transform(kind: str) -> Transform:
@@ -136,14 +128,9 @@ def ci_transform(kind: str) -> Transform:
 
     Identity for the excess odds ratio, ``log((1 + x)/(1 - x))`` for the
     attributable proportion, and the logarithm for the synergy index and
-    the joint odds ratio.
+    the joint odds ratio.  Each kind's transform is one shared instance.
     """
-    kind = canonical_kind(kind)
-    if kind == "EOR":
-        return _identity()
-    if kind == "AP":
-        return _atanh_like()
-    return _log()
+    return _TRANSFORMS[canonical_kind(kind)]
 
 
 @dataclass
@@ -177,22 +164,31 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
         Fit not converged, dimension mismatch, or alpha outside (0, 1).
     NegativeVarianceError
         Quadratic form below -1e-10 (defective covariance matrix).
+    TransformRangeError, UndefinedSynergyError
+        An attributable proportion whose predicted odds ratio is not
+        positive; a synergy index that is undefined at the fit.
     """
     if not fit.converged:
         raise ValueError("delta_ci requires a converged fit")
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    psi_hat = fit.params.psi
-    parts, point, grad = _evaluate(psi_hat, spec)
-    var = float(grad @ fit.sigma_psi @ grad)
+    parts, point, grad = _point_and_gradient(fit.params.psi, spec)
+    a, b = parts.joint, parts.predicted
+    var = float(np.dot(np.dot(grad, fit.sigma_psi), grad))
     if var < -1e-10:
         raise NegativeVarianceError(
             f"delta-method variance {var:.3g} is negative; covariance defect"
         )
     sigma = sqrt(max(var, 0.0))
+    if spec.kind == "AP" and not b > 0.0:  # then the point is 1 or above
+        raise TransformRangeError(
+            f"attributable proportion {point:.6g} is outside (-1, 1): the "
+            f"predicted odds ratio {b:.6g} is not positive (joint odds ratio "
+            f"{a:.6g})"
+        )
 
-    tr = ci_transform(spec.kind)
+    tr = _TRANSFORMS[spec.kind]
     se_t = tr.derivative(point) * sigma
     z = normal_quantile(1.0 - alpha / 2.0)
     center = tr.apply(point)
@@ -205,14 +201,11 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
         ci_high = max(tr.invert(center + z * se_t), point)
 
     note = None
-    if spec.kind == "AP":
-        if abs(parts.joint - parts.predicted) < AP_TIE_RTOL * max(
-            parts.joint, parts.predicted
-        ):
-            note = (
-                "joint and predicted odds ratios are numerically tied; "
-                "the gradient used the joint branch of the denominator"
-            )
+    if spec.kind == "AP" and abs(a - b) < AP_TIE_RTOL * max(a, b):
+        note = (
+            "joint and predicted odds ratios are numerically tied; "
+            "the gradient used the joint branch of the denominator"
+        )
     return EstimateReport(
         kind=spec.kind,
         point=point,

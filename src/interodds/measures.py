@@ -117,7 +117,7 @@ class StructuralParams:
         return table
 
 
-@dataclass
+@dataclass(frozen=True)
 class MeasureSpec:
     """Which measure to compute, for which factors, at which order.
 
@@ -126,17 +126,27 @@ class MeasureSpec:
     smallest interaction order the measure charges: 1 targets the joint
     effect of all of J, ``len(J)`` targets only the highest-order
     interaction.  The joint odds ratio ("OR") does not use an order.
+
+    A spec is immutable and validated once: ``fixed`` is a copy of the
+    mapping passed in, and ``varying`` (J, ascending) and ``fixed_mask``
+    (the factors held at level 1) are computed when the spec is made.
     """
 
     p: int
     kind: str
     order: Optional[int] = None
     fixed: Mapping[int, int] = field(default_factory=dict)
+    varying: tuple = field(init=False, repr=False, compare=False)
+    fixed_mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.kind = canonical_kind(self.kind)
-        self.fixed = dict(self.fixed)
-        nj = len(_validate_fixed(self.p, self.fixed)[0])
+        object.__setattr__(self, "kind", canonical_kind(self.kind))
+        fixed = dict(self.fixed)
+        varying, fixed_mask = _validate_fixed(self.p, fixed)
+        object.__setattr__(self, "fixed", fixed)
+        object.__setattr__(self, "varying", varying)
+        object.__setattr__(self, "fixed_mask", fixed_mask)
+        nj = len(varying)
         if self.kind == "OR":
             if self.order is not None and not 1 <= self.order <= nj:
                 raise OrderRangeError(
@@ -152,11 +162,6 @@ class MeasureSpec:
                 raise OrderRangeError(
                     f"SI requires order in 2..{nj}, got {self.order}"
                 )
-
-    @property
-    def varying(self) -> tuple:
-        """The factor positions in J, ascending."""
-        return _validate_fixed(self.p, self.fixed)[0]
 
     @property
     def effective_order(self) -> int:
@@ -450,12 +455,13 @@ def excess_or_explicit(params: StructuralParams, fixed, order: int) -> float:
 
 @lru_cache(maxsize=100_000)
 def _spec_terms(p, varying, fixed_mask, order):
-    """The term table of a measure spec: which odds ratios, with which weights.
+    """The compiled plan of a measure spec: which odds ratios, with which weights.
 
     ``masks`` lists the joint pattern, the baseline pattern, then the
     prediction terms of order below ``order``.  Row 0, 1 and 2 of
     ``weights`` combine the odds ratios at ``masks`` into the joint,
-    predicted and baseline parts.
+    predicted and baseline parts.  ``rows`` are the downset indicator rows
+    of ``masks``: each odds ratio differentiates to itself times its row.
     """
     joint = _spread((1 << len(varying)) - 1, varying) | fixed_mask
     pred_masks, coeffs = _prediction_terms(
@@ -465,29 +471,33 @@ def _spec_terms(p, varying, fixed_mask, order):
     weights = np.zeros((3, len(masks)))
     weights[0, 0] = weights[2, 1] = 1.0
     weights[1, 2:] = coeffs
-    masks.setflags(write=False)
-    weights.setflags(write=False)
-    return masks, weights
+    rows = downset_rows(p, masks)
+    for table in (masks, weights, rows):
+        table.setflags(write=False)
+    return masks, weights, rows
 
 
-def _terms_for(params: StructuralParams, spec: MeasureSpec) -> tuple:
+def _gather(params: StructuralParams, spec: MeasureSpec) -> tuple:
+    """A spec's parts, the odds ratios at its plan's masks, and its plan."""
     if params.p != spec.p:
         raise ValueError(
             f"spec has {spec.p} risk factors but the parameters have {params.p}"
         )
-    varying, fixed_mask = _validate_fixed(params.p, spec.fixed)
-    return _spec_terms(params.p, varying, fixed_mask, spec.effective_order)
-
-
-def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
-    """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    masks, weights = _terms_for(params, spec)
+    masks, weights, rows = _spec_terms(
+        spec.p, spec.varying, spec.fixed_mask, spec.effective_order
+    )
     ors = params.or_table[masks]
-    return MeasureParts(
+    parts = MeasureParts(
         joint=float(ors[0]),
         predicted=fsum((weights[1, 2:] * ors[2:]).tolist()),
         baseline=float(ors[1]),
     )
+    return parts, ors, weights, rows
+
+
+def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
+    """The (joint, predicted, baseline) odds-ratio triple for a spec."""
+    return _gather(params, spec)[0]
 
 
 def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
@@ -497,8 +507,8 @@ def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradien
     the coordinates it sums over, so every part's gradient is its
     weighted odds ratios times the indicator rows of their patterns.
     """
-    masks, weights = _terms_for(params, spec)
-    grads = (weights * params.or_table[masks]) @ downset_rows(params.p, masks)
+    _, ors, weights, rows = _gather(params, spec)
+    grads = (weights * ors) @ rows
     return PartsGradients(joint=grads[0], predicted=grads[1], baseline=grads[2])
 
 

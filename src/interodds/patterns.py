@@ -44,11 +44,6 @@ def as_bits(mask: int, p: int) -> tuple:
     return tuple((mask >> j) & 1 for j in range(p))
 
 
-def is_subpattern(w_mask: int, v_mask: int) -> bool:
-    """Componentwise ``w <= v`` on bitmasks."""
-    return (w_mask & ~v_mask) == 0
-
-
 def _canonical_masks(p: int) -> np.ndarray:
     """All 2^p masks in canonical order (cardinality, then one-positions).
 
@@ -118,16 +113,6 @@ def subpatterns(v) -> list:
     masks = _canonical_masks(p)
     below = masks[(masks & ~as_mask(bits)) == 0]
     return [as_bits(m, p) for m in below.tolist()]
-
-
-def alternating_sign(v, w) -> int:
-    """Inclusion-exclusion sign ``(-1)^(|v| - |w|)`` for ``w <= v``."""
-    v_mask, w_mask = as_mask(v), as_mask(w)
-    if len(tuple(v)) != len(tuple(w)):
-        raise ValueError("patterns must have equal length")
-    if not is_subpattern(w_mask, v_mask):
-        raise ValueError(f"w={tuple(w)} is not a subpattern of v={tuple(v)}")
-    return -1 if (v_mask.bit_count() - w_mask.bit_count()) % 2 else 1
 
 
 def downset_rows(p: int, masks) -> np.ndarray:

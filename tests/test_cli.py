@@ -315,6 +315,34 @@ def test_exit_code_separation(tmp_path):
     assert code == 4
 
 
+def test_analyze_names_the_negative_prediction_behind_ap_out_of_range(
+    tmp_path, capsys
+):
+    # q = 0, so the fitted odds ratios are the cells' case/control ratios
+    # against cell 00: OR(1,0) = OR(0,1) = 0.3 and OR(1,1) = 1.08
+    cells = {(0, 0): (1000, 1000), (1, 0): (300, 1000), (0, 1): (300, 1000),
+             (1, 1): (1080, 1000)}
+    rows = ["y,v1,v2"]
+    for (v1, v2), (n1, n0) in cells.items():
+        rows += [f"1,{v1},{v2}"] * n1 + [f"0,{v1},{v2}"] * n0
+    path = tmp_path / "antagonism.csv"
+    path.write_text("\n".join(rows) + "\n")
+    code = main(
+        [
+            "analyze", "--data", str(path), "--outcome", "y",
+            "--risk-factors", "v1,v2", "--measure", "AP:2,OR",
+            "--format", "json",
+        ]
+    )
+    assert code == 5
+    ap, joint = json.loads(capsys.readouterr().out)["measures"]
+    assert ap["error"] == (
+        "attributable proportion 1.37037 is outside (-1, 1): the predicted "
+        "odds ratio -0.4 is not positive (joint odds ratio 1.08)"
+    )
+    assert joint["error"] is None and joint["point"] == pytest.approx(1.08)
+
+
 # ------------------------------------------------------------------- simulate
 
 

@@ -1,3 +1,7 @@
+from itertools import combinations
+from math import sqrt
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -25,7 +29,7 @@ from interodds.logit import (
     fit_design,
     fit_logit,
 )
-from interodds.measures import MeasureSpec, StructuralParams, measure
+from interodds.measures import MeasureSpec, StructuralParams, measure, measure_parts
 from interodds.selfcheck import gradient_fd_error
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
@@ -191,6 +195,12 @@ def test_transform_range_errors():
         ci_transform("SI").apply(-2.0)
 
 
+def test_transform_is_shared_per_kind():
+    assert ci_transform("AP") is ci_transform("ap")
+    for kind in ("OR", "EOR", "AP", "SI"):
+        assert ci_transform(kind) is ci_transform(kind.lower())
+
+
 def test_normal_quantile():
     assert abs(normal_quantile(0.975) - 1.959963984540054) < 1e-9
     assert abs(normal_quantile(0.5)) < 1e-12
@@ -259,6 +269,147 @@ def test_delta_ci_notes_ap_tie():
     assert rep.note is not None
     rep2 = delta_ci(fit, MeasureSpec(p=2, kind="AP", order=2))
     assert rep2.note is not None
+
+
+def test_delta_ci_names_the_negative_prediction_behind_ap_out_of_range():
+    # OR(1,0) = OR(0,1) = 0.3, so the order-2 prediction is 0.3 + 0.3 - 1
+    fit = make_fit(np.log([0.3, 0.3, 12.0]), 0.01 * np.eye(3))
+    with pytest.raises(TransformRangeError) as info:
+        delta_ci(fit, MeasureSpec(p=2, kind="AP", order=2))
+    assert str(info.value) == (
+        "attributable proportion 1.37037 is outside (-1, 1): the predicted "
+        "odds ratio -0.4 is not positive (joint odds ratio 1.08)"
+    )
+
+
+def all_specs(p):
+    """Every valid (kind, order, held set, held level) spec for ``p`` factors."""
+    specs = []
+    for k in range(p):
+        for held in combinations(range(p), k):
+            for levels in range(1 << k):
+                fixed = {j: (levels >> i) & 1 for i, j in enumerate(held)}
+                specs.append(MeasureSpec(p=p, kind="OR", fixed=fixed))
+                for kind, first in (("EOR", 1), ("AP", 1), ("SI", 2)):
+                    specs.extend(
+                        MeasureSpec(p=p, kind=kind, order=order, fixed=fixed)
+                        for order in range(first, p - k + 1)
+                    )
+    return specs
+
+
+def _oracle_transform(kind):
+    """The transforms written out as closures: (apply, invert, derivative)."""
+
+    def unit(x):
+        if not -1.0 < x < 1.0:
+            raise TransformRangeError(f"{x} outside (-1, 1)")
+        return x
+
+    def positive(x):
+        if not x > 0.0:
+            raise TransformRangeError(f"{x} outside (0, inf)")
+        return x
+
+    if kind == "EOR":
+        return (lambda x: x), (lambda y: y), (lambda x: 1.0)
+    if kind == "AP":
+        return (
+            lambda x: float(np.log((1.0 + unit(x)) / (1.0 - x))),
+            lambda y: float(np.tanh(0.5 * y)),
+            lambda x: 2.0 / (1.0 - unit(x) ** 2),
+        )
+    return (
+        lambda x: float(np.log(positive(x))),
+        lambda y: float(np.exp(y)),
+        lambda x: 1.0 / positive(x),
+    )
+
+
+def oracle_delta_ci(fit, spec, alpha=0.05):
+    """The delta interval in two steps: part gradients, then the chain rule."""
+    psi = fit.params.psi
+    parts = measure_parts(psi, spec)
+    point = parts.value(spec.kind)
+    g = parts_gradients(psi, spec)
+    a, b, c = parts.joint, parts.predicted, parts.baseline
+    if spec.kind == "OR":
+        grad = g.joint / c - a / c**2 * g.baseline
+    elif spec.kind == "EOR":
+        grad = (g.joint - g.predicted) / c - (a - b) / c**2 * g.baseline
+    elif spec.kind == "AP" and a >= b:
+        grad = b / a**2 * g.joint - g.predicted / a
+    elif spec.kind == "AP":
+        grad = g.joint / b - a / b**2 * g.predicted
+    else:
+        d = b - c
+        grad = (
+            g.joint / d - (a - c) / d**2 * g.predicted + (a - b) / d**2 * g.baseline
+        )
+    var = float(grad @ fit.sigma_psi @ grad)
+    if var < -1e-10:
+        raise NegativeVarianceError(f"variance {var}")
+    apply, invert, derivative = _oracle_transform(spec.kind)
+    se_t = derivative(point) * sqrt(max(var, 0.0))
+    if se_t == 0.0:
+        return point, se_t, point, point
+    z = NormalDist().inv_cdf(1.0 - alpha / 2.0)
+    center = apply(point)
+    low = min(invert(center - z * se_t), point)
+    high = max(invert(center + z * se_t), point)
+    return point, se_t, low, high
+
+
+def random_fit(p, rng, scale):
+    k = (1 << p) - 1
+    root = rng.normal(0.0, 0.1, (k, k))
+    return make_fit(
+        StructuralParams(rng.uniform(-scale, scale, k), p), root @ root.T
+    )
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except InterOddsError as exc:
+        return type(exc)
+
+
+def test_delta_ci_matches_two_step_oracle_on_every_p5_spec():
+    specs = all_specs(5)
+    assert len(specs) == 1215
+    rng = np.random.default_rng(2017)
+    errors = set()
+    for scale in (0.3, 0.8, 1.5):
+        fit = random_fit(5, rng, scale)
+        for spec in specs:
+            expected = outcome(oracle_delta_ci, fit, spec)
+            got = outcome(delta_ci, fit, spec)
+            if isinstance(expected, type):
+                assert got is expected, spec
+                errors.add(expected)
+                continue
+            got = (got.point, got.se_transformed, got.ci_low, got.ci_high)
+            for x, y in zip(got, expected):
+                assert abs(x - y) <= 1e-12 * max(1.0, abs(x), abs(y)), (spec, got)
+    # both error branches were compared, not only the intervals
+    assert errors == {UndefinedSynergyError, TransformRangeError}
+
+
+def test_delta_se_is_the_quadratic_form_of_measure_gradient():
+    rng = np.random.default_rng(2018)
+    fit = random_fit(5, rng, 0.5)
+    checked = 0
+    for spec in all_specs(5):
+        rep = outcome(delta_ci, fit, spec)
+        if isinstance(rep, type):
+            continue
+        g = measure_gradient(fit.params.psi, spec)
+        sigma = sqrt(g @ fit.sigma_psi @ g)
+        se = rep.se_transformed / ci_transform(spec.kind).derivative(rep.point)
+        assert abs(se - sigma) <= 1e-12 * sigma, spec
+        checked += 1
+    assert checked > 1000
 
 
 def test_delta_ci_rejects_spec_with_other_factor_count():

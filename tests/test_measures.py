@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -271,6 +273,22 @@ def test_spec_fixed_validation():
         MeasureSpec(p=2, kind="AP", order=1, fixed={0: 2})
     spec = MeasureSpec(p=3, kind="AP", order=2, fixed={1: 0})
     assert spec.varying == (0, 2)
+
+
+def test_spec_is_frozen_and_validated_once():
+    fixed = {1: 0, 3: 1}
+    spec = MeasureSpec(p=4, kind="ap", order=2, fixed=fixed)
+    for name, value in (
+        ("p", 3), ("kind", "OR"), ("order", 1), ("fixed", {}),
+        ("varying", (0,)), ("fixed_mask", 0),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(spec, name, value)
+    fixed[0] = 1  # the spec holds its own copy
+    assert spec.fixed == {1: 0, 3: 1}
+    assert (spec.kind, spec.varying, spec.fixed_mask) == ("AP", (0, 2), 0b1000)
+    assert MeasureSpec(p=3, kind="OR").varying == (0, 1, 2)
+    assert MeasureSpec(p=3, kind="SI", order=2, fixed={2: 1}).varying == (0, 1)
 
 
 def test_kind_aliases():

@@ -6,13 +6,23 @@ from hypothesis import strategies as st
 from interodds.patterns import (
     MAX_FACTORS,
     alternating_binomial_sum,
-    alternating_sign,
     as_bits,
     as_mask,
     downset_indicator,
     pattern_index,
     subpatterns,
 )
+
+
+def alternating_sign(v, w) -> int:
+    """Inclusion-exclusion sign ``(-1)^(|v| - |w|)`` for ``w <= v``."""
+    v_mask, w_mask = as_mask(v), as_mask(w)
+    if len(tuple(v)) != len(tuple(w)):
+        raise ValueError("patterns must have equal length")
+    if w_mask & ~v_mask:
+        raise ValueError(f"w={tuple(w)} is not a subpattern of v={tuple(v)}")
+    return -1 if (v_mask.bit_count() - w_mask.bit_count()) % 2 else 1
+
 
 patterns_st = st.lists(st.integers(0, 1), min_size=1, max_size=6).map(tuple)
 
