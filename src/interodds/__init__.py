@@ -49,7 +49,6 @@ from .logit import (
     FullParams,
     fit_design,
     fit_logit,
-    loglik_score_info,
 )
 from .inference import (
     EstimateReport,
@@ -109,7 +108,6 @@ __all__ = [
     "fit_design",
     "fit_logit",
     "load_csv",
-    "loglik_score_info",
     "measure",
     "measure_gradient",
     "measure_parts",

@@ -248,12 +248,13 @@ def bootstrap_replicates(
     from its own seed-sequence substream indexed by replicate number,
     which makes the result independent of execution order.
 
-    The design is first collapsed to its distinct (design row, outcome)
-    cells, and a replicate is refitted as a weighted fit on the cells it
-    drew, with the draw counts as frequency weights.  That is the same
-    fit as on the drawn records, up to the order of summation.  It is much
-    smaller only where records repeat, as with no or only discrete
-    confounders; a continuous confounder leaves one cell per record.
+    The records are first collapsed to their distinct (exposure pattern,
+    covariates, outcome) cells, and a replicate is refitted as a weighted
+    fit on the cells it drew, with the draw counts as frequency weights.
+    That is the same fit as on the drawn records, up to the order of
+    summation.  It is much smaller only where records repeat, as with no
+    or only discrete confounders; a continuous confounder leaves one cell
+    per record.
 
     Raises
     ------
@@ -264,14 +265,14 @@ def bootstrap_replicates(
         raise ValueError(
             f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
         )
-    # a design row is a function of the exposure pattern and covariates, so
-    # these compact keys give the same cells as the rows themselves
-    keys = np.column_stack([data.outcome, data.exposure_masks, data.covariates])
+    masks = data.exposure_masks
+    keys = np.column_stack([data.outcome, masks, data.covariates])
     _, first, cell_of = np.unique(
         keys, axis=0, return_index=True, return_inverse=True
     )
     cell_of = cell_of.reshape(-1)
-    X_cells = data.design_matrix[first]
+    mask_cells = masks[first]
+    z_cells = data.covariates[first]
     y_cells = data.outcome[first].astype(float)
     case_rows = np.flatnonzero(data.outcome == 1)
     control_rows = np.flatnonzero(data.outcome == 0)
@@ -291,8 +292,8 @@ def bootstrap_replicates(
         drawn = counts > 0
         try:
             refit = fit_design(
-                X_cells[drawn], y_cells[drawn], data.p, data.q,
-                weights=counts[drawn],
+                mask_cells.compress(drawn), z_cells.compress(drawn, axis=0),
+                y_cells.compress(drawn), data.p, weights=counts.compress(drawn),
             )
             replicates.psi.append(refit.params.psi)
         except InterOddsError:

@@ -17,7 +17,7 @@ sampling fractions and should not be interpreted.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, LinAlgError
@@ -30,7 +30,7 @@ from .errors import (
     SingularDesignError,
 )
 from .measures import StructuralParams
-from .patterns import downset_indicator, downset_rows
+from .patterns import downset_rows, pattern_index
 
 
 @dataclass(eq=False)
@@ -87,27 +87,11 @@ class CaseControlDataset:
     def n0(self) -> int:
         return self.n - self.n1
 
-    @property
+    @cached_property
     def exposure_masks(self) -> np.ndarray:
+        """Each record's exposure pattern as a bitmask (factor j is bit j)."""
         weights = (1 << np.arange(self.p)).astype(np.int64)
         return self.exposures.astype(np.int64) @ weights
-
-    @cached_property
-    def design_matrix(self) -> np.ndarray:
-        """n x (2^p + q) matrix: intercept, saturated factor block, confounders."""
-        block = downset_rows(self.p, self.exposure_masks)
-        return np.hstack([np.ones((self.n, 1)), block, self.covariates])
-
-
-def design_row(v, z) -> np.ndarray:
-    """One design-matrix row: [1, indicator of patterns <= v, z...].
-
-    The middle block equals :func:`interodds.patterns.downset_indicator`
-    evaluated at ``v``, i.e. entry ``c`` is the product of the exposure
-    indicators named by the pattern at coordinate ``c``.
-    """
-    z = np.asarray(z, dtype=float).reshape(-1)
-    return np.concatenate([[1.0], downset_indicator(v).astype(float), z])
 
 
 @dataclass(eq=False)
@@ -166,31 +150,125 @@ class FitResult:
         return np.sqrt(np.diag(self.sigma_psi))
 
 
-def loglik_score_info(beta, X, y, weights=None):
-    """Log likelihood, score vector and information matrix at ``beta``.
+@lru_cache(maxsize=None)
+def _pattern_tables(p: int, q: int) -> tuple:
+    """The pattern basis and where the score and information read the moments.
 
-    ``loglik = sum(w * (y * eta - log(1 + exp(eta))))``,
-    ``score = X' diag(w) (y - theta)`` and
-    ``info = X' diag(w theta (1 - theta)) X`` with ``theta = expit(eta)``,
-    where ``w`` are frequency weights, one per row by default.
+    ``basis`` is ``[1 | downset_rows(p, arange(2^p))]``: row ``u`` is the
+    intercept and saturated part of the design row of a record with mask
+    ``u``, and ``counts @ basis`` sums ``counts`` over the masks containing
+    each column's pattern.  An evaluation's moments are ``sums @ basis``
+    (rows r, v, v z_j) then ``zt @ stack.T`` (rows z_j), raveled; the
+    information of pattern columns ``c`` and ``c'`` is the v superset sum at
+    ``c | c'``.
     """
-    if weights is None:
-        weights = np.ones(len(y))
-    eta = X @ beta
-    theta = expit(eta)
-    score = X.T @ (weights * (y - theta))
-    info = (X * (weights * (theta * (1.0 - theta)))[:, None]).T @ X
-    loglik = float(weights @ (y * eta - np.logaddexp(0.0, eta)))
-    return loglik, score, info
+    nmask = 1 << p
+    cols = np.concatenate([[0], pattern_index(p).masks])  # column -> mask
+    basis = np.hstack([np.ones((nmask, 1)), downset_rows(p, np.arange(nmask))])
+    basis.setflags(write=False)
+    zrows = (2 + q) * nmask + (2 + q) * np.arange(q)
+    info = np.empty((nmask + q, nmask + q), dtype=np.intp)
+    info[:nmask, :nmask] = nmask + np.argsort(cols)[cols[:, None] | cols]
+    info[nmask:, :nmask] = nmask * np.arange(2, 2 + q)[:, None] + np.arange(nmask)
+    info[:nmask, nmask:] = info[nmask:, :nmask].T
+    info[nmask:, nmask:] = zrows[:, None] + 2 + np.arange(q)
+    offsets = nmask * np.arange(2 + q)[:, None]  # of the stacked bincount rows
+    return basis, offsets, np.concatenate([np.arange(nmask), zrows]), info
 
 
-def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
-    """Evaluate :func:`loglik_score_info` for a parameter object on a dataset."""
-    if params.psi.p != data.p or params.q != data.q:
-        raise ValueError("parameter dimensions do not match the dataset")
-    return loglik_score_info(
-        params.to_vector(), data.design_matrix, data.outcome.astype(float)
-    )
+def _evaluator(masks, zt, y, weights, p):
+    """Loglik, score and information as a function of the coefficients.
+
+    The design is not built.  A record's linear predictor is
+    ``(basis @ beta[:2^p])[mask] + z @ kappa`` (``zt`` holds the covariates
+    as rows), and the sums over records of the score and information reduce
+    to per-mask sums of ``r = w (y - theta)``, ``v = w theta (1 - theta)``
+    and ``v z_j``: one stacked ``bincount`` per evaluation, on an index
+    built once per fit.
+    """
+    basis, offsets, score_at, info_at = _pattern_tables(p, len(zt))
+    nmask, q = len(basis), len(zt)
+    index = (masks + offsets).ravel()
+    stack = np.empty((2 + q, len(y)))
+    r, v, vz, flat = stack[0], stack[1], stack[2:], stack.ravel()
+
+    def evaluate(beta):  # np.dot: less call overhead than @ on small fits
+        eta = np.dot(basis, beta[:nmask])[masks]
+        if q:
+            eta += np.dot(beta[nmask:], zt)
+        theta = expit(eta)
+        np.multiply(weights, y - theta, out=r)
+        np.multiply(weights, theta * (1.0 - theta), out=v)
+        np.multiply(v, zt, out=vz)
+        sums = np.bincount(index, flat, (2 + q) * nmask).reshape(2 + q, nmask)
+        moments = np.concatenate(
+            [np.dot(sums, basis).ravel(), np.dot(zt, stack.T).ravel()]
+        )
+        loglik = float(np.dot(weights, y * eta - np.logaddexp(0.0, eta)))
+        return loglik, moments[score_at], moments[info_at]
+
+    return evaluate
+
+
+def _patterns_named(p, selected, limit=10):
+    """``exposure pattern(s) ...``: the labels of the selected masks."""
+    index = pattern_index(p)
+    labels = ["unexposed"] * bool(selected[0]) + [
+        index.label(c) for c, m in enumerate(index.masks.tolist()) if selected[m]
+    ]
+    more = f" (+{len(labels) - limit} more)" if len(labels) > limit else ""
+    plural = "s" * (len(labels) > 1)
+    return f"exposure pattern{plural} {', '.join(labels[:limit])}{more}"
+
+
+def _check_design(masks, zt, p):
+    """Raise SingularDesignError unless the design has full column rank.
+
+    Pattern column ``c`` is constant when no record's mask, or every one,
+    contains ``c``.  Then ``[1 | saturated block]`` has full rank iff every
+    mask has a record, and the whole design iff the covariates centred
+    within masks have full column rank, by ``matrix_rank``'s tolerance with
+    the design's Frobenius norm for its largest singular value.
+    """
+    basis, offsets = _pattern_tables(p, len(zt))[:2]
+    nmask, n, q = len(basis), len(masks), len(zt)
+    counts = np.bincount(masks, minlength=nmask)
+    cover = counts @ basis  # records whose mask contains each column's pattern
+    constant = np.concatenate([
+        (cover[1:] == 0) | (cover[1:] == n), zt.max(1) == zt.min(1)
+    ])
+    if constant.any():
+        col = int(np.argmax(constant)) + 1
+        raise SingularDesignError(f"design column {col} is constant")
+    deficient = "design matrix is rank deficient (collinear columns)"
+    if not counts.all():
+        raise SingularDesignError(
+            f"{deficient}: no record has {_patterns_named(p, counts == 0)}"
+        )
+    index = (masks + offsets[:q]).ravel()
+    flat = zt.ravel()
+    means = np.bincount(index, flat, q * nmask) / np.tile(counts, q)
+    centred = (flat - means[index]).reshape(q, n).T
+    tol = np.sqrt(cover.sum() + flat @ flat) * max(n, nmask + q) * 2.0**-52
+    if q == 0 or np.linalg.svd(centred, compute_uv=False)[-1] > tol:
+        return
+    for j in range(q):  # the first covariate that adds no rank
+        if np.linalg.svd(centred[:, : j + 1], compute_uv=False)[-1] <= tol:
+            how = ("is collinear with the exposure patterns and the covariates "
+                   "before it" if j else "is constant within every exposure pattern")
+            raise SingularDesignError(
+                f"{deficient}: covariate {j + 1} (design column {nmask + j}) {how}"
+            )
+
+
+def _separation_error(reason, masks, y, weights, p):
+    """SeparationError for ``reason``, naming the one-sided exposure patterns."""
+    cases = np.bincount(masks, weights * y, 1 << p)
+    controls = np.bincount(masks, weights * (1.0 - y), 1 << p)
+    for side, only in (("cases", controls == 0), ("controls", cases == 0)):
+        if only.any():
+            reason += f"; only {side} have {_patterns_named(p, only)}"
+    return SeparationError(reason)
 
 
 def _factor(info):
@@ -203,24 +281,26 @@ def _factor(info):
         return cho_factor(info + ridge * np.eye(dim), lower=True), True
 
 
-def fit_design(X, y, p, q, options=None, start=None, weights=None):
-    """Newton/step-halving ML fit on an explicit design matrix.
+def fit_design(masks, covariates, outcome, p, options=None, start=None,
+               weights=None):
+    """Newton/step-halving ML fit on records given by their exposure masks.
 
-    :func:`fit_logit` fits a dataset's own design; bootstrap refits call
-    this directly on the collapsed design.  ``weights`` are positive
-    frequency weights, one per row by default: row ``i`` stands for
-    ``weights[i]`` identical records.  A fit on the distinct rows of a
-    design, weighted by how often each occurs, is the same fit as on the
-    design itself, up to the order of summation; the record-count and
-    class checks count weighted records.  Raises SingularDesignError /
-    SeparationError / ConvergenceError as described there.
+    Record ``i`` has exposure bitmask ``masks[i]`` (factor j is bit j),
+    covariates ``covariates[i]`` (an (n, q) float array, q may be 0) and
+    outcome ``outcome[i]``; its design row ``[1, downset indicator of the
+    mask, covariates]`` is never built.  ``weights`` are positive frequency
+    weights, one per record by default: a fit on the distinct records
+    weighted by their counts is the fit on the records themselves, up to
+    the order of summation, and the record-count and class checks count
+    weighted records.  Raises as described in :func:`fit_logit`.
     """
     options = options or FitOptions()
-    ncols = X.shape[1]
-    y = np.asarray(y, dtype=float)
+    zt = np.ascontiguousarray(covariates.T)
+    ncols = (1 << p) + len(zt)
+    y = np.asarray(outcome, dtype=float)
     weights = np.ones(len(y)) if weights is None else np.asarray(weights, float)
-    if weights.shape != y.shape or not np.all(weights > 0):
-        raise ValueError("weights must be positive, one per design row")
+    if weights.shape != y.shape or not (weights > 0).all():
+        raise ValueError("weights must be positive, one per record")
     n, n1 = int(weights.sum()), int(weights @ y)
 
     if n < ncols + 1:
@@ -229,30 +309,26 @@ def fit_design(X, y, p, q, options=None, start=None, weights=None):
         )
     if n1 == 0 or n1 == n:
         raise EmptyClassError("both cases and controls are required for fitting")
+    _check_design(masks, zt, p)
 
-    spans = np.ptp(X[:, 1:], axis=0)
-    if np.any(spans == 0):
-        col = int(np.argmin(spans)) + 1
-        raise SingularDesignError(f"design column {col} is constant")
-    if np.linalg.matrix_rank(X) < ncols:
-        raise SingularDesignError("design matrix is rank deficient (collinear columns)")
-
+    evaluate = _evaluator(masks, zt, y, weights, p)
     beta = np.zeros(ncols) if start is None else np.array(start, dtype=float)
-    loglik, score, info = loglik_score_info(beta, X, y, weights)
+    loglik, score, info = evaluate(beta)
     converged = False
     ridge_used = False
     iterations = 0
 
     for iterations in range(1, options.max_iter + 1):
-        gnorm = float(np.max(np.abs(score)))
+        gnorm = float(np.abs(score).max())
         if gnorm <= options.score_tol * (1.0 + abs(loglik)):
             converged = True
             break
         cond = np.linalg.cond(info)
         if cond > options.cond_cap:
-            raise SeparationError(
+            raise _separation_error(
                 f"information matrix condition number {cond:.3g} exceeds "
-                f"{options.cond_cap:.0e}; separation suspected"
+                f"{options.cond_cap:.0e}; separation suspected",
+                masks, y, weights, p,
             )
         factor, used = _factor(info)
         ridge_used = ridge_used or used
@@ -262,7 +338,7 @@ def fit_design(X, y, p, q, options=None, start=None, weights=None):
         t = 1.0
         while True:
             candidate = beta + t * step
-            trial = loglik_score_info(candidate, X, y, weights)
+            trial = evaluate(candidate)
             if trial[0] >= loglik:
                 break
             t *= 0.5
@@ -273,14 +349,15 @@ def fit_design(X, y, p, q, options=None, start=None, weights=None):
                 )
         delta = t * step
         beta = candidate
-        worst = float(np.max(np.abs(beta)))
+        worst = float(np.abs(beta).max())
         if worst > options.coef_bound:
-            raise SeparationError(
+            raise _separation_error(
                 f"coefficient magnitude {worst:.3g} exceeds the divergence "
-                f"bound {options.coef_bound}; separation suspected"
+                f"bound {options.coef_bound}; separation suspected",
+                masks, y, weights, p,
             )
         loglik, score, info = trial
-        if float(np.max(np.abs(delta))) <= options.step_tol:
+        if float(np.abs(delta).max()) <= options.step_tol:
             converged = True
             break
 
@@ -289,7 +366,7 @@ def fit_design(X, y, p, q, options=None, start=None, weights=None):
             f"no convergence after {options.max_iter} Newton iterations"
         )
 
-    gnorm = float(np.max(np.abs(score)))
+    gnorm = float(np.abs(score).max())
     factor, used = _factor(info)
     ridge_used = ridge_used or used
     full_cov = cho_solve(factor, np.eye(ncols))
@@ -299,7 +376,7 @@ def fit_design(X, y, p, q, options=None, start=None, weights=None):
     sigma_psi = np.array(full_cov[psi_slice, psi_slice])
 
     return FitResult(
-        params=FullParams.from_vector(beta, p, q),
+        params=FullParams.from_vector(beta, p, len(zt)),
         sigma_psi=sigma_psi,
         loglik=loglik,
         iterations=iterations,
@@ -335,10 +412,10 @@ def fit_logit(data: CaseControlDataset, options=None, start=None) -> FitResult:
     if start is not None and isinstance(start, FullParams):
         start = start.to_vector()
     return fit_design(
-        data.design_matrix,
-        data.outcome.astype(float),
+        data.exposure_masks,
+        data.covariates,
+        data.outcome,
         data.p,
-        data.q,
         options=options,
         start=start,
     )

@@ -409,50 +409,6 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     return a - b
 
 
-def excess_or_explicit(params: StructuralParams, fixed, order: int) -> float:
-    """Hand-expanded excess odds ratio for one, two or three varying factors.
-
-    Exists purely as a cross-check oracle against :func:`excess_or`; the
-    formulas below are written out term by term.
-    """
-    varying, fixed_mask = _validate_fixed(params.p, fixed)
-    nj = len(varying)
-    if nj > 3:
-        raise ValueError(f"explicit formulas cover up to 3 varying factors, got {nj}")
-    if not 1 <= order <= nj:
-        raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
-
-    def OR(*levels):
-        return _or_at(params, varying, _local_mask(levels, varying), fixed_mask)
-
-    if nj == 1:
-        return OR(1) - OR(0)
-    if nj == 2:
-        if order == 1:
-            return OR(1, 1) - OR(0, 0)
-        return OR(1, 1) - OR(1, 0) - OR(0, 1) + OR(0, 0)
-    if order == 1:
-        return OR(1, 1, 1) - OR(0, 0, 0)
-    if order == 2:
-        return (
-            OR(1, 1, 1)
-            - OR(1, 0, 0)
-            - OR(0, 1, 0)
-            - OR(0, 0, 1)
-            + 2 * OR(0, 0, 0)
-        )
-    return (
-        OR(1, 1, 1)
-        - OR(1, 1, 0)
-        - OR(1, 0, 1)
-        - OR(0, 1, 1)
-        + OR(1, 0, 0)
-        + OR(0, 1, 0)
-        + OR(0, 0, 1)
-        - OR(0, 0, 0)
-    )
-
-
 @lru_cache(maxsize=100_000)
 def _spec_terms(p, varying, fixed_mask, order):
     """The compiled plan of a measure spec: which odds ratios, with which weights.

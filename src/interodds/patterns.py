@@ -61,9 +61,9 @@ def _canonical_masks(p: int) -> np.ndarray:
 class PatternIndex:
     """Bijection between nonzero patterns and coordinates 0..2^p - 2.
 
-    ``masks[c]`` is the bitmask of the pattern at coordinate ``c``; the
-    inverse map is :meth:`coord`.  Instances are cached per ``p`` via
-    :func:`pattern_index` and shared freely (all state is read-only).
+    ``masks[c]`` is the bitmask of the pattern at coordinate ``c``.
+    Instances are cached per ``p`` via :func:`pattern_index` and shared
+    freely (all state is read-only).
     """
 
     def __init__(self, p: int):
@@ -72,23 +72,10 @@ class PatternIndex:
         self.p = p
         self.masks = _canonical_masks(p)[1:]  # drop the zero pattern
         self.masks.setflags(write=False)
-        self._coord = {m: c for c, m in enumerate(self.masks.tolist())}
 
     @property
     def size(self) -> int:
         return len(self.masks)
-
-    def coord(self, mask: int) -> int:
-        """Coordinate of a nonzero pattern mask."""
-        return self._coord[mask]
-
-    def pattern(self, coord: int) -> tuple:
-        """Pattern tuple stored at a coordinate."""
-        return as_bits(int(self.masks[coord]), self.p)
-
-    def patterns(self) -> list:
-        """All nonzero patterns as tuples, in coordinate order."""
-        return [as_bits(int(m), self.p) for m in self.masks]
 
     def label(self, coord: int, names=None) -> str:
         """Human-readable name like ``v1:v3`` for the pattern at ``coord``."""
@@ -124,12 +111,6 @@ def downset_rows(p: int, masks) -> np.ndarray:
     """
     masks = np.asarray(masks, dtype=np.int64)
     return (pattern_index(p).masks & ~masks[..., None]) == 0
-
-
-def downset_indicator(u) -> np.ndarray:
-    """0/1 vector over the canonical coordinates, marking patterns ``w <= u``."""
-    bits = tuple(int(b) for b in u)
-    return downset_rows(len(bits), as_mask(bits)).astype(np.int8)
 
 
 def alternating_binomial_sum(n: int, m: int) -> int:

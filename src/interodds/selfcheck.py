@@ -20,10 +20,9 @@ import numpy as np
 
 from .inference import measure_gradient, parts_gradients
 from .measures import (
+    KINDS,
     MeasureSpec,
     StructuralParams,
-    excess_or,
-    excess_or_explicit,
     measure,
     measure_parts,
     odds_ratio,
@@ -129,31 +128,6 @@ def prediction_equivalence_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322)
     return worst
 
 
-def excess_oracle_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
-    """Worst disagreement of excess_or with the hand-expanded formulas.
-
-    Covers every split with at most three varying factors and every
-    admissible order.
-    """
-    worst = 0.0
-    for p in p_values:
-        rng = np.random.default_rng(seed + 101 * p)
-        splits = [
-            fixed
-            for fixed in iter_splits(p)
-            if 1 <= p - len(fixed) <= 3
-        ]
-        for _ in range(draws):
-            params = random_params(p, rng)
-            for fixed in splits:
-                nj = p - len(fixed)
-                for order in range(1, nj + 1):
-                    fast = excess_or(params, fixed, order)
-                    oracle = excess_or_explicit(params, fixed, order)
-                    worst = max(worst, rel_err(fast, oracle))
-    return worst
-
-
 def alternating_binomial_ok(n_max=12):
     """Direct-sum and closed-form sides agree for all 0 <= m < n <= n_max."""
     for n in range(1, n_max + 1):
@@ -180,18 +154,15 @@ def _fd(func, params, step=1e-5):
     return grad
 
 
-def _random_spec(p, rng):
-    kind = ("OR", "EOR", "AP", "SI")[int(rng.integers(4))]
+def _random_spec(p, rng, kind, hold_one):
+    """A random spec of ``kind``; with ``hold_one``, a factor is held at 1."""
+    low = 2 if kind == "SI" else 1
     while True:
         kmask = int(rng.integers(1 << p))
-        nj = p - kmask.bit_count()
-        if nj == 0 or (kind == "SI" and nj < 2):
-            continue
-        break
-    fixed = {
-        j: int(rng.integers(2)) for j in range(p) if (kmask >> j) & 1
-    }
-    low = 2 if kind == "SI" else 1
+        fixed = {j: int(rng.integers(2)) for j in range(p) if (kmask >> j) & 1}
+        nj = p - len(fixed)
+        if nj >= low and (not hold_one or 1 in fixed.values()):
+            break
     order = int(rng.integers(low, nj + 1))
     return MeasureSpec(p=p, kind=kind, order=order, fixed=fixed)
 
@@ -200,18 +171,26 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
     """Worst error of the analytic gradients against finite differences.
 
     Checks the three part gradients and the assembled measure gradient at
-    random (parameters, spec) points.  Points where the synergy index is
-    undefined nearby, or where the attributable-proportion denominator is
-    within 1e-6 relative of its tie, are redrawn (the gradient is not
-    defined there).
+    random (parameters, spec) points.  The points cycle through the four
+    kinds, and every other round of four holds a factor at level 1, so
+    each kind is also checked where its baseline odds ratio varies with
+    the coefficients (with every held level 0 that gradient is zero).
+    Points where the synergy index is undefined nearby, or where the
+    attributable-proportion denominator is within 1e-6 relative of its
+    tie, are redrawn (the gradient is not defined there).
     """
     rng = np.random.default_rng(seed)
     worst = 0.0
     checked = 0
     while checked < points:
+        kind = KINDS[checked % 4]
+        low = 3 if kind == "SI" else 2  # factors needed to hold one at 1
+        hold_one = checked // 4 % 2 == 0 and max(p_values) >= low
         p = int(rng.choice(p_values))
+        if hold_one and p < low:
+            continue
         params = random_params(p, rng)
-        spec = _random_spec(p, rng)
+        spec = _random_spec(p, rng, kind, hold_one)
         parts = measure_parts(params, spec)
         a, b = parts.joint, parts.predicted
         if spec.kind == "AP" and abs(a - b) < 1e-6 * max(a, b):

@@ -1,0 +1,92 @@
+"""Reference implementations that the tests check the package against.
+
+Each is written out from its definition, independently of the code it
+checks, and lives here because only the tests use it.
+"""
+
+import numpy as np
+
+from interodds.errors import OrderRangeError
+from interodds.measures import excess_or, odds_ratio
+from interodds.patterns import as_mask, pattern_index
+from interodds.selfcheck import iter_splits, random_params, rel_err
+
+
+def downset_indicator(u) -> np.ndarray:
+    """0/1 vector over the canonical coordinates, marking patterns ``w <= u``."""
+    bits = tuple(int(b) for b in u)
+    mask = as_mask(bits)
+    masks = pattern_index(len(bits)).masks.tolist()
+    return np.array([int(m & ~mask == 0) for m in masks], dtype=np.int8)
+
+
+def excess_or_explicit(params, fixed, order: int) -> float:
+    """Hand-expanded excess odds ratio for one, two or three varying factors.
+
+    The cross-check oracle for :func:`interodds.measures.excess_or`; the
+    formulas below are written out term by term.
+    """
+    varying = [j for j in range(params.p) if j not in fixed]
+    nj = len(varying)
+    if nj > 3:
+        raise ValueError(f"explicit formulas cover up to 3 varying factors, got {nj}")
+    if not 1 <= order <= nj:
+        raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
+
+    def OR(*levels):
+        bits = [0] * params.p
+        for j, level in [*fixed.items(), *zip(varying, levels)]:
+            bits[j] = level
+        return odds_ratio(params, bits)
+
+    if nj == 1:
+        return OR(1) - OR(0)
+    if nj == 2:
+        if order == 1:
+            return OR(1, 1) - OR(0, 0)
+        return OR(1, 1) - OR(1, 0) - OR(0, 1) + OR(0, 0)
+    if order == 1:
+        return OR(1, 1, 1) - OR(0, 0, 0)
+    if order == 2:
+        return (
+            OR(1, 1, 1)
+            - OR(1, 0, 0)
+            - OR(0, 1, 0)
+            - OR(0, 0, 1)
+            + 2 * OR(0, 0, 0)
+        )
+    return (
+        OR(1, 1, 1)
+        - OR(1, 1, 0)
+        - OR(1, 0, 1)
+        - OR(0, 1, 1)
+        + OR(1, 0, 0)
+        + OR(0, 1, 0)
+        + OR(0, 0, 1)
+        - OR(0, 0, 0)
+    )
+
+
+def excess_oracle_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
+    """Worst disagreement of excess_or with the hand-expanded formulas.
+
+    Covers every split with at most three varying factors and every
+    admissible order.
+    """
+    worst = 0.0
+    for p in p_values:
+        rng = np.random.default_rng(seed + 101 * p)
+        splits = [
+            fixed
+            for fixed in iter_splits(p)
+            if 1 <= p - len(fixed) <= 3
+        ]
+        for _ in range(draws):
+            params = random_params(p, rng)
+            for fixed in splits:
+                nj = p - len(fixed)
+                for order in range(1, nj + 1):
+                    fast = excess_or(params, fixed, order)
+                    oracle = excess_or_explicit(params, fixed, order)
+                    worst = max(worst, rel_err(fast, oracle))
+    return worst

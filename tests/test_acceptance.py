@@ -25,13 +25,14 @@ from interodds.measures import (
 )
 from interodds.patterns import pattern_index
 from interodds.selfcheck import (
-    excess_oracle_error,
     expansion_identity_error,
     gradient_fd_error,
     iter_splits,
     prediction_equivalence_error,
 )
 from interodds.simulate import ConfounderModel, SimDesign, simulate, true_measure
+
+from oracles import excess_oracle_error
 
 SEED = 20170322
 

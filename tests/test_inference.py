@@ -33,6 +33,8 @@ from interodds.measures import MeasureSpec, StructuralParams, measure, measure_p
 from interodds.selfcheck import gradient_fd_error
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
+from oracles import downset_indicator
+
 RUN2 = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
 
 
@@ -109,7 +111,6 @@ def test_predicted_gradient_matches_double_sum_form():
     summation.
     """
     from interodds.measures import odds_ratio
-    from interodds.patterns import downset_indicator
 
     rng = np.random.default_rng(23)
     for _ in range(10):
@@ -530,9 +531,11 @@ def resampled_rows(data, n_boot, seed):
 
 
 def gathered_refit(data, rows):
-    """The refit on the drawn records themselves, one design row each."""
-    X, y = data.design_matrix, data.outcome.astype(float)
-    return fit_design(X[rows], y[rows], data.p, data.q)
+    """The refit on the drawn records themselves, one record each."""
+    return fit_design(
+        data.exposure_masks[rows], data.covariates[rows], data.outcome[rows],
+        data.p,
+    )
 
 
 def discrete_dataset(seed=0, n0=400, n1=400):
@@ -562,9 +565,9 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
     rows_fitted = []
     real = inference.fit_design
 
-    def recording_fit(X, *args, **kwargs):
-        rows_fitted.append(X.shape[0])
-        return real(X, *args, **kwargs)
+    def recording_fit(masks, *args, **kwargs):
+        rows_fitted.append(masks.shape[0])
+        return real(masks, *args, **kwargs)
 
     monkeypatch.setattr(inference, "fit_design", recording_fit)
     replicates = bootstrap_replicates(data, 200, seed=9)

@@ -11,15 +11,15 @@ from interodds.logit import (
     CaseControlDataset,
     FitOptions,
     FullParams,
-    design_row,
+    _evaluator,
     fit_design,
     fit_logit,
-    loglik_and_derivatives,
-    loglik_score_info,
 )
 from interodds.measures import StructuralParams
-from interodds.patterns import downset_indicator, pattern_index
+from interodds.patterns import pattern_index
 from interodds.simulate import ConfounderModel, SimDesign, simulate
+
+from oracles import downset_indicator
 
 
 def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
@@ -39,6 +39,60 @@ def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
     return simulate(design)
 
 
+# ------------------------------------------------- explicit-design oracle
+#
+# The fit never builds its design matrix.  These helpers build it row by
+# row and evaluate the likelihood on it directly, as the reference for the
+# pattern-basis arithmetic of ``interodds.logit``.
+
+
+def design_row(v, z) -> np.ndarray:
+    """One design-matrix row: [1, indicator of patterns <= v, z...]."""
+    z = np.asarray(z, dtype=float).reshape(-1)
+    return np.concatenate([[1.0], downset_indicator(v).astype(float), z])
+
+
+def design_matrix(data) -> np.ndarray:
+    """n x (2^p + q) matrix: intercept, saturated factor block, confounders."""
+    return np.array([design_row(v, z) for v, z in zip(data.exposures, data.covariates)])
+
+
+def explicit_loglik_score_info(beta, X, y, weights=None):
+    """Log likelihood, score and information on an explicit design ``X``."""
+    if weights is None:
+        weights = np.ones(len(y))
+    eta = X @ beta
+    theta = 1.0 / (1.0 + np.exp(-eta))
+    score = X.T @ (weights * (y - theta))
+    info = (X * (weights * (theta * (1.0 - theta)))[:, None]).T @ X
+    loglik = float(weights @ (y * eta - np.logaddexp(0.0, eta)))
+    return loglik, score, info
+
+
+def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
+    """The oracle for a parameter object on a dataset's explicit design."""
+    if params.psi.p != data.p or params.q != data.q:
+        raise ValueError("parameter dimensions do not match the dataset")
+    return explicit_loglik_score_info(
+        params.to_vector(), design_matrix(data), data.outcome.astype(float)
+    )
+
+
+def pattern_loglik_score_info(beta, data, weights=None):
+    """The fit's own evaluation, which never builds the design."""
+    weights = np.ones(data.n) if weights is None else np.asarray(weights, float)
+    evaluate = _evaluator(
+        data.exposure_masks, np.ascontiguousarray(data.covariates.T),
+        data.outcome.astype(float), weights, data.p,
+    )
+    return evaluate(beta)
+
+
+def unit_floor_error(x, y):
+    x, y = np.asarray(x, float), np.asarray(y, float)
+    return float(np.max(np.abs(x - y) / np.maximum(1.0, np.maximum(abs(x), abs(y)))))
+
+
 # ------------------------------------------------------------------- design
 
 
@@ -50,7 +104,7 @@ def test_design_row_examples():
 
 def test_design_matrix_columns_are_downset_indicators():
     data = small_dataset(n=50, seed=1)
-    X = data.design_matrix
+    X = design_matrix(data)
     assert X.shape == (50, 4 + data.q)
     for i in range(data.n):
         v = tuple(int(x) for x in data.exposures[i])
@@ -80,7 +134,7 @@ def test_null_params_loglik():
     loglik, score, info = loglik_and_derivatives(params, data)
     assert np.isclose(loglik, -data.n * np.log(2.0))
     # theta = 0.5 everywhere: score is X'(y - 1/2), info is X'X/4
-    X = data.design_matrix
+    X = design_matrix(data)
     assert np.allclose(score, X.T @ (data.outcome - 0.5))
     assert np.allclose(info, X.T @ X / 4.0)
 
@@ -89,7 +143,7 @@ def test_information_symmetric_psd():
     data = small_dataset(n=300, seed=3)
     rng = np.random.default_rng(4)
     beta = rng.normal(0, 0.5, 4 + data.q)
-    _, _, info = loglik_score_info(beta, data.design_matrix, data.outcome.astype(float))
+    _, _, info = pattern_loglik_score_info(beta, data)
     assert np.allclose(info, info.T)
     for _ in range(10):
         u = rng.normal(size=info.shape[0])
@@ -98,22 +152,106 @@ def test_information_symmetric_psd():
 
 def test_score_and_info_match_finite_differences():
     data = small_dataset(n=250, seed=5)
-    X = data.design_matrix
-    y = data.outcome.astype(float)
     rng = np.random.default_rng(6)
-    beta = rng.normal(0, 0.3, X.shape[1])
-    loglik, score, info = loglik_score_info(beta, X, y)
+    beta = rng.normal(0, 0.3, 4 + data.q)
+    loglik, score, info = pattern_loglik_score_info(beta, data)
     step = 1e-5 * (1.0 + np.abs(beta))
     for k in range(len(beta)):
         up, down = beta.copy(), beta.copy()
         up[k] += step[k]
         down[k] -= step[k]
-        l_up, s_up, _ = loglik_score_info(up, X, y)
-        l_down, s_down, _ = loglik_score_info(down, X, y)
+        l_up, s_up, _ = pattern_loglik_score_info(up, data)
+        l_down, s_down, _ = pattern_loglik_score_info(down, data)
         fd_score = (l_up - l_down) / (2 * step[k])
         assert abs(fd_score - score[k]) <= 1e-6 * max(1.0, abs(score[k]))
         fd_info_col = (s_down - s_up) / (2 * step[k])  # info = -hessian
         assert np.allclose(fd_info_col, info[:, k], rtol=1e-6, atol=1e-6)
+
+
+@pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_pattern_evaluation_matches_explicit_design(p, q, weighted):
+    rng = np.random.default_rng(100 * p + 10 * q + weighted)
+    n = 300
+    data = CaseControlDataset(
+        rng.integers(0, 2, size=(n, p)),
+        rng.normal(size=(n, q)),
+        rng.integers(0, 2, size=n),
+    )
+    weights = rng.integers(1, 6, size=n) if weighted else None
+    X, y = design_matrix(data), data.outcome.astype(float)
+    for _ in range(3):
+        beta = rng.normal(0, 0.4, X.shape[1])
+        expected = explicit_loglik_score_info(beta, X, y, weights)
+        got = pattern_loglik_score_info(beta, data, weights)
+        for x, ref in zip(got, expected):
+            assert np.shape(x) == np.shape(ref)
+            assert unit_floor_error(x, ref) <= 1e-12
+
+
+def singular_by_fit(data):
+    """The fit's verdict: does it refuse the design as singular?"""
+    try:
+        fit_logit(data)
+    except SingularDesignError:
+        return True
+    return False
+
+
+def singular_by_rank(data):
+    X = design_matrix(data)
+    return np.linalg.matrix_rank(X) < X.shape[1]
+
+
+def rank_case(name, n=240, seed=30):
+    """p = 2 records built to make the design singular in one way each."""
+    rng = np.random.default_rng(seed)
+    y = np.repeat([0, 1], n // 2)
+    v = rng.integers(0, 2, size=(n, 2))
+    masks = v[:, 0] + 2 * v[:, 1]
+    z = rng.normal(size=(n, 2))
+    if name == "missing mask":
+        v[masks == 1] = (0, 0)
+    elif name == "missing unexposed":
+        v[masks == 0] = (1, 1)
+    elif name == "missing interaction":
+        v[masks == 3] = (1, 0)
+    elif name == "constant z":
+        z[:, 1] = 2.5
+    elif name == "z a function of the mask":
+        z[:, 0] = np.array([0.1, 1.7, -2.0, 0.5])[masks]
+    elif name == "z collinear within masks":
+        z[:, 1] = 3.0 * z[:, 0] - np.array([0.3, 0.0, 1.1, 0.2])[masks]
+    elif name == "duplicated factor":
+        v[:, 1] = v[:, 0]
+    return CaseControlDataset(v, z, y)
+
+
+RANK_CASES = {
+    "missing mask": "no record has exposure pattern v1$",
+    "missing unexposed": "no record has exposure pattern unexposed$",
+    # the interaction column is all zero
+    "missing interaction": "^design column 3 is constant$",
+    "constant z": "^design column 5 is constant$",
+    "z a function of the mask": "covariate 1 \\(design column 4\\) is constant "
+    "within every exposure pattern$",
+    "z collinear within masks": "covariate 2 \\(design column 5\\) is collinear "
+    "with the exposure patterns and the covariates before it$",
+    "duplicated factor": "no record has exposure patterns v1, v2$",
+    "full rank": None,
+}
+
+
+@pytest.mark.parametrize("name", list(RANK_CASES))
+def test_rank_verdict_matches_matrix_rank_of_the_explicit_design(name):
+    data = rank_case(name)
+    assert singular_by_fit(data) == singular_by_rank(data) == (
+        RANK_CASES[name] is not None
+    )
+    if RANK_CASES[name] is not None:
+        with pytest.raises(SingularDesignError, match=RANK_CASES[name]):
+            fit_logit(data)
 
 
 # ------------------------------------------------------------------------ fit
@@ -176,6 +314,13 @@ def test_complete_separation_detected():
     data = CaseControlDataset(np.column_stack([v1, v2]), np.zeros((n, 0)), y)
     with pytest.raises(SeparationError):
         fit_logit(data)
+    # the error names the exposure patterns whose records are one-sided
+    with pytest.raises(
+        SeparationError,
+        match=r"separation suspected; only cases have exposure patterns v1, "
+        r"v1:v2; only controls have exposure patterns unexposed, v2$",
+    ):
+        fit_logit(data)
 
 
 def test_constant_column_detected():
@@ -199,6 +344,12 @@ def test_collinear_columns_detected():
         np.column_stack([v, v]), np.zeros((n, 0)), y
     )  # duplicated factor: interaction column equals each margin
     with pytest.raises(SingularDesignError):
+        fit_logit(data)
+    with pytest.raises(
+        SingularDesignError,
+        match=r"^design matrix is rank deficient \(collinear columns\): "
+        r"no record has exposure patterns v1, v2$",
+    ):
         fit_logit(data)
 
 
@@ -257,13 +408,13 @@ def test_full_params_vector_round_trip():
 
 
 def collapsed_cells(data):
-    """Distinct (design row, outcome) cells and how many records each holds."""
+    """Distinct (exposure mask, covariates, outcome) cells and their counts."""
     cells, counts = np.unique(
-        np.column_stack([data.design_matrix, data.outcome]),
+        np.column_stack([data.exposure_masks, data.covariates, data.outcome]),
         axis=0,
         return_counts=True,
     )
-    return cells[:, :-1], cells[:, -1], counts
+    return cells[:, 0].astype(np.int64), cells[:, 1:-1], cells[:, -1], counts
 
 
 def saturated_mle(data):
@@ -297,9 +448,9 @@ def test_fit_matches_closed_form_saturated_mle(p):
     assert np.max(np.abs(fit.params.psi.psi - psi)) <= 1e-6
     assert np.max(np.abs(fit.sigma_psi - sigma)) <= 1e-6
 
-    X_cells, y_cells, counts = collapsed_cells(data)
+    masks, z, y_cells, counts = collapsed_cells(data)
     assert len(counts) == 2 << p
-    weighted = fit_design(X_cells, y_cells, p, 0, weights=counts)
+    weighted = fit_design(masks, z, y_cells, p, weights=counts)
     assert np.max(np.abs(weighted.params.psi.psi - psi)) <= 1e-6
     assert np.max(np.abs(weighted.sigma_psi - sigma)) <= 1e-6
 
@@ -308,9 +459,9 @@ def test_weighted_fit_equals_fit_on_repeated_records():
     data = small_dataset(n=300, seed=16)
     counts = np.random.default_rng(16).integers(1, 4, size=data.n)
     rows = np.repeat(np.arange(data.n), counts)
-    X, y = data.design_matrix, data.outcome.astype(float)
-    repeated = fit_design(X[rows], y[rows], 2, 1)
-    weighted = fit_design(X, y, 2, 1, weights=counts)
+    masks, z, y = data.exposure_masks, data.covariates, data.outcome
+    repeated = fit_design(masks[rows], z[rows], y[rows], 2)
+    weighted = fit_design(masks, z, y, 2, weights=counts)
     assert np.allclose(weighted.params.to_vector(), repeated.params.to_vector(),
                        rtol=0, atol=1e-9)
     assert np.allclose(weighted.sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
@@ -319,17 +470,18 @@ def test_weighted_fit_equals_fit_on_repeated_records():
 
 def test_weights_must_be_positive_one_per_row():
     data = small_dataset(n=100, seed=17)
-    X, y = data.design_matrix, data.outcome.astype(float)
+    masks, z, y = data.exposure_masks, data.covariates, data.outcome
     with pytest.raises(ValueError, match="weights"):
-        fit_design(X, y, 2, 1, weights=np.r_[0.0, np.ones(data.n - 1)])
+        fit_design(masks, z, y, 2, weights=np.r_[0.0, np.ones(data.n - 1)])
     with pytest.raises(ValueError, match="weights"):
-        fit_design(X, y, 2, 1, weights=np.ones(data.n - 1))
+        fit_design(masks, z, y, 2, weights=np.ones(data.n - 1))
 
 
 def test_weighted_record_count_and_class_checks():
-    X = np.array([[1.0, 0.0, 0.0], [1.0, 1.0, 0.0], [1.0, 0.0, 1.0]])
+    # design rows [1, 0, 0], [1, 1, 0] and [1, 0, 1]
+    masks, z = np.array([0, 1, 0]), np.array([[0.0], [0.0], [1.0]])
     # three rows are too few for three coefficients, nine weighted ones are not
     with pytest.raises(ValueError, match="got 3"):
-        fit_design(X, np.array([0.0, 1.0, 1.0]), 1, 1)
+        fit_design(masks, z, np.array([0.0, 1.0, 1.0]), 1)
     with pytest.raises(EmptyClassError):
-        fit_design(X, np.ones(3), 1, 1, weights=np.full(3, 3.0))
+        fit_design(masks, z, np.ones(3), 1, weights=np.full(3, 3.0))

@@ -10,7 +10,6 @@ from interodds.measures import (
     MeasureSpec,
     StructuralParams,
     excess_or,
-    excess_or_explicit,
     measure,
     measure_parts,
     odds_ratio,
@@ -19,13 +18,14 @@ from interodds.measures import (
     predicted_or_increments,
 )
 from interodds.selfcheck import (
-    excess_oracle_error,
     expansion_identity_error,
     iter_splits,
     prediction_equivalence_error,
     random_params,
     rel_err,
 )
+
+from oracles import downset_indicator, excess_or_explicit, excess_oracle_error
 
 # the worked two-factor example used throughout: marginal odds ratios 2 and
 # 3, interaction odds ratio 1.5
@@ -56,8 +56,6 @@ def test_odds_ratio_matches_direct_subset_sum():
     rng = np.random.default_rng(5)
     for p in (1, 2, 3, 4):
         params = random_params(p, rng)
-        from interodds.patterns import downset_indicator
-
         for m in range(1 << p):
             v = tuple((m >> j) & 1 for j in range(p))
             direct = float(np.exp(params.psi[downset_indicator(v) == 1].sum()))

@@ -8,10 +8,16 @@ from interodds.patterns import (
     alternating_binomial_sum,
     as_bits,
     as_mask,
-    downset_indicator,
     pattern_index,
     subpatterns,
 )
+
+from oracles import downset_indicator
+
+
+def pattern_tuples(p):
+    """All nonzero patterns as tuples, in coordinate order."""
+    return [as_bits(int(m), p) for m in pattern_index(p).masks]
 
 
 def alternating_sign(v, w) -> int:
@@ -98,24 +104,25 @@ def test_downset_indicator_ones_count(u):
 
 
 def test_pattern_index_canonical_order():
-    assert pattern_index(2).patterns() == [(1, 0), (0, 1), (1, 1)]
-    idx3 = pattern_index(3)
-    assert idx3.patterns()[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert idx3.patterns()[-1] == (1, 1, 1)
+    assert pattern_tuples(2) == [(1, 0), (0, 1), (1, 1)]
+    assert pattern_tuples(3)[:3] == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert pattern_tuples(3)[-1] == (1, 1, 1)
     for p in range(1, 11):
         # the definitional key: cardinality, then the one-positions
         key = lambda w: (sum(w), tuple(j for j in range(p) if w[j]))
         nonzero = [as_bits(m, p) for m in range(1, 1 << p)]
-        assert pattern_index(p).patterns() == sorted(nonzero, key=key)
+        assert pattern_tuples(p) == sorted(nonzero, key=key)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 5])
 def test_pattern_index_bijection(p):
     idx = pattern_index(p)
     assert idx.size == 2**p - 1
+    coord = {int(m): c for c, m in enumerate(idx.masks)}
+    patterns = pattern_tuples(p)
     for c in range(idx.size):
-        assert idx.coord(as_mask(idx.pattern(c))) == c
-    assert len({tuple(idx.pattern(c)) for c in range(idx.size)}) == idx.size
+        assert coord[as_mask(patterns[c])] == c
+    assert len(set(patterns)) == idx.size
 
 
 def test_factor_count_cap():
