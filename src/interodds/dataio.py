@@ -6,7 +6,7 @@ written with ``repr`` so a written file reloads to bit-identical values.
 """
 
 import csv
-from itertools import islice
+import warnings
 
 import numpy as np
 
@@ -20,9 +20,8 @@ from .measures import StructuralParams, canonical_kind
 from .patterns import pattern_index
 from .simulate import ConfounderModel, SimDesign
 
-# Records the column-wise pass of load_csv holds at once; reading a whole
-# file at once would keep every record's cell strings alive together
-_CHUNK_ROWS = 16_384
+# Bytes the record count of load_csv reads at once
+_BLOCK_BYTES = 1 << 20
 
 
 def parse_measure_token(token: str):
@@ -43,8 +42,9 @@ def load_csv(path, outcome, risk_factors, covariates=()):
     """Load a case-control dataset from a headered CSV file.
 
     A leading UTF-8 byte-order mark is skipped.  A clean file is parsed
-    column by column; a file with any bad record or cell is read again
-    row by row, which lists every offender.
+    by numpy's tokenizer; a file with any bad record or cell, a blank
+    line, a line break inside quotes or a lone carriage return is read
+    again row by row, which lists every offender.
 
     Parameters
     ----------
@@ -77,7 +77,7 @@ def load_csv(path, outcome, risk_factors, covariates=()):
         reader = csv.reader(handle)
         header = _read_header(reader, wanted)
         table = _parse_columns(
-            reader, len(header), [header.index(c) for c in wanted], 1 + p
+            path, handle, len(header), [header.index(c) for c in wanted], 1 + p
         )
     if table is None:
         with open(path, newline="", encoding="utf-8-sig") as handle:
@@ -126,30 +126,60 @@ def _read_header(reader, wanted):
     return header
 
 
-def _parse_columns(reader, width, cols, n_binary):
-    """Parse the records of a clean file, ``_CHUNK_ROWS`` at a time.
+def _parse_columns(path, handle, width, cols, n_binary):
+    """Parse the records of a clean file with numpy's C tokenizer.
 
-    Returns the ``(len(cols), n)`` table of the selected columns, or None
-    when :func:`_parse_rows` would report any record or cell: a wrong cell
-    count, text that ``float()`` rejects, a value that is not finite, or
-    a value other than 0 or 1 in the first ``n_binary`` columns.
-    ``np.array(..., dtype=float)`` converts each cell with ``float()``,
-    as the row pass does.
+    ``handle`` is positioned after the header.  Returns the
+    ``(len(cols), n)`` table of the selected columns, exactly as
+    :func:`_parse_rows` would, or None: on a wrong cell count, a blank
+    line, a line break inside quotes, text that numpy rejects (it parses
+    with the routine behind ``float()``, but not ``1_0`` or non-ASCII
+    digits), a value that is not finite, or one other than 0 or 1 in the
+    first ``n_binary`` columns.  Cells of the other columns read as 0.0.
     """
-    chunks = [np.empty((len(cols), 0))]
-    while rows := list(islice(reader, _CHUNK_ROWS)):
-        if set(map(len, rows)) != {width}:
-            return None
-        columns = list(zip(*rows))
-        try:
-            chunks.append(np.array([columns[c] for c in cols], dtype=float))
-        except ValueError:
-            return None
-    table = np.concatenate(chunks, axis=1)
+    records = _body_records(path)
+    if records is None:
+        return None
+    text = dict.fromkeys(set(range(width)) - set(cols), lambda cell: 0.0)
+    try:
+        with warnings.catch_warnings():
+            # "no data" on a body of blank lines, which the shape test rejects
+            warnings.simplefilter("ignore", UserWarning)
+            rows = np.loadtxt(
+                handle, delimiter=",", comments=None, quotechar='"',
+                converters=text, ndmin=2,
+            )
+    except ValueError:
+        return None
+    # loadtxt splits quoted cells as csv does and raises on any change of
+    # width; it skips the blank lines that csv reports and joins the lines
+    # of a quoted line break, so the shape proves one full record per line
+    if rows.shape != (records, width):
+        return None
+    table = rows[:, cols].T
     binary = table[:n_binary]
     if not (np.isfinite(table).all() and ((binary == 0) | (binary == 1)).all()):
         return None
     return table
+
+
+def _body_records(path):
+    """The lines after the header line, counted in binary blocks.
+
+    None when the file holds a carriage return outside a CRLF pair:
+    ``csv`` ends a record there too, and this count would miss it.
+    """
+    feeds = 0
+    last = b"\n"
+    with open(path, "rb") as raw:
+        while block := raw.read(_BLOCK_BYTES):
+            if block.endswith(b"\r"):  # keep a CRLF pair in one block
+                block += raw.read(1)
+            if block.count(b"\r") != block.count(b"\r\n"):
+                return None
+            feeds += block.count(b"\n")
+            last = block[-1:]
+    return feeds - (last == b"\n")
 
 
 def _parse_rows(reader, header, outcome, risk_factors, covariates):

@@ -139,18 +139,24 @@ def alternating_binomial_ok(n_max=12):
 
 
 def _fd(func, params, step=1e-5):
-    """Central finite-difference gradient of a scalar function of psi."""
+    """Five-point central finite-difference gradient of a function of psi.
+
+    Its error is O(step**4), so it stays accurate where the synergy
+    index's denominator is small and the central difference's O(step**2)
+    error is not.
+    """
     psi = params.psi
+
+    def at(k, offset):
+        moved = psi.copy()
+        moved[k] += offset
+        return func(StructuralParams(moved, params.p))
+
     grad = np.empty(psi.size)
     for k in range(psi.size):
-        up = psi.copy()
-        up[k] += step
-        down = psi.copy()
-        down[k] -= step
         grad[k] = (
-            func(StructuralParams(up, params.p))
-            - func(StructuralParams(down, params.p))
-        ) / (2.0 * step)
+            8.0 * (at(k, step) - at(k, -step)) - (at(k, 2 * step) - at(k, -2 * step))
+        ) / (12.0 * step)
     return grad
 
 

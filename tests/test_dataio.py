@@ -1,3 +1,8 @@
+import contextlib
+import csv
+import io
+import itertools
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -154,13 +159,12 @@ def test_byte_order_mark_and_crlf_accepted(tmp_path):
 def load_outcome(path, row_pass_only=False):
     """What load_csv returns or raises, in a form that compares with ==.
 
-    ``row_pass_only`` makes the column pass give up at once; otherwise it
-    runs with 3-record chunks, so small tables cross chunk boundaries.
+    ``row_pass_only`` makes the numpy pass give up at once.
     """
     patch = (
         mock.patch.object(dataio, "_parse_columns", lambda *args: None)
         if row_pass_only
-        else mock.patch.object(dataio, "_CHUNK_ROWS", 3)
+        else contextlib.nullcontext()
     )
     with patch:
         try:
@@ -173,13 +177,18 @@ def load_outcome(path, row_pass_only=False):
         data.outcome.dtype, data.outcome.tolist(),
         data.exposures.dtype, data.exposures.tolist(),
         data.covariates.dtype, data.covariates.tolist(),
+        data.exposures.flags.c_contiguous, data.covariates.flags.c_contiguous,
     )
 
 
 GOOD_BINARY = ["0", "1"]
 GOOD_REAL = ["0", "1", "-2.5", "0.1", repr(1 / 3), repr(-1e-300), "7e15"]
 # rejected cells, and accepted ones in spellings a parser might treat apart
-ODD_CELLS = ["", " ", "oops", "inf", "nan", "2", "1_0", '"1"', " 1 ", "-0"]
+ODD_CELLS = [
+    "", " ", "oops", "inf", "nan", "2", "1_0", '"1"', " 1 ", "-0",
+    '1"', '"1"2', '""', "1\r", '"1\n"', "\x1c1", "\uff11", "1e400", "0x1",
+    "infinity", '"1,0"', 'a"b', '"x""y"',
+]
 
 
 @st.composite
@@ -227,22 +236,90 @@ def test_each_single_fault_gives_the_row_pass_result(tmp_path):
         for shape in (clean[r][:-1], clean[r] + ["0"], []):
             tables.append(clean[:r] + [shape] + clean[r + 1 :])
     path = tmp_path / "t.csv"
-    for rows in tables:
-        path.write_text(
-            "".join(",".join(row) + "\n" for row in [["y", "v1", "w", "v2", "z1"]] + rows)
+    for newline, rows in itertools.product(["\n", "\r\n"], tables):
+        lines = [["y", "v1", "w", "v2", "z1"]] + rows
+        path.write_bytes(
+            "".join(",".join(row) + newline for row in lines).encode("utf-8")
         )
         assert load_outcome(path) == load_outcome(path, row_pass_only=True), rows
 
 
+HEADER = "y,v1,w,v2,z1"
+CLEAN = ["1,1,x,0,0.5", "0,0,x,1,-2", "1,0,x,1,3", "0,1,x,0,0"]
+
+
+RECORD_SHAPES = {
+    "trailing-blank-line": "\n".join([HEADER] + CLEAN) + "\n\n",
+    "whitespace-line": "\n".join([HEADER] + CLEAN[:2] + ["  "] + CLEAN[2:]) + "\n",
+    "lone-cr": "\n".join([HEADER] + CLEAN[:2]) + "\r" + "\n".join(CLEAN[2:]) + "\n",
+    # with a blank line too, the line feeds match the rows numpy reads
+    "lone-cr-and-blank-line": "\n".join([HEADER] + CLEAN[:2]) + "\r"
+    + "\n".join(CLEAN[2:3] + [""] + CLEAN[3:]) + "\n",
+    "cr-before-crlf": "\r\n".join([HEADER] + CLEAN[:2]) + "\r\r\n"
+    + "\r\n".join(CLEAN[2:]),
+    "no-final-lf": "\n".join([HEADER] + CLEAN),
+    "no-final-crlf": "\r\n".join([HEADER] + CLEAN),
+    "header-only": HEADER + "\n",
+    "header-only-no-lf": HEADER,
+    "blank-body": "\n".join([HEADER, "", ""]) + "\n",
+    "quoted-comma": "\n".join([HEADER] + CLEAN[:2] + ['1,0,"a,b",1']) + "\n",
+    # a line break in a quoted text cell: one record to csv, two lines
+    "quoted-line-feed": "\n".join(
+        [HEADER] + CLEAN[:2] + ['1,1,"x,0,0.5', '0,0,x",1,2']
+    ) + "\n",
+    "quoted-header": '"y","v1","w","v2","z1"\n' + "\n".join(CLEAN) + "\n",
+}
+
+
+@pytest.mark.parametrize("shape", list(RECORD_SHAPES))
+def test_record_shapes_give_the_row_pass_result(tmp_path, shape):
+    path = tmp_path / "t.csv"
+    path.write_bytes(RECORD_SHAPES[shape].encode("utf-8"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert load_outcome(path) == load_outcome(path, row_pass_only=True)
+
+
+def test_numpy_splits_quoted_lines_as_csv_does():
+    """The fast path rests on numpy's tokenizer splitting a line like csv."""
+    for size in range(1, 6):
+        for chars in itertools.product('",a ', repeat=size):
+            line = "".join(chars) + "\n"
+            cells = np.loadtxt(
+                io.StringIO(line, newline=""), delimiter=",", comments=None,
+                quotechar='"', dtype=str, ndmin=2,
+            )
+            expected = list(csv.reader(io.StringIO(line, newline="")))
+            assert cells.tolist() == expected, line
+
+
+@pytest.mark.parametrize("split", [0, 1])
+def test_crlf_pair_across_a_block_boundary(tmp_path, split):
+    """A CRLF that two binary reads split is one line end, not a lone CR."""
+    lines = [f"{i % 2},{i // 2 % 2},x,{i // 4 % 2},{i / 7!r}" for i in range(50_000)]
+    text = (HEADER + "\r\n" + "\r\n".join(lines) + "\r\n").encode()
+    # leading zeros in the cell before the last CRLF of the first block
+    # move that CRLF to the block's end (split=0) or across it (split=1)
+    end = dataio._BLOCK_BYTES
+    pos = text.rindex(b"\r\n", 0, end)
+    cell = text.rindex(b",", 0, pos) + 1
+    text = text[:cell] + b"0" * (end - 2 + split - pos) + text[cell:]
+    assert text[end - 2 + split : end + split] == b"\r\n"
+    path = tmp_path / "big.csv"
+    path.write_bytes(text)
+    assert dataio._body_records(path) == len(lines)
+    assert load_outcome(path) == load_outcome(path, row_pass_only=True)
+
+
 def test_bad_cell_past_the_first_chunk_names_its_row(tmp_path):
-    n = dataio._CHUNK_ROWS + 10
+    n = 16_394
     lines = ["y,v1,z1"] + [f"{i % 2},{i // 2 % 2},{i / 7!r}" for i in range(n)]
     path = write(tmp_path, "\n".join(lines) + "\n")
     data = load_csv(path, "y", ["v1"], ["z1"])
     assert data.n == n
     assert data.covariates[:, 0].tolist() == [i / 7 for i in range(n)]
     assert data.outcome.tolist() == [i % 2 for i in range(n)]
-    bad_row = dataio._CHUNK_ROWS + 6  # 1-based data-row number
+    bad_row = 16_390  # 1-based data-row number
     lines[bad_row] = "1,0,oops"
     path = write(tmp_path, "\n".join(lines) + "\n")
     with pytest.raises(CsvParseError) as err:
@@ -255,10 +332,25 @@ def test_clean_file_never_enters_the_row_pass(tmp_path):
         raise AssertionError("row pass entered")
 
     clean = write(tmp_path, "y,v1,z1\n1,1,0.5\n0,0,-1e-3\n1,0,2\n")
+    text_crlf = tmp_path / "ids.csv"
+    text_crlf.write_bytes(
+        b"id,y,v1,z1\r\nA-01,1,1,0.5\r\nx y,0,0,-1e-3\r\n,1,0,2\r\n"
+    )
+    # quoted names, text and numbers, as R's write.csv writes them
+    quoted = write(
+        tmp_path,
+        '"id","y","v1","z1"\n"A,01",1,1,0.5\n"say ""x""",0,"0",-1e-3\n"",1,0,2\n',
+        name="quoted.csv",
+    )
     bad = write(tmp_path, "y,v1,z1\n1,1,0.5\n0,0,\n", name="bad.csv")
     with mock.patch.object(dataio, "_parse_rows", row_pass):
         data = load_csv(clean, "y", ["v1"], ["z1"])
         assert data.covariates[:, 0].tolist() == [0.5, -1e-3, 2.0]
+        for path in (text_crlf, quoted):
+            data = load_csv(path, "y", ["v1"], ["z1"])
+            assert data.outcome.tolist() == [1, 0, 1]
+            assert data.exposures[:, 0].tolist() == [1, 0, 0]
+            assert data.covariates[:, 0].tolist() == [0.5, -1e-3, 2.0]
         with pytest.raises(AssertionError, match="row pass entered"):
             load_csv(bad, "y", ["v1"], ["z1"])
 

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -321,6 +323,21 @@ def test_complete_separation_detected():
         r"v1:v2; only controls have exposure patterns unexposed, v2$",
     ):
         fit_logit(data)
+
+
+def test_condition_cap_reads_the_information_eigenvalues():
+    data = small_dataset()
+    info = np.linalg.inv(fit_logit(data).sigma_psi)  # symmetric positive definite
+    eig = np.linalg.eigvalsh(info)
+    assert np.isclose(eig.max() / eig.min(), np.linalg.cond(info), rtol=1e-9)
+    with pytest.raises(
+        SeparationError, match=r"condition number \S+ exceeds 1e\+00; separation"
+    ):
+        fit_logit(data, FitOptions(cond_cap=1.0))
+    # a zero eigenvalue is an infinite condition number, not a division error
+    with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(len(a))):
+        with pytest.raises(SeparationError, match="condition number inf exceeds"):
+            fit_logit(data)
 
 
 def test_constant_column_detected():
