@@ -37,6 +37,7 @@ from .dataio import (
     write_csv,
 )
 from .errors import (
+    BootstrapFailureError,
     ConvergenceError,
     CsvParseError,
     EmptyClassError,
@@ -160,6 +161,7 @@ def _report_from_estimate(rep):
     if rep.n_boot is not None:
         out["n_boot"] = rep.n_boot
         out["n_failed"] = rep.n_failed
+        out["failures"] = rep.failures
     if rep.note:
         out["note"] = rep.note
     return out
@@ -273,9 +275,10 @@ def run_analysis(config: AnalysisConfig):
                 rep = bootstrap_ci(fit, replicates, spec, alpha=config.alpha)
                 entries.append(base | _report_from_estimate(rep))
             except InterOddsError as exc:
-                entries.append(
-                    base | {"method": "BOOTSTRAP_PERCENTILE", "error": str(exc)}
-                )
+                entry = base | {"method": "BOOTSTRAP_PERCENTILE", "error": str(exc)}
+                if isinstance(exc, BootstrapFailureError):
+                    entry["failures"] = exc.failures
+                entries.append(entry)
                 any_failed = True
 
     report = {"fit": fit_block, "notes": list(_NOTES), "measures": entries}

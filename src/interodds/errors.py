@@ -49,7 +49,14 @@ class ConvergenceError(InterOddsError, RuntimeError):
 
 
 class BootstrapFailureError(InterOddsError, RuntimeError):
-    """Too many bootstrap replicates failed to fit or evaluate."""
+    """Too many bootstrap replicates failed to fit or evaluate.
+
+    ``failures`` counts the failed replicates by error class name.
+    """
+
+    def __init__(self, message, failures=None):
+        super().__init__(message)
+        self.failures = dict(failures or {})
 
 
 class PrevalenceError(InterOddsError, ValueError):

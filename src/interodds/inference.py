@@ -22,7 +22,8 @@ from .errors import (
     NegativeVarianceError,
     TransformRangeError,
 )
-from .logit import CaseControlDataset, FitResult, fit_design
+# fit_design is not called here: the benchmark's tracer wraps it by name
+from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa: F401
 from .measures import (
     MeasureSpec,
     StructuralParams,
@@ -39,6 +40,16 @@ AP_TIE_RTOL = 1e-9
 
 # Fewest bootstrap replicates that give usable 2.5% / 97.5% percentiles.
 MIN_BOOT = 200
+
+# Cells per batch of bootstrap refits: one Newton loop fits
+# max(1, BUDGET // C) replicates on the union of the cells they drew, where
+# C is the data's distinct-cell count.  With few cells every replicate
+# shares one loop; with many, each is fitted alone on the cells it drew,
+# since carrying cells a replicate did not draw costs more than it saves.
+# C is floored at the coefficient count, which a design of full rank
+# reaches anyway, so data that fail every refit cannot size a batch of
+# information matrices past the budget.
+BUDGET = 1 << 13
 
 
 def normal_quantile(beta: float) -> float:
@@ -147,6 +158,7 @@ class EstimateReport:
     method: str  # "DELTA" or "BOOTSTRAP_PERCENTILE"
     n_boot: Optional[int] = None
     n_failed: Optional[int] = None
+    failures: Optional[dict] = None  # dropped replicates by error class
     note: Optional[str] = None
 
 
@@ -224,13 +236,15 @@ class BootstrapReplicates:
     """Refitted structural coefficients of the bootstrap replicates.
 
     ``psi[b]`` belongs to replicate ``b`` and is ``None`` where its refit
-    failed.  Fitting stops once more than 10% of the refits have failed,
-    since every measure's interval is then refused, so ``psi`` may be
-    shorter than ``n_boot``.
+    failed; ``errors[b]`` is then the class name of the refit's error, and
+    ``None`` where the refit succeeded.  Fitting stops once more than 10%
+    of the refits have failed, since every measure's interval is then
+    refused, so ``psi`` may be shorter than ``n_boot``.
     """
 
     n_boot: int
     psi: list
+    errors: list
 
     @property
     def max_failures(self) -> int:
@@ -248,13 +262,15 @@ def bootstrap_replicates(
     from its own seed-sequence substream indexed by replicate number,
     which makes the result independent of execution order.
 
-    The records are first collapsed to their distinct (exposure pattern,
-    covariates, outcome) cells, and a replicate is refitted as a weighted
+    The records are first collapsed to their distinct (outcome, exposure
+    pattern, covariates) cells, and a replicate is refitted as a weighted
     fit on the cells it drew, with the draw counts as frequency weights.
     That is the same fit as on the drawn records, up to the order of
     summation.  It is much smaller only where records repeat, as with no
     or only discrete confounders; a continuous confounder leaves one cell
-    per record.
+    per record.  Replicates are fitted in batches of ``max(1, BUDGET //
+    C)`` by :func:`~interodds.logit.fit_batch`, and a replicate's refit does
+    not depend on its batch.
 
     Raises
     ------
@@ -265,43 +281,67 @@ def bootstrap_replicates(
         raise ValueError(
             f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
         )
-    masks = data.exposure_masks
-    keys = np.column_stack([data.outcome, masks, data.covariates])
-    _, first, cell_of = np.unique(
-        keys, axis=0, return_index=True, return_inverse=True
-    )
-    cell_of = cell_of.reshape(-1)
-    mask_cells = masks[first]
+    cell_of, first = _cells(data)
+    ncells, p = len(first), data.p
+    mask_cells = data.exposure_masks[first]
     z_cells = data.covariates[first]
-    y_cells = data.outcome[first].astype(float)
-    case_rows = np.flatnonzero(data.outcome == 1)
-    control_rows = np.flatnonzero(data.outcome == 0)
-    n1, n0 = len(case_rows), len(control_rows)
+    y_cells = data.outcome[first]
+    case_cells = cell_of[data.outcome == 1]
+    control_cells = cell_of[data.outcome == 0]
+    n1, n0 = len(case_cells), len(control_cells)
 
-    replicates = BootstrapReplicates(n_boot, [])
-    failed = 0
-    for child in np.random.SeedSequence(seed).spawn(n_boot):
+    def draw(child):  # the replicate's cell counts
         rng = np.random.default_rng(child)
-        rows = np.concatenate(
-            [
-                case_rows[rng.integers(0, n1, size=n1)],
-                control_rows[rng.integers(0, n0, size=n0)],
-            ]
+        cases = case_cells[rng.integers(0, n1, size=n1)]
+        controls = control_cells[rng.integers(0, n0, size=n0)]
+        return (np.bincount(cases, minlength=ncells)
+                + np.bincount(controls, minlength=ncells))
+
+    children = np.random.SeedSequence(seed).spawn(n_boot)
+    per_batch = max(1, BUDGET // max(ncells, (1 << p) + data.q))
+    replicates = BootstrapReplicates(n_boot, [], [])
+    failed = 0
+    for start in range(0, n_boot, per_batch):
+        counts = np.array([draw(c) for c in children[start : start + per_batch]])
+        drawn = counts.any(0)
+        fits = fit_batch(
+            mask_cells.compress(drawn), z_cells.compress(drawn, 0),
+            y_cells.compress(drawn), p, counts.compress(drawn, 1),
         )
-        counts = np.bincount(cell_of[rows], minlength=len(first))
-        drawn = counts > 0
-        try:
-            refit = fit_design(
-                mask_cells.compress(drawn), z_cells.compress(drawn, axis=0),
-                y_cells.compress(drawn), data.p, weights=counts.compress(drawn),
-            )
-            replicates.psi.append(refit.params.psi)
-        except InterOddsError:
+        for beta, error in zip(fits.beta, fits.errors):
+            if error is None:
+                replicates.psi.append(StructuralParams(beta[1 : 1 << p], p))
+                replicates.errors.append(None)
+                continue
             replicates.psi.append(None)
+            replicates.errors.append(type(error).__name__)
             failed += 1
             if failed > replicates.max_failures:
-                break
+                return replicates
     return replicates
+
+
+def _cells(data: CaseControlDataset) -> tuple:
+    """Each record's cell and each cell's first record.
+
+    A cell is a distinct (outcome, exposure mask, covariates) record.  Cells
+    are numbered in the order of their first records, which keeps runs of
+    one exposure mask as short as in the data: ``bincount`` by mask is
+    slowest when consecutive cells share a bin.
+    """
+    keys = (*data.covariates.T[::-1], data.exposure_masks, data.outcome)
+    order = np.lexsort(keys)
+    new = np.zeros(data.n, dtype=bool)  # where a sorted record starts a cell
+    new[:1] = True
+    for key in keys:
+        ordered = key[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    first = order[new]  # the smallest record of each cell: lexsort is stable
+    rank = np.empty(len(first), dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(len(first))
+    cell_of = np.empty(data.n, dtype=np.intp)
+    cell_of[order] = rank[np.cumsum(new) - 1]
+    return cell_of, np.sort(first)
 
 
 def bootstrap_ci(
@@ -315,9 +355,9 @@ def bootstrap_ci(
     The point estimate is the measure at ``fit``, the full-data fit; the
     interval comes from the refits of :func:`bootstrap_replicates`, which
     one set of replicates serves for every measure.  Replicates whose
-    refit failed, or whose measure is undefined, are dropped and counted:
-    a failed refit counts against every measure, an undefined measure
-    only against its own.
+    refit failed, or whose measure is undefined, are dropped and counted
+    by error class in ``failures``: a failed refit counts against every
+    measure, an undefined measure only against its own.
 
     Raises
     ------
@@ -333,18 +373,21 @@ def bootstrap_ci(
     point = measure(fit.params.psi, spec)
     values = []
     failed = 0
-    for psi in replicates.psi:
+    failures = {}
+    for psi, error in zip(replicates.psi, replicates.errors):
         if psi is not None:  # None: the refit failed, for every measure
             try:
                 values.append(measure(psi, spec))
                 continue
-            except InterOddsError:
-                pass  # undefined for this measure only
+            except InterOddsError as exc:  # undefined for this measure only
+                error = type(exc).__name__
         failed += 1
+        failures[error] = failures.get(error, 0) + 1
         if failed > replicates.max_failures:
             raise BootstrapFailureError(
                 f"{failed} of {replicates.n_boot} bootstrap replicates failed "
-                "(limit is 10%)"
+                "(limit is 10%)",
+                failures,
             )
     values = np.asarray(values)
     ci_low, ci_high = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
@@ -359,4 +402,5 @@ def bootstrap_ci(
         method="BOOTSTRAP_PERCENTILE",
         n_boot=replicates.n_boot,
         n_failed=failed,
+        failures=failures,
     )

@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
-from scipy.special import expit
 
 from .errors import (
     ConvergenceError,
@@ -30,7 +28,7 @@ from .errors import (
     SingularDesignError,
 )
 from .measures import StructuralParams
-from .patterns import downset_rows, pattern_index
+from .patterns import lattice_sums, pattern_index
 
 
 @dataclass(eq=False)
@@ -150,62 +148,105 @@ class FitResult:
         return np.sqrt(np.diag(self.sigma_psi))
 
 
-@lru_cache(maxsize=None)
-def _pattern_tables(p: int, q: int) -> tuple:
-    """The pattern basis and where the score and information read the moments.
+@dataclass(eq=False)
+class BatchFit:
+    """Fits of one model per row of a weight matrix; see :func:`fit_batch`.
 
-    ``basis`` is ``[1 | downset_rows(p, arange(2^p))]``: row ``u`` is the
-    intercept and saturated part of the design row of a record with mask
-    ``u``, and ``counts @ basis`` sums ``counts`` over the masks containing
-    each column's pattern.  An evaluation's moments are ``sums @ basis``
-    (rows r, v, v z_j) then ``zt @ stack.T`` (rows z_j), raveled; the
-    information of pattern columns ``c`` and ``c'`` is the v superset sum at
-    ``c | c'``.
+    Row ``b`` holds fit ``b``'s last accepted point: coefficients in design
+    order, loglik, score and information.  ``errors[b]`` is the
+    :class:`InterOddsError` that ended fit ``b``, or ``None`` where it
+    converged; the numbers of a failed row mean nothing.
+    """
+
+    beta: np.ndarray  # (B, 2^p + q)
+    loglik: np.ndarray  # (B,)
+    score: np.ndarray  # (B, 2^p + q)
+    info: np.ndarray  # (B, 2^p + q, 2^p + q)
+    iterations: np.ndarray  # (B,)
+    ridge_used: np.ndarray  # (B,)
+    errors: list
+
+
+@lru_cache(maxsize=None)
+def _moment_tables(p: int, q: int) -> tuple:
+    """Where the score, information and loglik read an evaluation's moments.
+
+    An evaluation bins, per fit, ``3 + 2q + q(q+1)/2`` cell quantities by
+    exposure mask: ``r``, ``v``, ``v z_j``, ``r z_j``, ``v z_j z_k``
+    (``j <= k``) and the negated loglik term, then sums each over the masks
+    above every mask.  Raveled, entry ``k 2^p + m`` is quantity ``k`` summed over
+    the cells whose mask contains ``m``: the intercept column reads mask 0,
+    pattern column ``c`` its mask, and the information of pattern columns
+    ``c`` and ``c'`` is the ``v`` sum at ``c | c'``.  Also returns each
+    mask's column and the covariate pairs ``(j, k)``.
     """
     nmask = 1 << p
     cols = np.concatenate([[0], pattern_index(p).masks])  # column -> mask
-    basis = np.hstack([np.ones((nmask, 1)), downset_rows(p, np.arange(nmask))])
-    basis.setflags(write=False)
-    zrows = (2 + q) * nmask + (2 + q) * np.arange(q)
-    info = np.empty((nmask + q, nmask + q), dtype=np.intp)
-    info[:nmask, :nmask] = nmask + np.argsort(cols)[cols[:, None] | cols]
-    info[nmask:, :nmask] = nmask * np.arange(2, 2 + q)[:, None] + np.arange(nmask)
-    info[:nmask, nmask:] = info[nmask:, :nmask].T
-    info[nmask:, nmask:] = zrows[:, None] + 2 + np.arange(q)
-    offsets = nmask * np.arange(2 + q)[:, None]  # of the stacked bincount rows
-    return basis, offsets, np.concatenate([np.arange(nmask), zrows]), info
+    j, k = np.triu_indices(q)
+    nq = 3 + 2 * q + len(j)
+    info_at = np.empty((nmask + q, nmask + q), dtype=np.intp)
+    info_at[:nmask, :nmask] = nmask + (cols[:, None] | cols)
+    info_at[nmask:, :nmask] = nmask * (2 + np.arange(q))[:, None] + cols
+    info_at[:nmask, nmask:] = info_at[nmask:, :nmask].T
+    info_at[nmask + j, nmask + k] = nmask * (2 + 2 * q + np.arange(len(j)))
+    info_at[nmask + k, nmask + j] = info_at[nmask + j, nmask + k]
+    score_at = np.concatenate([cols, nmask * (2 + q + np.arange(q))])
+    return np.argsort(cols), score_at, info_at, nmask * (nq - 1), (j, k)
 
 
 def _evaluator(masks, zt, y, weights, p):
-    """Loglik, score and information as a function of the coefficients.
+    """Loglik, score and information of chosen fits of a batch.
 
-    The design is not built.  A record's linear predictor is
-    ``(basis @ beta[:2^p])[mask] + z @ kappa`` (``zt`` holds the covariates
-    as rows), and the sums over records of the score and information reduce
-    to per-mask sums of ``r = w (y - theta)``, ``v = w theta (1 - theta)``
-    and ``v z_j``: one stacked ``bincount`` per evaluation, on an index
-    built once per fit.
+    The C cells have exposure masks ``masks``, covariates ``zt`` (one row
+    per covariate) and outcomes ``y``; row ``b`` of the (B, C) ``weights``
+    gives fit ``b`` its frequency weights, zero where it has no record.
+    ``evaluate(beta, rows)`` takes one coefficient vector per entry of
+    ``rows``.  The design is not built: a cell's linear predictor is its
+    mask's entry in the subset sums of ``[intercept, psi]`` plus
+    ``z @ kappa``.  Every sum over cells is a ``bincount`` in cell order, so
+    a zero weight adds an exact zero and no fit's numbers depend on the
+    other fits of its batch.
     """
-    basis, offsets, score_at, info_at = _pattern_tables(p, len(zt))
-    nmask, q = len(basis), len(zt)
-    index = (masks + offsets).ravel()
-    stack = np.empty((2 + q, len(y)))
-    r, v, vz, flat = stack[0], stack[1], stack[2:], stack.ravel()
+    at_mask, score_at, info_at, loglik_at, (j, k) = _moment_tables(p, len(zt))
+    nmask, q = 1 << p, len(zt)
+    pairs = zt[j] * zt[k]
+    index = masks + nmask * np.arange(len(weights))[:, None]
+    half, sign = y - 0.5, 1.0 - 2.0 * y
 
-    def evaluate(beta):  # np.dot: less call overhead than @ on small fits
-        eta = np.dot(basis, beta[:nmask])[masks]
-        if q:
-            eta += np.dot(beta[nmask:], zt)
-        theta = expit(eta)
-        np.multiply(weights, y - theta, out=r)
-        np.multiply(weights, theta * (1.0 - theta), out=v)
-        np.multiply(v, zt, out=vz)
-        sums = np.bincount(index, flat, (2 + q) * nmask).reshape(2 + q, nmask)
-        moments = np.concatenate(
-            [np.dot(sums, basis).ravel(), np.dot(zt, stack.T).ravel()]
-        )
-        loglik = float(np.dot(weights, y * eta - np.logaddexp(0.0, eta)))
-        return loglik, moments[score_at], moments[info_at]
+    def evaluate(beta, rows):  # in place where it can: fresh pages cost
+        b = len(rows)
+        w = weights if b == len(weights) else weights[rows]
+        eta = np.take(lattice_sums(beta[:, at_mask]), masks, axis=1)
+        for i in range(q):
+            eta += beta[:, nmask + i, None] * zt[i]
+        # with e = exp(-|eta|) and d = 1 / (1 + e): theta (1 - theta) = e d^2,
+        # theta = 1/2 + sign(eta) (d - 1/2), and the loglik term is
+        # -log1p(e) - max((1 - 2y) eta, 0), all without overflow
+        e = np.abs(eta)
+        np.exp(np.negative(e, out=e), out=e)
+        d = np.reciprocal(e + 1.0)
+        v = e * d
+        v *= d
+        v *= w
+        d -= 0.5
+        r = half - np.copysign(d, eta, out=d)
+        r *= w
+        loss = np.log1p(e)
+        eta *= sign
+        loss += np.maximum(eta, 0.0, out=eta)
+        loss *= w
+        bins, size = index[:b].ravel(), b * nmask
+
+        def total(x):
+            return np.bincount(bins, x.ravel(), size)
+
+        sums = np.array([
+            total(r), total(v), *[total(v * z) for z in zt],
+            *[total(r * z) for z in zt], *[total(v * z) for z in pairs],
+            total(loss),
+        ]).reshape(-1, b, nmask)
+        moments = lattice_sums(sums, up=True).transpose(1, 0, 2).reshape(b, -1)
+        return -moments[:, loglik_at], moments[:, score_at], moments[:, info_at]
 
     return evaluate
 
@@ -230,12 +271,12 @@ def _check_design(masks, zt, p):
     within masks have full column rank, by ``matrix_rank``'s tolerance with
     the design's Frobenius norm for its largest singular value.
     """
-    basis, offsets = _pattern_tables(p, len(zt))[:2]
-    nmask, n, q = len(basis), len(masks), len(zt)
+    nmask, n, q = 1 << p, len(masks), len(zt)
     counts = np.bincount(masks, minlength=nmask)
-    cover = counts @ basis  # records whose mask contains each column's pattern
+    cover = lattice_sums(counts.copy(), up=True)  # records containing each mask
+    patterns = cover[pattern_index(p).masks]
     constant = np.concatenate([
-        (cover[1:] == 0) | (cover[1:] == n), zt.max(1) == zt.min(1)
+        (patterns == 0) | (patterns == n), zt.max(1) == zt.min(1)
     ])
     if constant.any():
         col = int(np.argmax(constant)) + 1
@@ -245,11 +286,11 @@ def _check_design(masks, zt, p):
         raise SingularDesignError(
             f"{deficient}: no record has {_patterns_named(p, counts == 0)}"
         )
-    index = (masks + offsets[:q]).ravel()
-    flat = zt.ravel()
-    means = np.bincount(index, flat, q * nmask) / np.tile(counts, q)
-    centred = (flat - means[index]).reshape(q, n).T
-    tol = np.sqrt(cover.sum() + flat @ flat) * max(n, nmask + q) * 2.0**-52
+    centred = np.empty((n, q), order="F")
+    for j, z in enumerate(zt):
+        means = np.bincount(masks, z, nmask) / counts
+        np.subtract(z, means[masks], out=centred[:, j])
+    tol = np.sqrt(cover.sum() + np.vdot(zt, zt)) * max(n, nmask + q) * 2.0**-52
     if q == 0 or np.linalg.svd(centred, compute_uv=False)[-1] > tol:
         return
     for j in range(q):  # the first covariate that adds no rank
@@ -271,14 +312,144 @@ def _separation_error(reason, masks, y, weights, p):
     return SeparationError(reason)
 
 
-def _factor(info):
-    """Cholesky factor of the information, with a tiny-ridge fallback."""
-    try:
-        return cho_factor(info, lower=True), False
-    except LinAlgError:
-        dim = info.shape[0]
-        ridge = 1e-10 * np.trace(info) / dim
-        return cho_factor(info + ridge * np.eye(dim), lower=True), True
+def _ridged(info, lowest):
+    """The informations, with a tiny ridge on each that is not positive definite.
+
+    ``lowest`` holds each matrix's lowest eigenvalue.  Under the condition
+    cap that is the test Cholesky factorization would make.  Returns the
+    stack and which matrices got the ridge.
+    """
+    used = lowest <= 0.0
+    if used.any():
+        dim = info.shape[-1]
+        info = info.copy()
+        info[used] += (1e-10 * np.trace(info[used], axis1=1, axis2=2) / dim)[
+            :, None, None] * np.eye(dim)
+    return info, used
+
+
+def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
+    """Newton/step-halving ML fits of one model per row of ``weights``.
+
+    The records are shared, given as in :func:`fit_design`; row ``b`` of the
+    (B, n) ``weights`` holds fit ``b``'s frequency weights, zero for a
+    record it does not have.  ``start`` is an optional (B, 2^p + q) array
+    of starting coefficients.  Every fit runs its own checks, convergence
+    test, step-halving and guards, and its numbers do not depend on the
+    other rows.  A fit's :class:`InterOddsError` (the ones listed in
+    :func:`fit_logit`) is recorded in ``errors`` instead of raised.
+
+    Raises
+    ------
+    ValueError
+        A fit has fewer weighted records than coefficients plus one.
+    """
+    options = options or FitOptions()
+    zt = np.ascontiguousarray(covariates.T)
+    y = np.asarray(outcome, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    nfits, ncols = len(weights), (1 << p) + len(zt)
+    n, n1 = weights.sum(1).astype(np.int64), (weights @ y).astype(np.int64)
+    if (n < ncols + 1).any():
+        raise ValueError(
+            f"need at least {ncols + 1} records to fit {ncols} coefficients, "
+            f"got {n.min()}"
+        )
+    errors = [None] * nfits
+    checked = {}  # fits with the same records share one rank check
+    for b in range(nfits):
+        if n1[b] == 0 or n1[b] == n[b]:
+            errors[b] = EmptyClassError(
+                "both cases and controls are required for fitting"
+            )
+            continue
+        has = weights[b] > 0
+        key = has.tobytes()
+        if key not in checked:
+            # no copy where the fit has every record: a fresh copy of a
+            # large design costs more in page faults than the check itself
+            own = (masks, zt) if has.all() else (masks[has], zt.compress(has, 1))
+            try:
+                _check_design(*own, p)
+                checked[key] = None
+            except SingularDesignError as exc:
+                checked[key] = exc
+        errors[b] = checked[key]
+
+    evaluate = _evaluator(masks, zt, y, weights, p)
+    beta = np.zeros((nfits, ncols)) if start is None else (
+        np.array(start, dtype=float).reshape(nfits, ncols))
+    loglik, score = np.zeros(nfits), np.zeros((nfits, ncols))
+    info = np.zeros((nfits, ncols, ncols))
+    iterations = np.zeros(nfits, dtype=np.int64)
+    ridge_used = np.zeros(nfits, dtype=bool)
+    rows = np.flatnonzero([error is None for error in errors])  # still iterating
+    if rows.size:
+        loglik[rows], score[rows], info[rows] = evaluate(beta[rows], rows)
+
+    for iteration in range(1, options.max_iter + 1):
+        iterations[rows] = iteration
+        gnorm = np.abs(score[rows]).max(1)
+        rows = rows[gnorm > options.score_tol * (1.0 + np.abs(loglik[rows]))]
+        if not rows.size:
+            break
+        # the information is symmetric: its 2-norm condition number is the
+        # ratio of its extreme eigenvalue magnitudes, no SVD needed
+        eig = np.linalg.eigvalsh(info[rows])
+        size = np.abs(eig)
+        cond = np.full(len(rows), np.inf)
+        np.divide(size.max(1), size.min(1), out=cond, where=size.min(1) > 0)
+        singular = cond > options.cond_cap
+        for b, c in zip(rows[singular], cond[singular]):
+            errors[b] = _separation_error(
+                f"information matrix condition number {c:.3g} exceeds "
+                f"{options.cond_cap:.0e}; separation suspected",
+                masks, y, weights[b], p,
+            )
+        rows, eig = rows[~singular], eig[~singular]
+        system, used = _ridged(info[rows], eig[:, 0])
+        ridge_used[rows] |= used
+        step = np.linalg.solve(system, score[rows][..., None])[..., 0]
+
+        # halve each fit's step until its loglik does not decrease; the
+        # accepted trial's coefficients, loglik, score and information stay
+        origin, floor = beta[rows], loglik[rows]
+        t = np.ones(len(rows))
+        moved = np.ones(len(rows), dtype=bool)
+        pending = np.arange(len(rows))
+        while pending.size:
+            candidate = origin[pending] + t[pending, None] * step[pending]
+            trial = evaluate(candidate, rows[pending])
+            up = trial[0] >= floor[pending]
+            done = rows[pending[up]]
+            beta[done], loglik[done], score[done], info[done] = (
+                a[up] for a in (candidate, *trial))
+            pending = pending[~up]
+            t[pending] *= 0.5
+            stuck = t[pending] <= 2.0 ** -34
+            for b in rows[pending[stuck]]:
+                errors[b] = ConvergenceError(
+                    "step-halving found no non-decreasing step at "
+                    f"iteration {iteration}"
+                )
+            moved[pending[stuck]] = False
+            pending = pending[~stuck]
+
+        worst = np.abs(beta[rows]).max(1)
+        diverged = moved & (worst > options.coef_bound)
+        for b, value in zip(rows[diverged], worst[diverged]):
+            errors[b] = _separation_error(
+                f"coefficient magnitude {value:.3g} exceeds the divergence "
+                f"bound {options.coef_bound}; separation suspected",
+                masks, y, weights[b], p,
+            )
+        small = np.abs(t[:, None] * step).max(1) <= options.step_tol
+        rows = rows[moved & ~diverged & ~small]
+    for b in rows:
+        errors[b] = ConvergenceError(
+            f"no convergence after {options.max_iter} Newton iterations"
+        )
+    return BatchFit(beta, loglik, score, info, iterations, ridge_used, errors)
 
 
 def fit_design(masks, covariates, outcome, p, options=None, start=None,
@@ -292,100 +463,31 @@ def fit_design(masks, covariates, outcome, p, options=None, start=None,
     weights, one per record by default: a fit on the distinct records
     weighted by their counts is the fit on the records themselves, up to
     the order of summation, and the record-count and class checks count
-    weighted records.  Raises as described in :func:`fit_logit`.
+    weighted records.  This is a batch of one for :func:`fit_batch`.
+    Raises as described in :func:`fit_logit`.
     """
-    options = options or FitOptions()
-    zt = np.ascontiguousarray(covariates.T)
-    ncols = (1 << p) + len(zt)
     y = np.asarray(outcome, dtype=float)
     weights = np.ones(len(y)) if weights is None else np.asarray(weights, float)
     if weights.shape != y.shape or not (weights > 0).all():
         raise ValueError("weights must be positive, one per record")
-    n, n1 = int(weights.sum()), int(weights @ y)
-
-    if n < ncols + 1:
-        raise ValueError(
-            f"need at least {ncols + 1} records to fit {ncols} coefficients, got {n}"
-        )
-    if n1 == 0 or n1 == n:
-        raise EmptyClassError("both cases and controls are required for fitting")
-    _check_design(masks, zt, p)
-
-    evaluate = _evaluator(masks, zt, y, weights, p)
-    beta = np.zeros(ncols) if start is None else np.array(start, dtype=float)
-    loglik, score, info = evaluate(beta)
-    converged = False
-    ridge_used = False
-    iterations = 0
-
-    for iterations in range(1, options.max_iter + 1):
-        gnorm = float(np.abs(score).max())
-        if gnorm <= options.score_tol * (1.0 + abs(loglik)):
-            converged = True
-            break
-        # the information is symmetric: its 2-norm condition number is the
-        # ratio of its extreme eigenvalue magnitudes, no SVD needed
-        eig = np.abs(np.linalg.eigvalsh(info))
-        cond = eig.max() / eig.min() if eig.min() > 0 else np.inf
-        if cond > options.cond_cap:
-            raise _separation_error(
-                f"information matrix condition number {cond:.3g} exceeds "
-                f"{options.cond_cap:.0e}; separation suspected",
-                masks, y, weights, p,
-            )
-        factor, used = _factor(info)
-        ridge_used = ridge_used or used
-        step = cho_solve(factor, score)
-
-        # the accepted trial's loglik, score and information carry over
-        t = 1.0
-        while True:
-            candidate = beta + t * step
-            trial = evaluate(candidate)
-            if trial[0] >= loglik:
-                break
-            t *= 0.5
-            if t <= 2.0 ** -34:
-                raise ConvergenceError(
-                    "step-halving found no non-decreasing step at "
-                    f"iteration {iterations}"
-                )
-        delta = t * step
-        beta = candidate
-        worst = float(np.abs(beta).max())
-        if worst > options.coef_bound:
-            raise _separation_error(
-                f"coefficient magnitude {worst:.3g} exceeds the divergence "
-                f"bound {options.coef_bound}; separation suspected",
-                masks, y, weights, p,
-            )
-        loglik, score, info = trial
-        if float(np.abs(delta).max()) <= options.step_tol:
-            converged = True
-            break
-
-    if not converged:
-        raise ConvergenceError(
-            f"no convergence after {options.max_iter} Newton iterations"
-        )
-
-    gnorm = float(np.abs(score).max())
-    factor, used = _factor(info)
-    ridge_used = ridge_used or used
-    full_cov = cho_solve(factor, np.eye(ncols))
+    fits = fit_batch(
+        masks, covariates, y, p, weights[None], options,
+        None if start is None else np.asarray(start, dtype=float)[None],
+    )
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    info, used = _ridged(fits.info[:1], np.linalg.eigvalsh(fits.info[:1])[:, 0])
+    full_cov = np.linalg.inv(info[0])
     full_cov = 0.5 * (full_cov + full_cov.T)
-    npsi = (1 << p) - 1
-    psi_slice = slice(1, npsi + 1)
-    sigma_psi = np.array(full_cov[psi_slice, psi_slice])
-
+    psi = slice(1, 1 << p)
     return FitResult(
-        params=FullParams.from_vector(beta, p, len(zt)),
-        sigma_psi=sigma_psi,
-        loglik=loglik,
-        iterations=iterations,
-        converged=converged,
-        gradient_norm=gnorm,
-        ridge_used=ridge_used,
+        params=FullParams.from_vector(fits.beta[0], p, covariates.shape[1]),
+        sigma_psi=np.array(full_cov[psi, psi]),
+        loglik=float(fits.loglik[0]),
+        iterations=int(fits.iterations[0]),
+        converged=True,
+        gradient_norm=float(np.abs(fits.score[0]).max()),
+        ridge_used=bool(fits.ridge_used[0] or used[0]),
     )
 
 

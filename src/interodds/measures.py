@@ -30,7 +30,13 @@ from typing import Mapping, Optional
 import numpy as np
 
 from .errors import OrderRangeError, UndefinedSynergyError
-from .patterns import MAX_FACTORS, as_mask, downset_rows, pattern_index
+from .patterns import (
+    MAX_FACTORS,
+    as_mask,
+    downset_rows,
+    lattice_sums,
+    pattern_index,
+)
 
 KINDS = ("OR", "EOR", "AP", "SI")
 
@@ -93,16 +99,9 @@ class StructuralParams:
         so a single evaluation costs ``p * 2^p`` additions.  Entry 0 is
         exactly 0.
         """
-        idx = pattern_index(self.p)
         s = np.zeros(1 << self.p)
-        s[idx.masks] = self.psi
-        s = s.reshape((2,) * self.p)
-        for ax in range(self.p):
-            sel_hi = (slice(None),) * ax + (1,)
-            sel_lo = (slice(None),) * ax + (0,)
-            s[sel_hi] += s[sel_lo]
-        s = s.reshape(-1)
-        s.setflags(write=False)
+        s[pattern_index(self.p).masks] = self.psi
+        lattice_sums(s).setflags(write=False)
         return s
 
     @cached_property

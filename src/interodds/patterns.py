@@ -113,6 +113,27 @@ def downset_rows(p: int, masks) -> np.ndarray:
     return (pattern_index(p).masks & ~masks[..., None]) == 0
 
 
+def lattice_sums(table: np.ndarray, up: bool = False) -> np.ndarray:
+    """Sum a C-contiguous table over the subset lattice, in place.
+
+    Along the last axis (``2^p`` entries, indexed by bitmask), entry ``m``
+    becomes the sum of the entries at the masks below ``m`` (at the masks
+    above ``m`` when ``up``): Yates's algorithm, one pass per factor, from
+    the highest bit down.  Every entry sums in the same order whatever the
+    leading axes hold.  Returns ``table``.
+    """
+    lead = table.shape[:-1]
+    bit = table.shape[-1] >> 1
+    while bit:
+        pairs = table.reshape(*lead, -1, 2, bit)
+        if up:
+            pairs[..., 0, :] += pairs[..., 1, :]
+        else:
+            pairs[..., 1, :] += pairs[..., 0, :]
+        bit >>= 1
+    return table
+
+
 def alternating_binomial_sum(n: int, m: int) -> int:
     """Truncated alternating binomial sum ``sum_{l=0}^{m} (-1)^l C(n, l)``.
 

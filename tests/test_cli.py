@@ -167,14 +167,15 @@ def test_analyze_single_fit_shared_across_measures(dataset_csv, monkeypatch):
 def test_analyze_bootstrap_refits_each_replicate_once(
     dataset_csv, capsys, monkeypatch
 ):
-    calls = []
-    real = inference.fit_design
+    fitted = []  # replicates per batch of refits
+    real = inference.fit_batch
 
     def counting_fit(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
+        fits = real(*args, **kwargs)
+        fitted.append(len(fits.errors))
+        return fits
 
-    monkeypatch.setattr(inference, "fit_design", counting_fit)
+    monkeypatch.setattr(inference, "fit_batch", counting_fit)
     code = main(
         analyze_args(
             dataset_csv, "--measure", "EOR:2,AP:2,SI:2", "--ci", "boot",
@@ -182,9 +183,29 @@ def test_analyze_bootstrap_refits_each_replicate_once(
         )
     )
     assert code == 0
-    assert len(calls) == 200
+    assert sum(fitted) == 200
     entries = json.loads(capsys.readouterr().out)["measures"]
     assert [e["n_boot"] for e in entries] == [200, 200, 200]
+    assert [e["failures"] for e in entries] == [{}, {}, {}]
+
+
+def test_analyze_json_counts_bootstrap_failures_by_class(tmp_path, capsys):
+    # one exposed record per class: resamples that drop one or both fail
+    rows = ["y,v1"] + [f"{y},{int(i == 0)}" for y in (0, 1) for i in range(15)]
+    path = tmp_path / "degenerate.csv"
+    path.write_text("\n".join(rows) + "\n")
+    args = ["analyze", "--data", str(path), "--outcome", "y",
+            "--risk-factors", "v1", "--measure", "OR", "--ci", "boot",
+            "--n-boot", "200", "--seed", "3"]
+    assert main(args + ["--format", "json"]) == 5
+    (entry,) = json.loads(capsys.readouterr().out)["measures"]
+    assert entry["error"].startswith("21 of 200 bootstrap replicates failed")
+    assert sum(entry["failures"].values()) == 21
+    assert set(entry["failures"]) == {"SeparationError", "SingularDesignError"}
+    # the text and CSV reports carry no new field
+    main(args + ["--format", "csv"])
+    header = capsys.readouterr().out.splitlines()[0]
+    assert "failures" not in header
 
 
 def test_analyze_bootstrap_deterministic(dataset_csv, capsys):

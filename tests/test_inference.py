@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations
 from math import sqrt
 from statistics import NormalDist
@@ -14,6 +15,7 @@ from interodds.errors import (
     UndefinedSynergyError,
 )
 from interodds.inference import (
+    BootstrapReplicates,
     bootstrap_ci,
     bootstrap_replicates,
     ci_transform,
@@ -510,10 +512,13 @@ def test_bootstrap_too_many_failures_with_shared_replicates():
     replicates = bootstrap_replicates(data, 200, 3)
     # refitting stops at the first refit failure past the limit
     assert replicates.psi.count(None) == 21
+    failures = Counter(filter(None, replicates.errors))
+    assert sum(failures.values()) == 21
     for kind in ("OR", "EOR"):
         spec = MeasureSpec(p=1, kind=kind, order=1)
-        with pytest.raises(BootstrapFailureError, match="^21 of 200 "):
+        with pytest.raises(BootstrapFailureError, match="^21 of 200 ") as info:
             bootstrap_ci(fit, replicates, spec)
+        assert info.value.failures == failures
 
 
 def resampled_rows(data, n_boot, seed):
@@ -536,6 +541,29 @@ def gathered_refit(data, rows):
         data.exposure_masks[rows], data.covariates[rows], data.outcome[rows],
         data.p,
     )
+
+
+def gathered_errors(data, n_boot, seed):
+    """Each replicate's refit error class on its drawn records, or None."""
+    errors = []
+    for rows in resampled_rows(data, n_boot, seed):
+        try:
+            gathered_refit(data, rows)
+            errors.append(None)
+        except InterOddsError as exc:
+            errors.append(type(exc).__name__)
+    return errors
+
+
+def test_bootstrap_records_each_failed_refit_by_error_class():
+    data = degenerate_dataset()
+    replicates = bootstrap_replicates(data, 200, 3)
+    expected = gathered_errors(data, 200, 3)[: len(replicates.errors)]
+    assert replicates.errors == expected
+    assert [e is None for e in expected] == [f is not None for f in replicates.psi]
+    # a resample without either exposed record has a constant column; one
+    # without the exposed case or the exposed control separates
+    assert set(expected) == {None, "SingularDesignError", "SeparationError"}
 
 
 def discrete_dataset(seed=0, n0=400, n1=400):
@@ -562,21 +590,25 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
     make_data, max_rows, monkeypatch
 ):
     data = make_data(seed=21)
-    rows_fitted = []
-    real = inference.fit_design
+    batches = []  # the (replicates, cells) weight shape of each batch
+    cells_fitted = []  # cells with a positive weight, per replicate
+    real = inference.fit_batch
 
-    def recording_fit(masks, *args, **kwargs):
-        rows_fitted.append(masks.shape[0])
-        return real(masks, *args, **kwargs)
+    def recording_fit(masks, covariates, outcome, p, weights, *args, **kwargs):
+        batches.append(weights.shape)
+        cells_fitted.extend((weights > 0).sum(1).tolist())
+        return real(masks, covariates, outcome, p, weights, *args, **kwargs)
 
-    monkeypatch.setattr(inference, "fit_design", recording_fit)
+    monkeypatch.setattr(inference, "fit_batch", recording_fit)
     replicates = bootstrap_replicates(data, 200, seed=9)
     assert len(replicates.psi) == 200 and None not in replicates.psi
+    # every replicate is fitted exactly once
+    assert sum(rows for rows, _ in batches) == len(cells_fitted) == 200
     # 2 x 2 exposure cells x 2 confounder levels x 2 outcomes at most; a
     # normal confounder leaves one cell per distinct drawn record
-    assert max(rows_fitted) <= max_rows
+    assert max(cells for _, cells in batches) <= max_rows
     if make_data is boot_dataset:
-        assert min(rows_fitted) > 16
+        assert min(cells_fitted) > 16
     for b, rows in zip(range(5), resampled_rows(data, 200, seed=9)):
         expected = gathered_refit(data, rows).params.psi.psi
         assert np.max(np.abs(replicates.psi[b].psi - expected)) <= 1e-9
@@ -635,11 +667,66 @@ def test_bootstrap_failures_counted_per_spec():
 
     replicates = bootstrap_replicates(data, 200, seed=2)
     fit = fit_logit(data)
-    n_failed = {
-        spec.kind: bootstrap_ci(fit, replicates, spec).n_failed for spec in specs
-    }
-    assert n_failed == {
+    reports = {spec.kind: bootstrap_ci(fit, replicates, spec) for spec in specs}
+    assert {kind: rep.n_failed for kind, rep in reports.items()} == {
         "EOR": refit_failed,
         "AP": refit_failed,
         "SI": refit_failed + si_undefined,
     }
+    refit_errors = gathered_errors(data, 200, seed=2)
+    assert replicates.errors == refit_errors
+    refit_classes = Counter(filter(None, refit_errors))
+    assert reports["EOR"].failures == reports["AP"].failures == refit_classes
+    assert reports["SI"].failures == refit_classes + Counter(
+        UndefinedSynergyError=si_undefined
+    )
+
+
+def same_replicates(a, b):
+    return a.errors == b.errors and all(
+        (x is None and y is None)
+        or (x is not None and y is not None and np.array_equal(x.psi, y.psi))
+        for x, y in zip(a.psi, b.psi, strict=True)
+    )
+
+
+@pytest.mark.parametrize(
+    "make_data, batches",
+    [
+        (lambda: discrete_dataset(seed=4), 1),
+        (lambda: cell_count_dataset((60, 40, 40, 12), (80, 34, 34, 3)), 1),
+        # 800 cells: batches of 10 replicates, each missing a third of them
+        (lambda: boot_dataset(seed=4), 20),
+    ],
+    ids=["discrete_confounder", "failing_refits", "normal_confounder"],
+)
+def test_bootstrap_replicates_do_not_depend_on_batching(
+    make_data, batches, monkeypatch
+):
+    data = make_data()
+    batch_sizes = []
+    real = inference.fit_batch
+
+    def recording_fit(*args, **kwargs):
+        fits = real(*args, **kwargs)
+        batch_sizes.append(len(fits.errors))
+        return fits
+
+    monkeypatch.setattr(inference, "fit_batch", recording_fit)
+    batched = bootstrap_replicates(data, 200, seed=2)
+    assert batch_sizes == [200 // batches] * batches
+    monkeypatch.setattr(inference, "BUDGET", 1)  # one replicate per batch
+    alone = bootstrap_replicates(data, 200, seed=2)
+    assert batch_sizes[batches:] == [1] * len(alone.psi)
+    assert same_replicates(batched, alone)
+    if data.q == 0:  # the cell-count data has failing refits
+        assert any(batched.errors)
+
+
+def test_first_replicates_do_not_depend_on_n_boot():
+    data = discrete_dataset(seed=4)
+    more = bootstrap_replicates(data, 400, seed=6)
+    fewer = bootstrap_replicates(data, 200, seed=6)
+    assert len(more.psi) == 400
+    first = BootstrapReplicates(200, more.psi[:200], more.errors[:200])
+    assert same_replicates(first, fewer)

@@ -85,9 +85,10 @@ def pattern_loglik_score_info(beta, data, weights=None):
     weights = np.ones(data.n) if weights is None else np.asarray(weights, float)
     evaluate = _evaluator(
         data.exposure_masks, np.ascontiguousarray(data.covariates.T),
-        data.outcome.astype(float), weights, data.p,
+        data.outcome.astype(float), weights[None], data.p,
     )
-    return evaluate(beta)
+    loglik, score, info = evaluate(np.asarray(beta, dtype=float)[None], [0])
+    return float(loglik[0]), score[0], info[0]
 
 
 def unit_floor_error(x, y):
@@ -335,7 +336,7 @@ def test_condition_cap_reads_the_information_eigenvalues():
     ):
         fit_logit(data, FitOptions(cond_cap=1.0))
     # a zero eigenvalue is an infinite condition number, not a division error
-    with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(len(a))):
+    with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1])):
         with pytest.raises(SeparationError, match="condition number inf exceeds"):
             fit_logit(data)
 
