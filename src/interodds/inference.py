@@ -10,11 +10,12 @@ slower route to the same interval.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import sqrt
+from statistics import NormalDist
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import (
     BootstrapFailureError,
@@ -51,12 +52,15 @@ MIN_BOOT = 200
 # information matrices past the budget.
 BUDGET = 1 << 13
 
+_STANDARD_NORMAL = NormalDist()
 
+
+@lru_cache(maxsize=64)
 def normal_quantile(beta: float) -> float:
-    """Standard normal quantile (rational-approximation implementation)."""
+    """Standard normal quantile (Wichura's AS241), cached per level."""
     if not 0.0 < beta < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {beta}")
-    return float(ndtri(beta))
+    return _STANDARD_NORMAL.inv_cdf(beta)
 
 
 def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:

@@ -416,7 +416,8 @@ def _spec_terms(p, varying, fixed_mask, order):
     prediction terms of order below ``order``.  Row 0, 1 and 2 of
     ``weights`` combine the odds ratios at ``masks`` into the joint,
     predicted and baseline parts.  ``rows`` are the downset indicator rows
-    of ``masks``: each odds ratio differentiates to itself times its row.
+    of ``masks`` as 0/1 floats: each odds ratio differentiates to itself
+    times its row, and a float table spares every gradient product a cast.
     """
     joint = _spread((1 << len(varying)) - 1, varying) | fixed_mask
     pred_masks, coeffs = _prediction_terms(
@@ -426,7 +427,7 @@ def _spec_terms(p, varying, fixed_mask, order):
     weights = np.zeros((3, len(masks)))
     weights[0, 0] = weights[2, 1] = 1.0
     weights[1, 2:] = coeffs
-    rows = downset_rows(p, masks)
+    rows = downset_rows(p, masks).astype(float)
     for table in (masks, weights, rows):
         table.setflags(write=False)
     return masks, weights, rows

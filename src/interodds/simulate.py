@@ -10,9 +10,9 @@ deterministic given the design's seed.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, ndtri
 
 from .errors import PrevalenceError
+from .inference import normal_quantile
 from .logit import CaseControlDataset
 from .measures import MeasureSpec, StructuralParams, measure
 
@@ -110,7 +110,8 @@ def _population_batch(design, rng, chol, size=_BATCH):
     latent = rng.standard_normal((size, design.p))
     if chol is not None:
         latent = latent @ chol.T
-    exposures = (latent < ndtri(design.exposure_probs)[None, :]).astype(np.int8)
+    cuts = np.array([normal_quantile(x) for x in design.exposure_probs.tolist()])
+    exposures = (latent < cuts).astype(np.int8)
 
     z = np.empty((size, design.q))
     for j, model in enumerate(design.z_models):
@@ -123,7 +124,8 @@ def _population_batch(design, rng, chol, size=_BATCH):
         + design.psi_true.log_or_table[masks]
         + (z @ design.kappa_true[1:] if design.q else 0.0)
     )
-    return exposures, z, expit(eta)
+    with np.errstate(over="ignore"):  # exp(-eta) = inf gives probability 0
+        return exposures, z, 1.0 / (1.0 + np.exp(-eta))
 
 
 def simulate(design: SimDesign) -> CaseControlDataset:

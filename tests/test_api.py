@@ -1,5 +1,8 @@
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -7,6 +10,7 @@ import pytest
 import interodds
 
 ROOT = Path(__file__).resolve().parents[1]
+PACKAGE_PARENT = Path(interodds.__file__).resolve().parents[1]
 
 
 def _names_imported_from_package(source):
@@ -39,3 +43,20 @@ def test_readme_quick_start_imports_are_exported():
     names = set().union(*(_names_imported_from_package(b) for b in blocks))
     assert names, "README has no python block importing from interodds"
     assert names <= set(interodds.__all__), names - set(interodds.__all__)
+
+
+def test_package_imports_without_scipy():
+    # scipy is a test dependency only; the library and CLI need numpy alone
+    script = (
+        "import sys, interodds, interodds.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")])
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True, text=True, env=env, timeout=120, check=True,
+    )
+    assert done.stdout.strip() == "[]", done.stdout

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.stats import chi2_contingency
@@ -41,6 +43,38 @@ def test_same_seed_same_dataset():
     assert np.array_equal(a.outcome, b.outcome)
     c = simulate(make_design(seed=124))
     assert not np.array_equal(a.covariates, c.covariates)
+
+
+def test_seeded_dataset_is_pinned():
+    # the digest of a fixed p=3, q=2 draw: a change in the exposure
+    # thresholds, the disease probabilities or the stream order that moves
+    # any record changes it
+    design = SimDesign(
+        p=3,
+        q=2,
+        psi_true=StructuralParams(np.log([1.8, 2.2, 1.5, 1.3, 0.8, 1.4, 1.2]), 3),
+        kappa_true=np.array([-1.5, 0.4, -0.3]),
+        exposure_probs=np.array([0.4, 0.3, 0.25]),
+        n0=800,
+        n1=600,
+        seed=4242,
+        exposure_rho=0.3,
+        z_models=(
+            ConfounderModel.normal(0.5, 2.0),
+            ConfounderModel.discrete([0.0, 1.0, 2.0], [0.5, 0.3, 0.2]),
+        ),
+    )
+    data = simulate(design)
+    digest = hashlib.sha256()
+    for array, dtype in (
+        (data.exposures, "<i1"),
+        (data.covariates, "<f8"),
+        (data.outcome, "<i1"),
+    ):
+        digest.update(np.ascontiguousarray(array, dtype=dtype).tobytes())
+    assert digest.hexdigest() == (
+        "b5d689a9705f1a2662331645689cf31be3dc8c4e4b4ce6c1460477e53f213867"
+    )
 
 
 def test_exact_case_control_counts():
