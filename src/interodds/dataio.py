@@ -175,7 +175,7 @@ def _body_records(path):
         while block := raw.read(_BLOCK_BYTES):
             if block.endswith(b"\r"):  # keep a CRLF pair in one block
                 block += raw.read(1)
-            if block.count(b"\r") != block.count(b"\r\n"):
+            if b"\r" in block and block.count(b"\r") != block.count(b"\r\n"):
                 return None
             feeds += block.count(b"\n")
             last = block[-1:]

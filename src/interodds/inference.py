@@ -10,8 +10,8 @@ slower route to the same interval.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import sqrt
+from functools import cached_property, lru_cache
+from math import exp, fsum, log, sqrt, tanh
 from statistics import NormalDist
 from typing import Callable, Optional
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     BootstrapFailureError,
-    InterOddsError,
     NegativeVarianceError,
     TransformRangeError,
 )
@@ -28,11 +27,15 @@ from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa:
 from .measures import (
     MeasureSpec,
     StructuralParams,
-    _gather,
     canonical_kind,
+    kind_value,
+    log_or_tables,
     measure,
-    measure_parts,
+    measure_parts,  # noqa: F401  not called here: the benchmark's tracer wraps it
+    measure_value,
     parts_gradients,
+    si_defined,
+    spec_plan,
 )
 
 # Relative gap below which the attributable-proportion denominator is
@@ -71,30 +74,36 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     subgradient is used there (ties have measure zero for continuous
     estimates).
     """
-    return _point_and_gradient(params, spec)[2]
+    return _point_and_gradient(params, spec)[3]
 
 
 def _point_and_gradient(params: StructuralParams, spec: MeasureSpec) -> tuple:
-    """Parts, value and gradient of a measure from one gather of its plan.
+    """Joint and predicted parts, value and gradient from one gather of the plan.
 
-    ``r`` holds the derivatives of the measure by its (joint, predicted,
-    baseline) parts; the plan's part weights carry them to its odds ratios.
+    ``r0, r1, r2`` are the derivatives of the measure by its (joint,
+    predicted, baseline) parts; they scale the plan's weighted odds ratios
+    in place.
     """
-    parts, ors, weights, rows = _gather(params, spec)
-    point = parts.value(spec.kind)  # raises where the synergy index is undefined
-    a, b, c = parts.joint, parts.predicted, parts.baseline
+    masks, coef, rows = spec_plan(params.p, spec)
+    ors = params.or_table[masks]
+    terms = coef * ors
+    a, b, c = float(ors[0]), fsum(terms.tolist()), float(ors[1])
+    point = measure_value(spec.kind, a, b, c)  # raises where SI is undefined
     if spec.kind == "OR":
-        r = (1.0 / c, 0.0, -a / c**2)
+        r0, r1, r2 = 1.0 / c, 0.0, -a / c**2
     elif spec.kind == "EOR":
-        r = (1.0 / c, -1.0 / c, -(a - b) / c**2)
+        r0, r1, r2 = 1.0 / c, -1.0 / c, -(a - b) / c**2
     elif spec.kind == "AP" and a >= b:
-        r = (b / a**2, -1.0 / a, 0.0)
+        r0, r1, r2 = b / a**2, -1.0 / a, 0.0
     elif spec.kind == "AP":
-        r = (1.0 / b, -a / b**2, 0.0)
+        r0, r1, r2 = 1.0 / b, -a / b**2, 0.0
     else:
         d = b - c
-        r = (1.0 / d, -(a - c) / d**2, (a - b) / d**2)
-    return parts, point, np.dot(np.dot(r, weights) * ors, rows)
+        r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
+    terms *= r1
+    terms[0] = r0 * a
+    terms[1] = r2 * c
+    return a, b, point, terms.dot(rows)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +130,9 @@ def _positive(x: float) -> float:
 
 _LOG = Transform(
     "log",
-    lambda x: float(np.log(_positive(x))),
-    lambda y: float(np.exp(y)),
+    lambda x: log(_positive(x)),
+    # math.exp raises past 709.78; numpy's gives inf there
+    lambda y: exp(y) if y < 700.0 else float(np.exp(y)),
     lambda x: 1.0 / _positive(x),
 )
 _TRANSFORMS = {
@@ -130,8 +140,8 @@ _TRANSFORMS = {
     "EOR": Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0),
     "AP": Transform(
         "atanh_like",
-        lambda x: float(np.log((1.0 + _unit(x)) / (1.0 - x))),
-        lambda y: float(np.tanh(0.5 * y)),
+        lambda x: log((1.0 + _unit(x)) / (1.0 - x)),
+        lambda y: tanh(0.5 * y),
         lambda x: 2.0 / (1.0 - _unit(x) * x),
     ),
     "SI": _LOG,
@@ -189,9 +199,8 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    parts, point, grad = _point_and_gradient(fit.params.psi, spec)
-    a, b = parts.joint, parts.predicted
-    var = float(np.dot(np.dot(grad, fit.sigma_psi), grad))
+    a, b, point, grad = _point_and_gradient(fit.params.psi, spec)
+    var = float(grad.dot(fit.sigma_psi).dot(grad))
     if var < -1e-10:
         raise NegativeVarianceError(
             f"delta-method variance {var:.3g} is negative; covariance defect"
@@ -239,20 +248,30 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
 class BootstrapReplicates:
     """Refitted structural coefficients of the bootstrap replicates.
 
-    ``psi[b]`` belongs to replicate ``b`` and is ``None`` where its refit
-    failed; ``errors[b]`` is then the class name of the refit's error, and
-    ``None`` where the refit succeeded.  Fitting stops once more than 10%
-    of the refits have failed, since every measure's interval is then
-    refused, so ``psi`` may be shorter than ``n_boot``.
+    Row ``b`` of ``psi``, a ``(n_fitted, 2^p - 1)`` array, belongs to
+    replicate ``b``.  ``errors[b]`` is the class name of the error that
+    ended its refit, and ``None`` where the refit succeeded; the row of a
+    failed refit is NaN.  Fitting stops once more than 10% of the refits
+    have failed, since every measure's interval is then refused, so
+    ``n_fitted`` may be less than ``n_boot``.
     """
 
     n_boot: int
-    psi: list
+    psi: np.ndarray
     errors: list
 
     @property
     def max_failures(self) -> int:
         return int(0.10 * self.n_boot)
+
+    @cached_property
+    def or_tables(self) -> np.ndarray:
+        """The odds-ratio tables of the successful refits, one row each.
+
+        Row ``k`` is the :attr:`~interodds.measures.StructuralParams.or_table`
+        of the ``k``-th successful refit, bit for bit.
+        """
+        return np.exp(log_or_tables(self.psi[[e is None for e in self.errors]]))
 
 
 def bootstrap_replicates(
@@ -303,8 +322,8 @@ def bootstrap_replicates(
 
     children = np.random.SeedSequence(seed).spawn(n_boot)
     per_batch = max(1, BUDGET // max(ncells, (1 << p) + data.q))
-    replicates = BootstrapReplicates(n_boot, [], [])
-    failed = 0
+    replicates = BootstrapReplicates(n_boot, None, [])
+    psi, errors = [], replicates.errors
     for start in range(0, n_boot, per_batch):
         counts = np.array([draw(c) for c in children[start : start + per_batch]])
         drawn = counts.any(0)
@@ -312,16 +331,17 @@ def bootstrap_replicates(
             mask_cells.compress(drawn), z_cells.compress(drawn, 0),
             y_cells.compress(drawn), p, counts.compress(drawn, 1),
         )
-        for beta, error in zip(fits.beta, fits.errors):
-            if error is None:
-                replicates.psi.append(StructuralParams(beta[1 : 1 << p], p))
-                replicates.errors.append(None)
-                continue
-            replicates.psi.append(None)
-            replicates.errors.append(type(error).__name__)
-            failed += 1
-            if failed > replicates.max_failures:
-                return replicates
+        names = [None if e is None else type(e).__name__ for e in fits.errors]
+        batch = fits.beta[:, 1 : 1 << p]
+        batch[[name is not None for name in names]] = np.nan
+        psi.append(batch)
+        errors += names
+        if len(errors) - errors.count(None) > replicates.max_failures:
+            # stop at the failure that crosses the limit
+            cut = [b for b, name in enumerate(errors) if name][replicates.max_failures]
+            del errors[cut + 1 :]
+            break
+    replicates.psi = np.concatenate(psi)[: len(errors)]
     return replicates
 
 
@@ -375,17 +395,20 @@ def bootstrap_ci(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     point = measure(fit.params.psi, spec)
-    values = []
-    failed = 0
+    tables = replicates.or_tables
+    masks, coef, _ = spec_plan(tables.shape[1].bit_length() - 1, spec)
+    ors = tables[:, masks]
+    a, c = ors[:, 0], ors[:, 1]
+    b = np.array([fsum(row) for row in (coef * ors).tolist()])
+    errors = list(replicates.errors)  # a failed refit counts for every measure
+    if spec.kind == "SI":  # an undefined measure only for its own
+        defined = si_defined(a, b, c)
+        kept = [k for k, error in enumerate(errors) if error is None]
+        for k in np.compress(~defined, kept):
+            errors[k] = "UndefinedSynergyError"
+        a, b, c = a[defined], b[defined], c[defined]
     failures = {}
-    for psi, error in zip(replicates.psi, replicates.errors):
-        if psi is not None:  # None: the refit failed, for every measure
-            try:
-                values.append(measure(psi, spec))
-                continue
-            except InterOddsError as exc:  # undefined for this measure only
-                error = type(exc).__name__
-        failed += 1
+    for failed, error in enumerate(filter(None, errors), start=1):
         failures[error] = failures.get(error, 0) + 1
         if failed > replicates.max_failures:
             raise BootstrapFailureError(
@@ -393,7 +416,7 @@ def bootstrap_ci(
                 "(limit is 10%)",
                 failures,
             )
-    values = np.asarray(values)
+    values = kind_value(spec.kind, a, b, c, np.maximum)
     ci_low, ci_high = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
     return EstimateReport(
         kind=spec.kind,
@@ -405,6 +428,6 @@ def bootstrap_ci(
         alpha=alpha,
         method="BOOTSTRAP_PERCENTILE",
         n_boot=replicates.n_boot,
-        n_failed=failed,
+        n_failed=sum(failures.values()),
         failures=failures,
     )

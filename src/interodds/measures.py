@@ -95,14 +95,11 @@ class StructuralParams:
     def log_or_table(self) -> np.ndarray:
         """Log odds ratios for all 2^p exposure patterns, indexed by bitmask.
 
-        Computed with the subset-sum dynamic program (one pass per factor),
-        so a single evaluation costs ``p * 2^p`` additions.  Entry 0 is
-        exactly 0.
+        See :func:`log_or_tables`.  Entry 0 is exactly 0.
         """
-        s = np.zeros(1 << self.p)
-        s[pattern_index(self.p).masks] = self.psi
-        lattice_sums(s).setflags(write=False)
-        return s
+        table = log_or_tables(self.psi)
+        table.setflags(write=False)
+        return table
 
     @cached_property
     def or_table(self) -> np.ndarray:
@@ -114,6 +111,18 @@ class StructuralParams:
         table = np.exp(self.log_or_table)
         table.setflags(write=False)
         return table
+
+
+def log_or_tables(psi: np.ndarray) -> np.ndarray:
+    """Log odds ratios at all 2^p patterns, by bitmask, for each row of ``psi``.
+
+    The subset-sum dynamic program: one pass per factor, ``p * 2^p``
+    additions per row, summed in the same order in every row.
+    """
+    p = psi.shape[-1].bit_length()
+    s = np.zeros((*psi.shape[:-1], 1 << p))
+    s[..., pattern_index(p).masks] = psi
+    return lattice_sums(s)
 
 
 @dataclass(frozen=True)
@@ -177,21 +186,40 @@ class MeasureParts:
 
     def value(self, kind: str) -> float:
         """The measure of the given kind; see :func:`measure`."""
-        kind = canonical_kind(kind)
-        a, b, c = self.joint, self.predicted, self.baseline
-        if kind == "OR":
-            return a / c
-        if kind == "EOR":
-            return (a - b) / c
-        if kind == "AP":
-            return (a - b) / max(a, b)
-        if not (a > c and b > c):
-            raise UndefinedSynergyError(
-                "synergy index needs the joint and predicted odds ratios to "
-                f"exceed the baseline; got joint={a:.6g}, predicted={b:.6g}, "
-                f"baseline={c:.6g}"
-            )
-        return (a - c) / (b - c)
+        return measure_value(
+            canonical_kind(kind), self.joint, self.predicted, self.baseline
+        )
+
+
+def kind_value(kind: str, a, b, c, maximum=max):
+    """A measure of canonical ``kind`` from its joint, predicted and baseline parts.
+
+    The parts are floats, or arrays with ``maximum=np.maximum``.  A synergy
+    index is computed whether or not :func:`si_defined` holds.
+    """
+    if kind == "OR":
+        return a / c
+    if kind == "EOR":
+        return (a - b) / c
+    if kind == "AP":
+        return (a - b) / maximum(a, b)
+    return (a - c) / (b - c)
+
+
+def si_defined(a, b, c):
+    """Whether the synergy index is defined: strict comparisons, no tolerance."""
+    return (a > c) & (b > c)
+
+
+def measure_value(kind: str, a: float, b: float, c: float) -> float:
+    """:func:`kind_value` on floats, raising where the synergy index is undefined."""
+    if kind == "SI" and not si_defined(a, b, c):
+        raise UndefinedSynergyError(
+            "synergy index needs the joint and predicted odds ratios to "
+            f"exceed the baseline; got joint={a:.6g}, predicted={b:.6g}, "
+            f"baseline={c:.6g}"
+        )
+    return kind_value(kind, a, b, c)
 
 
 @dataclass(eq=False)
@@ -322,10 +350,6 @@ def odds_ratio(params: StructuralParams, v) -> float:
     return float(params.or_table[as_mask(bits)])
 
 
-def _or_at(params, varying, local_mask, fixed_mask) -> float:
-    return float(params.or_table[_spread(local_mask, varying) | fixed_mask])
-
-
 def or_increment(params: StructuralParams, v_j, fixed=None) -> float:
     """Alternating-sign increment of the odds ratio at ``v_j``.
 
@@ -365,7 +389,7 @@ def predicted_or(params: StructuralParams, v_j, fixed, order: int) -> float:
     if not 0 <= order <= d:
         raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
     if order == d:
-        return _or_at(params, varying, vj_local, fixed_mask)
+        return float(params.or_table[_spread(vj_local, varying) | fixed_mask])
     masks, coeffs = _prediction_terms(
         params.p, varying, vj_local, fixed_mask, order
     )
@@ -402,10 +426,9 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     nj = len(varying)
     if not 1 <= order <= nj:
         raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
-    ones = (1,) * nj
-    a = _or_at(params, varying, (1 << nj) - 1, fixed_mask)
-    b = predicted_or(params, ones, fixed, order - 1)
-    return a - b
+    masks, coef, _ = _spec_terms(params.p, varying, fixed_mask, order)
+    ors = params.or_table[masks]
+    return float(ors[0]) - fsum((coef * ors).tolist())
 
 
 @lru_cache(maxsize=100_000)
@@ -413,47 +436,38 @@ def _spec_terms(p, varying, fixed_mask, order):
     """The compiled plan of a measure spec: which odds ratios, with which weights.
 
     ``masks`` lists the joint pattern, the baseline pattern, then the
-    prediction terms of order below ``order``.  Row 0, 1 and 2 of
-    ``weights`` combine the odds ratios at ``masks`` into the joint,
-    predicted and baseline parts.  ``rows`` are the downset indicator rows
-    of ``masks`` as 0/1 floats: each odds ratio differentiates to itself
-    times its row, and a float table spares every gradient product a cast.
+    prediction terms of order below ``order``.  ``coef`` weights the odds
+    ratios at ``masks`` into the predicted part; its joint and baseline
+    slots are 0.  ``rows`` are the downset indicator rows of ``masks`` as
+    0/1 floats: each odds ratio differentiates to itself times its row, and
+    a float table spares every gradient product a cast.
     """
     joint = _spread((1 << len(varying)) - 1, varying) | fixed_mask
     pred_masks, coeffs = _prediction_terms(
         p, varying, (1 << len(varying)) - 1, fixed_mask, order - 1
     )
     masks = np.concatenate([[joint, fixed_mask], pred_masks])
-    weights = np.zeros((3, len(masks)))
-    weights[0, 0] = weights[2, 1] = 1.0
-    weights[1, 2:] = coeffs
+    coef = np.concatenate([[0.0, 0.0], coeffs])
     rows = downset_rows(p, masks).astype(float)
-    for table in (masks, weights, rows):
+    for table in (masks, coef, rows):
         table.setflags(write=False)
-    return masks, weights, rows
+    return masks, coef, rows
 
 
-def _gather(params: StructuralParams, spec: MeasureSpec) -> tuple:
-    """A spec's parts, the odds ratios at its plan's masks, and its plan."""
-    if params.p != spec.p:
+def spec_plan(p: int, spec: MeasureSpec) -> tuple:
+    """The (masks, coef, rows) plan of ``spec`` for parameters over ``p`` factors."""
+    if p != spec.p:
         raise ValueError(
-            f"spec has {spec.p} risk factors but the parameters have {params.p}"
+            f"spec has {spec.p} risk factors but the parameters have {p}"
         )
-    masks, weights, rows = _spec_terms(
-        spec.p, spec.varying, spec.fixed_mask, spec.effective_order
-    )
-    ors = params.or_table[masks]
-    parts = MeasureParts(
-        joint=float(ors[0]),
-        predicted=fsum((weights[1, 2:] * ors[2:]).tolist()),
-        baseline=float(ors[1]),
-    )
-    return parts, ors, weights, rows
+    return _spec_terms(spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
 
 
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
     """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    return _gather(params, spec)[0]
+    masks, coef, _ = spec_plan(params.p, spec)
+    ors = params.or_table[masks]
+    return MeasureParts(float(ors[0]), fsum((coef * ors).tolist()), float(ors[1]))
 
 
 def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
@@ -463,9 +477,9 @@ def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradien
     the coordinates it sums over, so every part's gradient is its
     weighted odds ratios times the indicator rows of their patterns.
     """
-    _, ors, weights, rows = _gather(params, spec)
-    grads = (weights * ors) @ rows
-    return PartsGradients(joint=grads[0], predicted=grads[1], baseline=grads[2])
+    masks, coef, rows = spec_plan(params.p, spec)
+    ors = params.or_table[masks]
+    return PartsGradients(ors[0] * rows[0], (coef * ors) @ rows, ors[1] * rows[1])
 
 
 def measure(params: StructuralParams, spec: MeasureSpec) -> float:

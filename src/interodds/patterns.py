@@ -122,10 +122,11 @@ def lattice_sums(table: np.ndarray, up: bool = False) -> np.ndarray:
     the highest bit down.  Every entry sums in the same order whatever the
     leading axes hold.  Returns ``table``.
     """
-    lead = table.shape[:-1]
-    bit = table.shape[-1] >> 1
+    *lead, size = table.shape
+    bit = size >> 1
     while bit:
-        pairs = table.reshape(*lead, -1, 2, bit)
+        # no -1 here: it is undetermined when a leading axis is empty
+        pairs = table.reshape(*lead, size // (2 * bit), 2, bit)
         if up:
             pairs[..., 0, :] += pairs[..., 1, :]
         else:

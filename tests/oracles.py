@@ -6,8 +6,9 @@ checks, and lives here because only the tests use it.
 
 import numpy as np
 
-from interodds.errors import OrderRangeError
-from interodds.measures import excess_or, odds_ratio
+from interodds.errors import BootstrapFailureError, InterOddsError, OrderRangeError
+from interodds.inference import EstimateReport
+from interodds.measures import StructuralParams, excess_or, measure, odds_ratio
 from interodds.patterns import as_mask, pattern_index
 from interodds.selfcheck import iter_splits, random_params, rel_err
 
@@ -90,3 +91,46 @@ def excess_oracle_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
                     oracle = excess_or_explicit(params, fixed, order)
                     worst = max(worst, rel_err(fast, oracle))
     return worst
+
+
+def bootstrap_ci_per_replicate(fit, replicates, spec, alpha=0.05):
+    """:func:`interodds.inference.bootstrap_ci`, one replicate at a time.
+
+    Evaluates :func:`measure` on each successful refit in replicate order
+    and counts the dropped replicates as it goes, raising at the one that
+    crosses the 10% limit.
+    """
+    point = measure(fit.params.psi, spec)
+    values = []
+    failed = 0
+    failures = {}
+    for psi, error in zip(replicates.psi, replicates.errors, strict=True):
+        if error is None:
+            try:
+                values.append(measure(StructuralParams(psi, fit.params.psi.p), spec))
+                continue
+            except InterOddsError as exc:
+                error = type(exc).__name__
+        failed += 1
+        failures[error] = failures.get(error, 0) + 1
+        if failed > int(0.10 * replicates.n_boot):
+            raise BootstrapFailureError(
+                f"{failed} of {replicates.n_boot} bootstrap replicates failed "
+                "(limit is 10%)",
+                failures,
+            )
+    values = np.asarray(values)
+    ci_low, ci_high = np.quantile(values, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return EstimateReport(
+        kind=spec.kind,
+        point=point,
+        transform="identity",
+        se_transformed=float(np.std(values, ddof=1)),
+        ci_low=float(ci_low),
+        ci_high=float(ci_high),
+        alpha=alpha,
+        method="BOOTSTRAP_PERCENTILE",
+        n_boot=replicates.n_boot,
+        n_failed=failed,
+        failures=failures,
+    )

@@ -280,6 +280,18 @@ def test_record_shapes_give_the_row_pass_result(tmp_path, shape):
         assert load_outcome(path) == load_outcome(path, row_pass_only=True)
 
 
+@pytest.mark.parametrize("shape", list(RECORD_SHAPES))
+def test_record_shapes_do_not_depend_on_the_block_size(tmp_path, shape, monkeypatch):
+    path = tmp_path / "t.csv"
+    path.write_bytes(RECORD_SHAPES[shape].encode("utf-8"))
+    records = dataio._body_records(path)
+    table = load_outcome(path)
+    for size in (1, 2, 3, 5):
+        monkeypatch.setattr(dataio, "_BLOCK_BYTES", size)
+        assert dataio._body_records(path) == records, size
+        assert load_outcome(path) == table, size
+
+
 def test_numpy_splits_quoted_lines_as_csv_does():
     """The fast path rests on numpy's tokenizer splitting a line like csv."""
     for size in range(1, 6):

@@ -32,10 +32,10 @@ from interodds.logit import (
     fit_logit,
 )
 from interodds.measures import MeasureSpec, StructuralParams, measure, measure_parts
-from interodds.selfcheck import gradient_fd_error
+from interodds.selfcheck import gradient_fd_error, iter_splits
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
-from oracles import downset_indicator
+from oracles import bootstrap_ci_per_replicate, downset_indicator
 
 RUN2 = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
 
@@ -511,7 +511,7 @@ def test_bootstrap_too_many_failures_with_shared_replicates():
     fit = fit_logit(data)
     replicates = bootstrap_replicates(data, 200, 3)
     # refitting stops at the first refit failure past the limit
-    assert replicates.psi.count(None) == 21
+    assert np.isnan(replicates.psi).all(1).sum() == 21
     failures = Counter(filter(None, replicates.errors))
     assert sum(failures.values()) == 21
     for kind in ("OR", "EOR"):
@@ -519,6 +519,17 @@ def test_bootstrap_too_many_failures_with_shared_replicates():
         with pytest.raises(BootstrapFailureError, match="^21 of 200 ") as info:
             bootstrap_ci(fit, replicates, spec)
         assert info.value.failures == failures
+
+
+def test_bootstrap_ci_refuses_when_no_refit_succeeded():
+    fit = fit_logit(degenerate_dataset())
+    replicates = BootstrapReplicates(
+        200, np.full((21, 1), np.nan), ["SeparationError"] * 21
+    )
+    assert replicates.or_tables.shape == (0, 2)
+    with pytest.raises(BootstrapFailureError, match="^21 of 200 ") as info:
+        bootstrap_ci(fit, replicates, MeasureSpec(p=1, kind="OR"))
+    assert info.value.failures == {"SeparationError": 21}
 
 
 def resampled_rows(data, n_boot, seed):
@@ -560,19 +571,19 @@ def test_bootstrap_records_each_failed_refit_by_error_class():
     replicates = bootstrap_replicates(data, 200, 3)
     expected = gathered_errors(data, 200, 3)[: len(replicates.errors)]
     assert replicates.errors == expected
-    assert [e is None for e in expected] == [f is not None for f in replicates.psi]
+    assert [e is None for e in expected] == np.isfinite(replicates.psi).all(1).tolist()
     # a resample without either exposed record has a constant column; one
     # without the exposed case or the exposed control separates
     assert set(expected) == {None, "SingularDesignError", "SeparationError"}
 
 
-def discrete_dataset(seed=0, n0=400, n1=400):
+def discrete_dataset(seed=0, n0=400, n1=400, p=2):
     design = SimDesign(
-        p=2,
+        p=p,
         q=1,
-        psi_true=RUN2,
+        psi_true=RUN2 if p == 2 else StructuralParams(np.linspace(0.6, -0.1, 7), 3),
         kappa_true=np.array([-0.6, 0.3]),
-        exposure_probs=np.array([0.4, 0.35]),
+        exposure_probs=np.array([0.4, 0.35, 0.3][:p]),
         n0=n0,
         n1=n1,
         seed=seed,
@@ -601,7 +612,7 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
 
     monkeypatch.setattr(inference, "fit_batch", recording_fit)
     replicates = bootstrap_replicates(data, 200, seed=9)
-    assert len(replicates.psi) == 200 and None not in replicates.psi
+    assert replicates.psi.shape == (200, 3) and np.isfinite(replicates.psi).all()
     # every replicate is fitted exactly once
     assert sum(rows for rows, _ in batches) == len(cells_fitted) == 200
     # 2 x 2 exposure cells x 2 confounder levels x 2 outcomes at most; a
@@ -611,11 +622,14 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
         assert min(cells_fitted) > 16
     for b, rows in zip(range(5), resampled_rows(data, 200, seed=9)):
         expected = gathered_refit(data, rows).params.psi.psi
-        assert np.max(np.abs(replicates.psi[b].psi - expected)) <= 1e-9
+        assert np.max(np.abs(replicates.psi[b] - expected)) <= 1e-9
 
 
 def replicate_values(replicates):
-    return [None if fit is None else fit.psi.tolist() for fit in replicates.psi]
+    return [
+        None if error else row.tolist()
+        for row, error in zip(replicates.psi, replicates.errors, strict=True)
+    ]
 
 
 def test_bootstrap_replicates_must_match_n_boot_and_seed():
@@ -682,11 +696,62 @@ def test_bootstrap_failures_counted_per_spec():
     )
 
 
+def every_spec(p):
+    for fixed in iter_splits(p):
+        nj = p - len(fixed)
+        yield MeasureSpec(p=p, kind="OR", fixed=fixed)
+        for kind, first in (("EOR", 1), ("AP", 1), ("SI", 2)):
+            for order in range(first, nj + 1):
+                yield MeasureSpec(p=p, kind=kind, order=order, fixed=fixed)
+
+
+@pytest.mark.parametrize(
+    "make_data, refused",
+    [
+        (lambda: discrete_dataset(seed=4), 0),
+        # longer predictions; two synergy indices are undefined too often
+        (lambda: discrete_dataset(seed=4, p=3), 2),
+        # refits that separate, and synergy indices left undefined
+        (lambda: cell_count_dataset((60, 40, 40, 12), (80, 34, 34, 3)), 0),
+        # the synergy index crosses the limit before the last failed refit
+        (lambda: cell_count_dataset((60, 36, 36, 12), (80, 34, 34, 3)), 1),
+        # refitting stops at the limit, so every measure is refused
+        (degenerate_dataset, 3),
+    ],
+    ids=["discrete_confounder", "three_factors", "failing_refits", "si_cutoff",
+         "degenerate"],
+)
+def test_bootstrap_ci_matches_the_per_replicate_loop(make_data, refused):
+    data = make_data()
+    fit = fit_logit(data)
+    replicates = bootstrap_replicates(data, 200, seed=2)
+    kept = [psi for psi, error in zip(replicates.psi, replicates.errors) if not error]
+    assert len(replicates.or_tables) == len(kept)
+    for row, psi in zip(replicates.or_tables, kept):
+        assert np.array_equal(row, StructuralParams(psi, data.p).or_table)
+    raised = 0
+    for spec in every_spec(data.p):
+        try:
+            expected = bootstrap_ci_per_replicate(fit, replicates, spec)
+        except BootstrapFailureError as exc:
+            raised += 1
+            with pytest.raises(BootstrapFailureError) as info:
+                bootstrap_ci(fit, replicates, spec)
+            assert str(info.value) == str(exc)
+            assert list(info.value.failures.items()) == list(exc.failures.items())
+            continue
+        report = bootstrap_ci(fit, replicates, spec)
+        assert report == expected, spec
+        assert list(report.failures.items()) == list(expected.failures.items())
+    assert raised == refused
+
+
 def same_replicates(a, b):
-    return a.errors == b.errors and all(
-        (x is None and y is None)
-        or (x is not None and y is not None and np.array_equal(x.psi, y.psi))
-        for x, y in zip(a.psi, b.psi, strict=True)
+    kept = [error is None for error in a.errors]
+    return (
+        a.errors == b.errors
+        and a.psi.shape == b.psi.shape
+        and np.array_equal(a.psi[kept], b.psi[kept])
     )
 
 
