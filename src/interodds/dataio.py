@@ -76,28 +76,30 @@ def load_csv(path, outcome, risk_factors, covariates=()):
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, wanted)
-        table = _parse_columns(
+        columns = _parse_columns(
             path, handle, len(header), [header.index(c) for c in wanted], 1 + p
         )
-    if table is None:
+    if columns is None:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             next(reader)
-            table = _parse_rows(reader, header, outcome, risk_factors, covariates)
+            columns = _parse_rows(reader, header, outcome, risk_factors, covariates)
 
-    if not table.shape[1]:
+    n = len(columns[0])
+    if not n:
         raise EmptyClassError("no data rows")
-    y = table[0].astype(np.int8)
+    y = columns[0].astype(np.int8)
     if y.sum() == 0 or y.sum() == len(y):
         raise EmptyClassError(
             "dataset needs both cases and controls; got "
             f"{int(y.sum())} cases out of {len(y)} records"
         )
-    return CaseControlDataset(
-        table[1 : 1 + p].T.astype(np.int8, order="C"),
-        np.ascontiguousarray(table[1 + p :].T),
-        y,
-    )
+    # one copy of each column, exposures row-major and covariates
+    # column-major; the parsed table goes before the dataset checks them
+    exposures = np.ascontiguousarray(np.array(columns[1 : 1 + p], dtype=np.int8).T)
+    covariates = np.array(columns[1 + p :], dtype=float).reshape(-1, n).T
+    del columns
+    return CaseControlDataset(exposures, covariates, y)
 
 
 def _read_header(reader, wanted):
@@ -129,9 +131,9 @@ def _read_header(reader, wanted):
 def _parse_columns(path, handle, width, cols, n_binary):
     """Parse the records of a clean file with numpy's C tokenizer.
 
-    ``handle`` is positioned after the header.  Returns the
-    ``(len(cols), n)`` table of the selected columns, exactly as
-    :func:`_parse_rows` would, or None: on a wrong cell count, a blank
+    ``handle`` is positioned after the header.  Returns the selected
+    columns, views into the parsed table, with the values
+    :func:`_parse_rows` would return, or None: on a wrong cell count, a blank
     line, a line break inside quotes, text that numpy rejects (it parses
     with the routine behind ``float()``, but not ``1_0`` or non-ASCII
     digits), a value that is not finite, or one other than 0 or 1 in the
@@ -156,11 +158,12 @@ def _parse_columns(path, handle, width, cols, n_binary):
     # of a quoted line break, so the shape proves one full record per line
     if rows.shape != (records, width):
         return None
-    table = rows[:, cols].T
-    binary = table[:n_binary]
-    if not (np.isfinite(table).all() and ((binary == 0) | (binary == 1)).all()):
+    columns = [rows[:, c] for c in cols]
+    # the cells of the other columns read as 0.0, so all of rows may be tested
+    if not (np.isfinite(rows).all()
+            and all(((x == 0) | (x == 1)).all() for x in columns[:n_binary])):
         return None
-    return table
+    return columns
 
 
 def _body_records(path):
@@ -186,7 +189,7 @@ def _parse_rows(reader, header, outcome, risk_factors, covariates):
     """Parse the records one by one and report every bad one.
 
     Raises the load errors that name rows and cells; on a clean file it
-    returns the same table as :func:`_parse_columns`.
+    returns the same columns as :func:`_parse_columns`.
     """
     pos = {c: header.index(c) for c in [outcome] + risk_factors + covariates}
     problems = []
@@ -245,7 +248,7 @@ def _parse_rows(reader, header, outcome, risk_factors, covariates):
     if problems:
         raise CsvParseError(problems)
     width = 1 + len(risk_factors) + len(covariates)
-    return np.array(records, dtype=float).reshape(-1, width).T
+    return list(np.array(records, dtype=float).reshape(-1, width).T)
 
 
 def write_csv(data, path, outcome_name="y", risk_names=None, covariate_names=None):

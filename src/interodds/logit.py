@@ -37,6 +37,8 @@ class CaseControlDataset:
 
     ``exposures`` is (n, p) with entries in {0, 1}, ``covariates`` is
     (n, q) finite floats (q may be 0), ``outcome`` is (n,) in {0, 1}.
+    The covariates are held column-major, each covariate's values
+    contiguous, as the fit reads them.
     """
 
     exposures: np.ndarray
@@ -47,7 +49,7 @@ class CaseControlDataset:
         v = np.asarray(self.exposures)
         if v.ndim != 2 or v.shape[1] < 1:
             raise ValueError("exposures must be a 2-D array with >= 1 column")
-        if not np.isin(v, (0, 1)).all():
+        if not ((v == 0) | (v == 1)).all():
             raise ValueError("exposure entries must be 0 or 1")
         z = np.asarray(self.covariates, dtype=float)
         if z.ndim == 1:
@@ -59,10 +61,10 @@ class CaseControlDataset:
         y = np.asarray(self.outcome)
         if y.shape != (v.shape[0],):
             raise ValueError("outcome must be 1-D with one entry per record")
-        if not np.isin(y, (0, 1)).all():
+        if not ((y == 0) | (y == 1)).all():
             raise ValueError("outcome entries must be 0 or 1")
         self.exposures = v.astype(np.int8)
-        self.covariates = z
+        self.covariates = np.asfortranarray(z)
         self.outcome = y.astype(np.int8)
 
     @property
@@ -203,46 +205,57 @@ def _evaluator(masks, zt, y, weights, p):
     ``evaluate(beta, rows)`` takes one coefficient vector per entry of
     ``rows``.  The design is not built: a cell's linear predictor is its
     mask's entry in the subset sums of ``[intercept, psi]`` plus
-    ``z @ kappa``.  Every sum over cells is a ``bincount`` in cell order, so
-    a zero weight adds an exact zero and no fit's numbers depend on the
-    other fits of its batch.
+    ``z @ kappa``.  The cells are read where they are, never copied: an
+    evaluation of b fits works in four (b, C) buffers (five when it gathers
+    the weights of part of the batch) and one of length C, and forms each
+    covariate pair product ``z_j z_k`` as it sums it, so its memory grows
+    with C q, not C q^2.  Every sum over cells is a ``bincount`` in cell
+    order, so a zero weight adds an exact zero and no fit's numbers depend
+    on the other fits of its batch.
     """
     at_mask, score_at, info_at, loglik_at, (j, k) = _moment_tables(p, len(zt))
     nmask, q = 1 << p, len(zt)
-    pairs = zt[j] * zt[k]
-    index = masks + nmask * np.arange(len(weights))[:, None]
-    half, sign = y - 0.5, 1.0 - 2.0 * y
+    # fit b of a batch sums into bins b 2^p onward
+    index = masks[None] if len(weights) == 1 else (
+        masks + nmask * np.arange(len(weights))[:, None])
 
     def evaluate(beta, rows):  # in place where it can: fresh pages cost
         b = len(rows)
         w = weights if b == len(weights) else weights[rows]
         eta = np.take(lattice_sums(beta[:, at_mask]), masks, axis=1)
+        e = np.empty_like(eta)
         for i in range(q):
-            eta += beta[:, nmask + i, None] * zt[i]
+            eta += np.multiply(beta[:, nmask + i, None], zt[i], out=e)
         # with e = exp(-|eta|) and d = 1 / (1 + e): theta (1 - theta) = e d^2,
         # theta = 1/2 + sign(eta) (d - 1/2), and the loglik term is
         # -log1p(e) - max((1 - 2y) eta, 0), all without overflow
-        e = np.abs(eta)
+        np.abs(eta, out=e)
         np.exp(np.negative(e, out=e), out=e)
-        d = np.reciprocal(e + 1.0)
+        d = np.add(e, 1.0)
+        np.reciprocal(d, out=d)
         v = e * d
         v *= d
         v *= w
         d -= 0.5
-        r = half - np.copysign(d, eta, out=d)
+        half = y - 0.5
+        r = np.subtract(half, np.copysign(d, eta, out=d), out=d)
         r *= w
-        loss = np.log1p(e)
-        eta *= sign
+        loss = np.log1p(e, out=e)
+        eta *= np.multiply(half, -2.0, out=half)  # 1 - 2y, exactly
         loss += np.maximum(eta, 0.0, out=eta)
         loss *= w
+        work, pair = eta, half  # both spent
         bins, size = index[:b].ravel(), b * nmask
 
-        def total(x):
+        def total(x, z=None):  # the bin sums of x, or of x z
+            if z is not None:
+                x = np.multiply(x, z, out=work)
             return np.bincount(bins, x.ravel(), size)
 
         sums = np.array([
-            total(r), total(v), *[total(v * z) for z in zt],
-            *[total(r * z) for z in zt], *[total(v * z) for z in pairs],
+            total(r), total(v), *[total(v, z) for z in zt],
+            *[total(r, z) for z in zt],
+            *[total(v, np.multiply(zt[a], zt[c], out=pair)) for a, c in zip(j, k)],
             total(loss),
         ]).reshape(-1, b, nmask)
         moments = lattice_sums(sums, up=True).transpose(1, 0, 2).reshape(b, -1)
@@ -333,32 +346,40 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
 
     The records are shared, given as in :func:`fit_design`; row ``b`` of the
     (B, n) ``weights`` holds fit ``b``'s frequency weights, zero for a
-    record it does not have.  ``start`` is an optional (B, 2^p + q) array
-    of starting coefficients.  Every fit runs its own checks, convergence
-    test, step-halving and guards, and its numbers do not depend on the
-    other rows.  A fit's :class:`InterOddsError` (the ones listed in
-    :func:`fit_logit`) is recorded in ``errors`` instead of raised.
+    record it does not have; they may be fractional, and a fit has both
+    classes when its cases and its controls have positive total weight.
+    ``start`` is an optional (B, 2^p + q) array of starting coefficients.
+    A fit on the distinct records weighted by their counts is the fit on
+    the records themselves, up to the order of summation.  Every fit runs
+    its own checks, convergence test, step-halving and guards, and its
+    numbers do not depend on the other rows.  A fit's
+    :class:`InterOddsError` (the ones listed in :func:`fit_logit`) is
+    recorded in ``errors`` instead of raised.
 
     Raises
     ------
     ValueError
-        A fit has fewer weighted records than coefficients plus one.
+        ``weights`` is not a (B, n) array of non-negative weights, or a fit
+        has fewer weighted records than coefficients plus one.
     """
     options = options or FitOptions()
-    zt = np.ascontiguousarray(covariates.T)
-    y = np.asarray(outcome, dtype=float)
+    zt = np.ascontiguousarray(covariates.T)  # a view for column-major records
+    y = np.asarray(outcome)
     weights = np.asarray(weights, dtype=float)
+    if weights.ndim != 2 or weights.shape[1] != len(y) or (weights < 0).any():
+        raise ValueError("weights must be non-negative, one row of n per fit")
     nfits, ncols = len(weights), (1 << p) + len(zt)
-    n, n1 = weights.sum(1).astype(np.int64), (weights @ y).astype(np.int64)
+    n = weights.sum(1)
     if (n < ncols + 1).any():
         raise ValueError(
             f"need at least {ncols + 1} records to fit {ncols} coefficients, "
-            f"got {n.min()}"
+            f"got {n.min():g}"
         )
+    both = (weights @ y > 0) & (weights @ (1 - y) > 0)
     errors = [None] * nfits
     checked = {}  # fits with the same records share one rank check
     for b in range(nfits):
-        if n1[b] == 0 or n1[b] == n[b]:
+        if not both[b]:
             errors[b] = EmptyClassError(
                 "both cases and controls are required for fitting"
             )
@@ -452,27 +473,20 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
     return BatchFit(beta, loglik, score, info, iterations, ridge_used, errors)
 
 
-def fit_design(masks, covariates, outcome, p, options=None, start=None,
-               weights=None):
+def fit_design(masks, covariates, outcome, p, options=None, start=None):
     """Newton/step-halving ML fit on records given by their exposure masks.
 
     Record ``i`` has exposure bitmask ``masks[i]`` (factor j is bit j),
     covariates ``covariates[i]`` (an (n, q) float array, q may be 0) and
     outcome ``outcome[i]``; its design row ``[1, downset indicator of the
-    mask, covariates]`` is never built.  ``weights`` are positive frequency
-    weights, one per record by default: a fit on the distinct records
-    weighted by their counts is the fit on the records themselves, up to
-    the order of summation, and the record-count and class checks count
-    weighted records.  This is a batch of one for :func:`fit_batch`.
-    Raises as described in :func:`fit_logit`.
+    mask, covariates]`` is never built.  This is a batch of one for
+    :func:`fit_batch`, every record with weight one.  Raises as described
+    in :func:`fit_logit`.
     """
-    y = np.asarray(outcome, dtype=float)
-    weights = np.ones(len(y)) if weights is None else np.asarray(weights, float)
-    if weights.shape != y.shape or not (weights > 0).all():
-        raise ValueError("weights must be positive, one per record")
     fits = fit_batch(
-        masks, covariates, y, p, weights[None], options,
-        None if start is None else np.asarray(start, dtype=float)[None],
+        masks, covariates, outcome, p,
+        np.broadcast_to(1.0, (1, len(masks))),  # the ones, with no copy
+        options, None if start is None else np.asarray(start, dtype=float)[None],
     )
     if fits.errors[0] is not None:
         raise fits.errors[0]

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from interodds.logit import (
     FitOptions,
     FullParams,
     _evaluator,
+    fit_batch,
     fit_design,
     fit_logit,
 )
@@ -89,6 +92,19 @@ def pattern_loglik_score_info(beta, data, weights=None):
     )
     loglik, score, info = evaluate(np.asarray(beta, dtype=float)[None], [0])
     return float(loglik[0]), score[0], info[0]
+
+
+def weighted_fit(masks, z, y, p, weights):
+    """One weighted fit by :func:`fit_batch`: coefficients, sigma_psi, loglik.
+
+    Raises the fit's error; ``sigma_psi`` is the structural block of the
+    inverse information at the last point, as ``fit_design`` reports it.
+    """
+    fits = fit_batch(masks, z, y, p, np.asarray(weights, dtype=float)[None])
+    if fits.errors[0] is not None:
+        raise fits.errors[0]
+    psi = slice(1, 1 << p)
+    return fits.beta[0], np.linalg.inv(fits.info[0])[psi, psi], fits.loglik[0]
 
 
 def unit_floor_error(x, y):
@@ -397,6 +413,45 @@ def test_iteration_budget_respected():
         fit_logit(data, options=FitOptions(max_iter=1, score_tol=1e-14, step_tol=0.0))
 
 
+def test_fit_is_pinned_bit_for_bit():
+    # the digest was taken when the evaluator held the covariate pair
+    # products and 1 - 2y for the whole fit; forming both per evaluation
+    # must not move a bit.  It is tied to numpy's vector exp and LAPACK,
+    # which may round differently on another build.
+    design = SimDesign(
+        p=2, q=3, psi_true=StructuralParams(np.log([2.0, 3.0, 1.5]), 2),
+        kappa_true=np.array([-0.5, 0.4, -0.3, 0.2]),
+        exposure_probs=np.full(2, 0.4), n0=1500, n1=1500, seed=31,
+        z_models=(ConfounderModel.normal(),) * 3,
+    )
+    fit = fit_logit(simulate(design))
+    digest = hashlib.sha256()
+    for array in (fit.params.psi.psi, fit.sigma_psi, [fit.loglik, fit.iterations]):
+        digest.update(np.asarray(array, dtype="<f8").tobytes())
+    assert digest.hexdigest() == (
+        "8c55029ac58ffdffd56e05b8f1196df5bc15a1771ae6355cfd044ef4d2c853c4"
+    )
+
+
+@pytest.mark.parametrize("q", [1, 2, 8])
+def test_fit_memory_grows_linearly_in_q(q):
+    # the records are held once and each covariate pair product is formed
+    # as it is summed; a table of all q(q+1)/2 products would break the bound
+    n = 20_000
+    rng = np.random.default_rng(60 + q)
+    data = CaseControlDataset(
+        rng.integers(0, 2, size=(n, 2)), rng.normal(size=(n, q)),
+        rng.integers(0, 2, size=n),
+    )
+    tracemalloc.start()
+    try:
+        fit_logit(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2 * q + 8) * n
+
+
 def test_sigma_psi_is_block_of_full_inverse():
     data = small_dataset(n=800, seed=15)
     fit = fit_logit(data)
@@ -468,9 +523,9 @@ def test_fit_matches_closed_form_saturated_mle(p):
 
     masks, z, y_cells, counts = collapsed_cells(data)
     assert len(counts) == 2 << p
-    weighted = fit_design(masks, z, y_cells, p, weights=counts)
-    assert np.max(np.abs(weighted.params.psi.psi - psi)) <= 1e-6
-    assert np.max(np.abs(weighted.sigma_psi - sigma)) <= 1e-6
+    beta, weighted_sigma, _ = weighted_fit(masks, z, y_cells, p, counts)
+    assert np.max(np.abs(beta[1 : 1 << p] - psi)) <= 1e-6
+    assert np.max(np.abs(weighted_sigma - sigma)) <= 1e-6
 
 
 def test_weighted_fit_equals_fit_on_repeated_records():
@@ -479,20 +534,27 @@ def test_weighted_fit_equals_fit_on_repeated_records():
     rows = np.repeat(np.arange(data.n), counts)
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     repeated = fit_design(masks[rows], z[rows], y[rows], 2)
-    weighted = fit_design(masks, z, y, 2, weights=counts)
-    assert np.allclose(weighted.params.to_vector(), repeated.params.to_vector(),
-                       rtol=0, atol=1e-9)
-    assert np.allclose(weighted.sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
-    assert weighted.loglik == pytest.approx(repeated.loglik, rel=1e-12)
+    beta, sigma_psi, loglik = weighted_fit(masks, z, y, 2, counts)
+    assert np.allclose(beta, repeated.params.to_vector(), rtol=0, atol=1e-9)
+    assert np.allclose(sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
+    assert loglik == pytest.approx(repeated.loglik, rel=1e-12)
 
 
-def test_weights_must_be_positive_one_per_row():
+def test_batch_weights_must_be_non_negative_one_row_per_fit():
     data = small_dataset(n=100, seed=17)
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     with pytest.raises(ValueError, match="weights"):
-        fit_design(masks, z, y, 2, weights=np.r_[0.0, np.ones(data.n - 1)])
+        fit_batch(masks, z, y, 2, np.r_[-1.0, np.ones(data.n - 1)][None])
     with pytest.raises(ValueError, match="weights"):
-        fit_design(masks, z, y, 2, weights=np.ones(data.n - 1))
+        fit_batch(masks, z, y, 2, np.ones((1, data.n - 1)))
+    with pytest.raises(ValueError, match="weights"):
+        fit_batch(masks, z, y, 2, np.ones(data.n))
+    # a zero weight leaves its record out of the fit, bit for bit
+    dropped = fit_batch(masks, z, y, 2, np.r_[0.0, np.ones(data.n - 1)][None])
+    kept = fit_batch(masks[1:], z[1:], y[1:], 2, np.ones((1, data.n - 1)))
+    assert dropped.errors == kept.errors == [None]
+    assert np.array_equal(dropped.beta, kept.beta)
+    assert np.array_equal(dropped.info, kept.info)
 
 
 def test_weighted_record_count_and_class_checks():
@@ -502,4 +564,17 @@ def test_weighted_record_count_and_class_checks():
     with pytest.raises(ValueError, match="got 3"):
         fit_design(masks, z, np.array([0.0, 1.0, 1.0]), 1)
     with pytest.raises(EmptyClassError):
-        fit_design(masks, z, np.ones(3), 1, weights=np.full(3, 3.0))
+        weighted_fit(masks, z, np.ones(3), 1, np.full(3, 3.0))
+
+
+def test_fractional_case_weights_are_not_an_empty_class():
+    # the 300 cases weigh 0.9 in all: a count that rounds weights down
+    # would see no case.  With no covariates the model is saturated, so
+    # scaling the case weights by c moves only the intercept, by log c.
+    data = small_dataset(n=600, seed=18, q=0)
+    masks, z, y = data.exposure_masks, data.covariates, data.outcome
+    c = 0.9 / data.n1
+    beta, _, _ = weighted_fit(masks, z, y, 2, np.where(y == 1, c, 1.0))
+    fit = fit_logit(data)
+    assert np.allclose(beta[1:], fit.params.to_vector()[1:], rtol=0, atol=1e-7)
+    assert beta[0] == pytest.approx(fit.params.kappa[0] + np.log(c), abs=1e-7)
