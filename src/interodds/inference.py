@@ -78,37 +78,34 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
 
 
 def _point_and_gradient(params: StructuralParams, spec: MeasureSpec) -> tuple:
-    """Joint and predicted parts, value and gradient from one gather of the plan.
+    """Joint and predicted parts, value and gradient from the plan's cached parts.
 
     ``r0, r1, r2`` are the derivatives of the measure by its (joint,
-    predicted, baseline) parts; they scale the plan's weighted odds ratios
-    in place.
+    predicted, baseline) parts; they scale a copy of the plan's weighted
+    odds ratios.  The value is :func:`measure_value`, written out.
     """
-    masks, coef, rows = spec_plan(params.p, spec)
-    ors = params.or_table[masks]
-    terms = coef * ors
-    a, b, c = float(ors[0]), fsum(terms.tolist()), float(ors[1])
-    point = measure_value(spec.kind, a, b, c)  # raises where SI is undefined
+    a, b, c, terms, rows = params.plan_parts(spec_plan(params.p, spec))
     if spec.kind == "OR":
-        r0, r1, r2 = 1.0 / c, 0.0, -a / c**2
+        point, r0, r1, r2 = a / c, 1.0 / c, 0.0, -a / c**2
     elif spec.kind == "EOR":
-        r0, r1, r2 = 1.0 / c, -1.0 / c, -(a - b) / c**2
+        point, r0, r1, r2 = (a - b) / c, 1.0 / c, -1.0 / c, -(a - b) / c**2
     elif spec.kind == "AP" and a >= b:
-        r0, r1, r2 = b / a**2, -1.0 / a, 0.0
+        point, r0, r1, r2 = (a - b) / a, b / a**2, -1.0 / a, 0.0
     elif spec.kind == "AP":
-        r0, r1, r2 = 1.0 / b, -a / b**2, 0.0
+        point, r0, r1, r2 = (a - b) / b, 1.0 / b, -a / b**2, 0.0
     else:
+        point = measure_value(spec.kind, a, b, c)  # raises where SI is undefined
         d = b - c
         r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
-    terms *= r1
-    terms[0] = r0 * a
-    terms[1] = r2 * c
-    return a, b, point, terms.dot(rows)
+    t = terms * r1
+    t[0] = r0 * a
+    t[1] = r2 * c
+    return a, b, point, t.dot(rows)
 
 
 @dataclass(frozen=True, eq=False)
 class Transform:
-    """Monotone increasing map from a measure's range to the real line."""
+    """Increasing map from a measure's range to the real line; delta_ci writes it out."""
 
     name: str
     apply: Callable[[float], float]
@@ -128,13 +125,14 @@ def _positive(x: float) -> float:
     return x
 
 
-_LOG = Transform(
-    "log",
-    lambda x: log(_positive(x)),
-    # math.exp raises past 709.78; numpy's gives inf there
-    lambda y: exp(y) if y < 700.0 else float(np.exp(y)),
-    lambda x: 1.0 / _positive(x),
-)
+def _exp(y: float) -> float:
+    if y < 700.0:
+        return exp(y)
+    with np.errstate(over="ignore"):  # inf past 709.78, where math.exp raises
+        return float(np.exp(y))
+
+
+_LOG = Transform("log", lambda x: log(_positive(x)), _exp, lambda x: 1.0 / _positive(x))
 _TRANSFORMS = {
     "OR": _LOG,
     "EOR": Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0),
@@ -182,7 +180,9 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     The variance of the estimate is the quadratic form of the analytic
     gradient with the structural covariance block; the interval is
     symmetric on the transformed scale and mapped back, so it respects
-    the measure's natural range.
+    the measure's natural range.  The gradient reads the spec's plan parts
+    as the fit's parameters keep them, and the kind's :func:`ci_transform`
+    is written out, its derivative, map and inverse in one step.
 
     Raises
     ------
@@ -205,7 +205,7 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
         raise NegativeVarianceError(
             f"delta-method variance {var:.3g} is negative; covariance defect"
         )
-    sigma = sqrt(max(var, 0.0))
+    sigma = sqrt(0.0 if var < 0.0 else var)  # max(var, 0.0), without the call
     if spec.kind == "AP" and not b > 0.0:  # then the point is 1 or above
         raise TransformRangeError(
             f"attributable proportion {point:.6g} is outside (-1, 1): the "
@@ -213,35 +213,35 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
             f"{a:.6g})"
         )
 
-    tr = _TRANSFORMS[spec.kind]
-    se_t = tr.derivative(point) * sigma
-    z = normal_quantile(1.0 - alpha / 2.0)
-    center = tr.apply(point)
-    if se_t == 0.0:
-        ci_low = ci_high = point
+    if spec.kind == "EOR":
+        se_t = sigma  # 1.0 * sigma
+    elif spec.kind == "AP":
+        se_t = 2.0 / (1.0 - _unit(point) * point) * sigma
     else:
-        # monotone transforms preserve the ordering exactly; the clamp only
-        # absorbs last-ulp rounding of the transform round trip
-        ci_low = min(tr.invert(center - z * se_t), point)
-        ci_high = max(tr.invert(center + z * se_t), point)
-
+        se_t = 1.0 / _positive(point) * sigma
+    h = normal_quantile(1.0 - alpha / 2.0) * se_t
+    if se_t == 0.0:
+        low = high = point
+    elif spec.kind == "EOR":
+        low, high = point - h, point + h
+    elif spec.kind == "AP":
+        center = log((1.0 + point) / (1.0 - point))
+        low, high = tanh(0.5 * (center - h)), tanh(0.5 * (center + h))
+    else:
+        center = log(point)
+        low, high = _exp(center - h), _exp(center + h)
+    # monotone transforms preserve the ordering exactly; the clamp only
+    # absorbs last-ulp rounding of the transform round trip
+    ci_low = point if point < low else low  # min(low, point)
+    ci_high = point if point > high else high  # max(high, point)
     note = None
     if spec.kind == "AP" and abs(a - b) < AP_TIE_RTOL * max(a, b):
         note = (
             "joint and predicted odds ratios are numerically tied; "
             "the gradient used the joint branch of the denominator"
         )
-    return EstimateReport(
-        kind=spec.kind,
-        point=point,
-        transform=tr.name,
-        se_transformed=se_t,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        alpha=alpha,
-        method="DELTA",
-        note=note,
-    )
+    return EstimateReport(spec.kind, point, _TRANSFORMS[spec.kind].name, se_t, ci_low,
+                          ci_high, alpha, "DELTA", None, None, None, note)
 
 
 @dataclass(eq=False)
@@ -307,7 +307,7 @@ def bootstrap_replicates(
     cell_of, first = _cells(data)
     ncells, p = len(first), data.p
     mask_cells = data.exposure_masks[first]
-    z_cells = data.covariates[first]
+    zt_cells = data.covariates.T[:, first]  # rows, so fit_batch's transpose is a view
     y_cells = data.outcome[first]
     case_cells = cell_of[data.outcome == 1]
     control_cells = cell_of[data.outcome == 0]
@@ -328,7 +328,7 @@ def bootstrap_replicates(
         counts = np.array([draw(c) for c in children[start : start + per_batch]])
         drawn = counts.any(0)
         fits = fit_batch(
-            mask_cells.compress(drawn), z_cells.compress(drawn, 0),
+            mask_cells.compress(drawn), zt_cells.compress(drawn, 1).T,
             y_cells.compress(drawn), p, counts.compress(drawn, 1),
         )
         names = [None if e is None else type(e).__name__ for e in fits.errors]

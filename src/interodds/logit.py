@@ -90,8 +90,11 @@ class CaseControlDataset:
     @cached_property
     def exposure_masks(self) -> np.ndarray:
         """Each record's exposure pattern as a bitmask (factor j is bit j)."""
-        weights = (1 << np.arange(self.p)).astype(np.int64)
-        return self.exposures.astype(np.int64) @ weights
+        masks = np.zeros(self.n, dtype=np.int64)
+        for column in self.exposures.T[::-1]:  # no int64 copy of the exposures
+            masks <<= 1
+            masks |= column
+        return masks
 
 
 @dataclass(eq=False)

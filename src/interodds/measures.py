@@ -68,10 +68,13 @@ class StructuralParams:
         the canonical pattern order of :mod:`interodds.patterns`.
     p : int
         Number of binary risk factors.
+
+    The odds-ratio tables and each plan's parts are computed on first use.
     """
 
     psi: np.ndarray
     p: int
+    _parts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.p <= MAX_FACTORS:
@@ -111,6 +114,23 @@ class StructuralParams:
         table = np.exp(self.log_or_table)
         table.setflags(write=False)
         return table
+
+    def plan_parts(self, plan: tuple) -> tuple:
+        """``(joint, predicted, baseline, terms, rows)`` of a :func:`spec_plan` plan.
+
+        ``terms``, read-only, are the plan's weights times the odds ratios at
+        its masks; the predicted part is their ``fsum``; ``rows`` are the
+        plan's.  Kept per plan from first use, as :attr:`or_table` is.
+        """
+        entry = self._parts.get(id(plan))
+        if entry is None or entry[1] is not plan:  # not cached, or a copy's key
+            ors = self.or_table[plan[0]]
+            terms = plan[1] * ors
+            terms.setflags(write=False)
+            # the entry holds the plan, so its id names no other plan
+            entry = self._parts[id(plan)] = (
+                float(ors[0]), fsum(terms.tolist()), float(ors[1]), terms, plan[2]), plan
+        return entry[0]
 
 
 def log_or_tables(psi: np.ndarray) -> np.ndarray:
@@ -426,9 +446,8 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     nj = len(varying)
     if not 1 <= order <= nj:
         raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
-    masks, coef, _ = _spec_terms(params.p, varying, fixed_mask, order)
-    ors = params.or_table[masks]
-    return float(ors[0]) - fsum((coef * ors).tolist())
+    parts = params.plan_parts(_spec_terms(params.p, varying, fixed_mask, order))
+    return parts[0] - parts[1]
 
 
 @lru_cache(maxsize=100_000)
@@ -465,9 +484,8 @@ def spec_plan(p: int, spec: MeasureSpec) -> tuple:
 
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
     """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    masks, coef, _ = spec_plan(params.p, spec)
-    ors = params.or_table[masks]
-    return MeasureParts(float(ors[0]), fsum((coef * ors).tolist()), float(ors[1]))
+    joint, predicted, baseline, _, _ = params.plan_parts(spec_plan(params.p, spec))
+    return MeasureParts(joint, predicted, baseline)
 
 
 def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
@@ -477,9 +495,8 @@ def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradien
     the coordinates it sums over, so every part's gradient is its
     weighted odds ratios times the indicator rows of their patterns.
     """
-    masks, coef, rows = spec_plan(params.p, spec)
-    ors = params.or_table[masks]
-    return PartsGradients(ors[0] * rows[0], (coef * ors) @ rows, ors[1] * rows[1])
+    joint, _, baseline, terms, rows = params.plan_parts(spec_plan(params.p, spec))
+    return PartsGradients(joint * rows[0], terms @ rows, baseline * rows[1])
 
 
 def measure(params: StructuralParams, spec: MeasureSpec) -> float:

@@ -4,11 +4,31 @@ Each is written out from its definition, independently of the code it
 checks, and lives here because only the tests use it.
 """
 
+from math import fsum, sqrt
+
 import numpy as np
 
-from interodds.errors import BootstrapFailureError, InterOddsError, OrderRangeError
-from interodds.inference import EstimateReport
-from interodds.measures import StructuralParams, excess_or, measure, odds_ratio
+from interodds.errors import (
+    BootstrapFailureError,
+    InterOddsError,
+    NegativeVarianceError,
+    OrderRangeError,
+    TransformRangeError,
+)
+from interodds.inference import (
+    AP_TIE_RTOL,
+    EstimateReport,
+    ci_transform,
+    normal_quantile,
+)
+from interodds.measures import (
+    StructuralParams,
+    excess_or,
+    measure,
+    measure_value,
+    odds_ratio,
+    spec_plan,
+)
 from interodds.patterns import as_mask, pattern_index
 from interodds.selfcheck import iter_splits, random_params, rel_err
 
@@ -133,4 +153,79 @@ def bootstrap_ci_per_replicate(fit, replicates, spec, alpha=0.05):
         n_boot=replicates.n_boot,
         n_failed=failed,
         failures=failures,
+    )
+
+
+def delta_ci_reference(fit, spec, alpha=0.05):
+    """:func:`interodds.inference.delta_ci` as one gather of the plan per call.
+
+    Gathers the spec's odds ratios afresh, evaluates the measure with
+    :func:`measure_value` and maps the interval through the transform's
+    ``derivative``, ``apply`` and ``invert``.  The package must agree with
+    it bit for bit: the same operations on the same operands.
+    """
+    if not fit.converged:
+        raise ValueError("delta_ci requires a converged fit")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+
+    params = fit.params.psi
+    masks, coef, rows = spec_plan(params.p, spec)
+    ors = params.or_table[masks]
+    terms = coef * ors
+    a, b, c = float(ors[0]), fsum(terms.tolist()), float(ors[1])
+    point = measure_value(spec.kind, a, b, c)
+    if spec.kind == "OR":
+        r0, r1, r2 = 1.0 / c, 0.0, -a / c**2
+    elif spec.kind == "EOR":
+        r0, r1, r2 = 1.0 / c, -1.0 / c, -(a - b) / c**2
+    elif spec.kind == "AP" and a >= b:
+        r0, r1, r2 = b / a**2, -1.0 / a, 0.0
+    elif spec.kind == "AP":
+        r0, r1, r2 = 1.0 / b, -a / b**2, 0.0
+    else:
+        d = b - c
+        r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
+    terms *= r1
+    terms[0] = r0 * a
+    terms[1] = r2 * c
+    grad = terms.dot(rows)
+
+    var = float(grad.dot(fit.sigma_psi).dot(grad))
+    if var < -1e-10:
+        raise NegativeVarianceError(
+            f"delta-method variance {var:.3g} is negative; covariance defect"
+        )
+    sigma = sqrt(max(var, 0.0))
+    if spec.kind == "AP" and not b > 0.0:
+        raise TransformRangeError(
+            f"attributable proportion {point:.6g} is outside (-1, 1): the "
+            f"predicted odds ratio {b:.6g} is not positive (joint odds ratio "
+            f"{a:.6g})"
+        )
+    tr = ci_transform(spec.kind)
+    se_t = tr.derivative(point) * sigma
+    z = normal_quantile(1.0 - alpha / 2.0)
+    center = tr.apply(point)
+    if se_t == 0.0:
+        ci_low = ci_high = point
+    else:
+        ci_low = min(tr.invert(center - z * se_t), point)
+        ci_high = max(tr.invert(center + z * se_t), point)
+    note = None
+    if spec.kind == "AP" and abs(a - b) < AP_TIE_RTOL * max(a, b):
+        note = (
+            "joint and predicted odds ratios are numerically tied; "
+            "the gradient used the joint branch of the denominator"
+        )
+    return EstimateReport(
+        kind=spec.kind,
+        point=point,
+        transform=tr.name,
+        se_transformed=se_t,
+        ci_low=ci_low,
+        ci_high=ci_high,
+        alpha=alpha,
+        method="DELTA",
+        note=note,
     )

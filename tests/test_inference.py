@@ -1,3 +1,4 @@
+import pickle
 from collections import Counter
 from itertools import combinations
 from math import sqrt
@@ -31,11 +32,22 @@ from interodds.logit import (
     fit_design,
     fit_logit,
 )
-from interodds.measures import MeasureSpec, StructuralParams, measure, measure_parts
+from interodds.measures import (
+    MeasureSpec,
+    StructuralParams,
+    measure,
+    measure_parts,
+    spec_plan,
+)
+from interodds.patterns import pattern_index
 from interodds.selfcheck import gradient_fd_error, iter_splits
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
-from oracles import bootstrap_ci_per_replicate, downset_indicator
+from oracles import (
+    bootstrap_ci_per_replicate,
+    delta_ci_reference,
+    downset_indicator,
+)
 
 RUN2 = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
 
@@ -415,10 +427,101 @@ def test_delta_se_is_the_quadratic_form_of_measure_gradient():
     assert checked > 1000
 
 
+def bits(fn, *args):
+    """Every report field as (type, repr), or the error's class and message.
+
+    ``repr`` tells every float apart, the sign of a zero included.
+    """
+    try:
+        report = fn(*args)
+    except (InterOddsError, ValueError) as exc:
+        return type(exc), str(exc)
+    return [(type(v), repr(v)) for v in vars(report).values()]
+
+
+def sweep_fits():
+    """The fits of the Monte Carlo sweep's 16 designs: p=5, q=1, 2,000 + 2,000."""
+    sizes = [bin(int(m)).count("1") for m in pattern_index(5).masks]
+    psi = np.log([{1: 1.5, 2: 1.2}.get(k, 1.0) for k in sizes])
+    return [
+        fit_logit(simulate(SimDesign(
+            p=5, q=1, psi_true=StructuralParams(psi, 5),
+            kappa_true=np.array([-2.5, 0.3]), exposure_probs=np.full(5, 0.45),
+            n0=2_000, n1=2_000, seed=30_000 + seed,
+            z_models=(ConfounderModel.normal(),),
+        )))
+        for seed in range(16)
+    ]
+
+
+def test_delta_ci_is_the_reference_bit_for_bit():
+    specs = all_specs(5)
+    rng = np.random.default_rng(2017)
+    fits = [random_fit(5, rng, scale) for scale in (0.3, 0.8, 1.5)]
+    indefinite = random_fit(5, rng, 0.5)
+    indefinite.sigma_psi = -indefinite.sigma_psi
+    fits += [indefinite, random_fit(5, rng, 0.0), *sweep_fits()]
+    fits[-1].sigma_psi = np.zeros((31, 31))
+    seen = set()
+    for fit in fits:
+        for alpha in (0.05, 0.2):
+            for spec in specs:
+                expected = bits(delta_ci_reference, fit, spec, alpha)
+                assert bits(delta_ci, fit, spec, alpha) == expected, spec
+                seen.add(expected[0] if isinstance(expected, tuple) else "DELTA")
+    assert seen == {"DELTA", UndefinedSynergyError, TransformRangeError,
+                    NegativeVarianceError}
+
+
+def test_delta_ci_bits_do_not_depend_on_call_order_or_repetition():
+    specs = all_specs(5)
+    rng = np.random.default_rng(2019)
+    fit = random_fit(5, rng, 1.0)
+    order = rng.permutation(len(specs))
+    for i in order:
+        expected = bits(delta_ci_reference, fit, specs[i])
+        assert bits(delta_ci, fit, specs[i]) == expected, specs[i]
+        assert bits(delta_ci, fit, specs[i]) == expected, specs[i]
+
+
+def test_cached_plan_terms_are_read_only():
+    psi = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
+    spec = MeasureSpec(p=2, kind="EOR", order=2)
+    terms = psi.plan_parts(spec_plan(2, spec))[3]
+    assert not terms.flags.writeable
+    with pytest.raises(ValueError):
+        terms[0] = 1.0
+    delta_ci(make_fit(psi, 0.01 * np.eye(3)), spec)
+    assert psi.plan_parts(spec_plan(2, spec))[3] is terms
+
+
+def test_cached_plan_parts_never_answer_for_another_plan():
+    # an unpickled copy keeps its cache's keys: ids of plans in the process
+    # that pickled it, which may name other plans where it is loaded
+    psi = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
+    first, other = (spec_plan(2, MeasureSpec(p=2, kind="EOR", order=k)) for k in (1, 2))
+    psi.plan_parts(first)
+    loaded = pickle.loads(pickle.dumps(psi))
+    loaded._parts[id(other)] = loaded._parts.pop(id(first))
+    assert loaded.plan_parts(other)[:3] == psi.plan_parts(other)[:3]
+    assert psi.plan_parts(other)[1] != psi.plan_parts(first)[1]
+
+
+def test_delta_ci_or_interval_overflows_to_inf_without_a_warning():
+    # the upper log-scale bound passes 709.78, where exp overflows
+    fit = make_fit(RUN2, 1e5 * np.eye(3))
+    rep = delta_ci(fit, MeasureSpec(p=2, kind="OR"))
+    assert rep.ci_high == np.inf
+    assert 0.0 <= rep.ci_low <= rep.point
+
+
 def test_delta_ci_rejects_spec_with_other_factor_count():
     fit = make_fit(RUN2, np.eye(3) * 0.01)
-    with pytest.raises(ValueError, match="3 risk factors.*have 2"):
-        delta_ci(fit, MeasureSpec(p=3, kind="OR"))
+    delta_ci(fit, MeasureSpec(p=2, kind="OR"))  # the fit now holds a cached plan
+    for call in (delta_ci, lambda fit, spec: measure_parts(fit.params.psi, spec),
+                 lambda fit, spec: measure_gradient(fit.params.psi, spec)):
+        with pytest.raises(ValueError, match="3 risk factors.*have 2"):
+            call(fit, MeasureSpec(p=3, kind="OR"))
 
 
 def test_delta_ci_alpha_validation():
@@ -786,6 +889,32 @@ def test_bootstrap_replicates_do_not_depend_on_batching(
     assert same_replicates(batched, alone)
     if data.q == 0:  # the cell-count data has failing refits
         assert any(batched.errors)
+
+
+def test_bootstrap_refits_read_the_drawn_covariates_in_place(monkeypatch):
+    data = simulate(SimDesign(
+        p=2, q=2, psi_true=RUN2, kappa_true=np.array([-0.6, 0.3, -0.2]),
+        exposure_probs=np.array([0.4, 0.35]), n0=300, n1=300, seed=5,
+        z_models=(ConfounderModel.discrete([0.0, 1.0], [0.5, 0.5]),
+                  ConfounderModel.normal()),
+    ))
+    real = inference.fit_batch
+    copies = []
+
+    def checking_fit(masks, covariates, *args):
+        # fit_batch reads the covariates as rows, through their transpose
+        rows = np.ascontiguousarray(covariates.T)
+        copies.append(not np.shares_memory(rows, covariates))
+        return real(masks, covariates, *args)
+
+    def row_major_fit(masks, covariates, *args):
+        return real(masks, np.ascontiguousarray(covariates), *args)
+
+    monkeypatch.setattr(inference, "fit_batch", checking_fit)
+    in_place = bootstrap_replicates(data, 200, seed=2)
+    assert len(copies) > 1 and not any(copies)
+    monkeypatch.setattr(inference, "fit_batch", row_major_fit)
+    assert same_replicates(in_place, bootstrap_replicates(data, 200, seed=2))
 
 
 def test_first_replicates_do_not_depend_on_n_boot():

@@ -142,6 +142,26 @@ def test_dataset_validation():
         )
 
 
+@pytest.mark.parametrize("p", [1, 3, 9])
+def test_exposure_masks_hold_no_int64_copy_of_the_exposures(p):
+    n = 50_000
+    rng = np.random.default_rng(70 + p)
+    data = CaseControlDataset(
+        rng.integers(0, 2, size=(n, p)), np.zeros((n, 0)),
+        rng.integers(0, 2, size=n),
+    )
+    tracemalloc.start()
+    try:
+        masks = data.exposure_masks
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    weights = (1 << np.arange(p)).astype(np.int64)
+    assert masks.dtype == np.int64
+    assert np.array_equal(masks, data.exposures.astype(np.int64) @ weights)
+    assert peak < 2 * 8 * n  # the masks themselves are 8 n bytes
+
+
 # ----------------------------------------------------------------- derivatives
 
 
