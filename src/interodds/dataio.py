@@ -76,9 +76,9 @@ def load_csv(path, outcome, risk_factors, covariates=()):
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         header = _read_header(reader, wanted)
-        columns = _parse_columns(
-            path, handle, len(header), [header.index(c) for c in wanted], 1 + p
-        )
+    columns = _parse_columns(
+        path, reader.line_num, len(header), [header.index(c) for c in wanted], 1 + p
+    )
     if columns is None:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
@@ -128,18 +128,21 @@ def _read_header(reader, wanted):
     return header
 
 
-def _parse_columns(path, handle, width, cols, n_binary):
+def _parse_columns(path, skip, width, cols, n_binary):
     """Parse the records of a clean file with numpy's C tokenizer.
 
-    ``handle`` is positioned after the header.  Returns the selected
-    columns, views into the parsed table, with the values
+    The records follow the first ``skip`` lines, the header's (more than
+    one where a quoted header cell holds a line break).  numpy reads the
+    file from its path, in blocks; given an open handle it would read it
+    line by line in Python.  Returns the selected columns, views into the
+    parsed table, with the values
     :func:`_parse_rows` would return, or None: on a wrong cell count, a blank
     line, a line break inside quotes, text that numpy rejects (it parses
     with the routine behind ``float()``, but not ``1_0`` or non-ASCII
     digits), a value that is not finite, or one other than 0 or 1 in the
     first ``n_binary`` columns.  Cells of the other columns read as 0.0.
     """
-    records = _body_records(path)
+    records = _body_records(path, skip)
     if records is None:
         return None
     text = dict.fromkeys(set(range(width)) - set(cols), lambda cell: 0.0)
@@ -148,8 +151,8 @@ def _parse_columns(path, handle, width, cols, n_binary):
             # "no data" on a body of blank lines, which the shape test rejects
             warnings.simplefilter("ignore", UserWarning)
             rows = np.loadtxt(
-                handle, delimiter=",", comments=None, quotechar='"',
-                converters=text, ndmin=2,
+                path, delimiter=",", comments=None, quotechar='"',
+                converters=text, ndmin=2, skiprows=skip, encoding="utf-8-sig",
             )
     except ValueError:
         return None
@@ -166,8 +169,8 @@ def _parse_columns(path, handle, width, cols, n_binary):
     return columns
 
 
-def _body_records(path):
-    """The lines after the header line, counted in binary blocks.
+def _body_records(path, skip=1):
+    """The lines after the first ``skip``, counted in binary blocks.
 
     None when the file holds a carriage return outside a CRLF pair:
     ``csv`` ends a record there too, and this count would miss it.
@@ -182,7 +185,7 @@ def _body_records(path):
                 return None
             feeds += block.count(b"\n")
             last = block[-1:]
-    return feeds - (last == b"\n")
+    return feeds + (last != b"\n") - skip
 
 
 def _parse_rows(reader, header, outcome, risk_factors, covariates):

@@ -328,20 +328,71 @@ def _separation_error(reason, masks, y, weights, p):
     return SeparationError(reason)
 
 
-def _ridged(info, lowest):
-    """The informations, with a tiny ridge on each that is not positive definite.
+# The Cholesky margin of the certificate in _cleared, far above the
+# O(k^2 eps) rounding of a factorization of a unit-diagonal k x k matrix
+_MARGIN = 2.0 ** -20
+# Above this cap eigvalsh's rounding, about k eps times the largest
+# eigenvalue, could reach the lowest one of a matrix the certificate clears
+_CERTIFIED_CAP = 1e12
 
-    ``lowest`` holds each matrix's lowest eigenvalue.  Under the condition
-    cap that is the test Cholesky factorization would make.  Returns the
-    stack and which matrices got the ridge.
+
+def _cleared(info, cap):
+    """Which informations certainly pass the condition cap and need no ridge.
+
+    With ``d`` a matrix's diagonal and ``M = D info D``, ``D = diag(d)^-1/2``,
+    a Cholesky factorization of ``M - tau 1`` (``tau`` = ``_MARGIN``) proves
+    ``lambda_min(M) > tau`` up to rounding.  As ``lambda_max(M) <= k``, the
+    condition number of ``info`` is then below ``k max(d) / (tau min(d))``;
+    where that is at most ``min(cap, _CERTIFIED_CAP) / 2`` the matrix passes
+    the cap and is positive definite with a margin far beyond eigvalsh's
+    rounding, so eigvalsh would decide the same.  One stacked Cholesky tests
+    every candidate; when it fails for any of them, none is cleared.
     """
-    used = lowest <= 0.0
+    k = info.shape[-1]
+    d = np.diagonal(info, axis1=1, axis2=2)
+    bound = _MARGIN * min(cap, _CERTIFIED_CAP) / 2
+    low = d.min(1)
+    clear = (low > 0) & (k * d.max(1) <= bound * low) & np.isfinite(info).all((1, 2))
+    if clear.any():
+        scale = 1.0 / np.sqrt(d[clear])
+        m = info[clear] * scale[:, :, None] * scale[:, None, :]
+        m -= _MARGIN * np.eye(k)
+        try:
+            np.linalg.cholesky(m)
+        except np.linalg.LinAlgError:
+            clear[:] = False
+    return clear
+
+
+def _conditioning(info, cap):
+    """Each information's condition number, and whether it needs a ridge.
+
+    ``cond`` is the ratio of the extreme eigenvalue magnitudes (infinite
+    for a zero eigenvalue), or NaN where :func:`_cleared` shows it is at
+    most ``cap / 2``.  ``ridge`` marks a lowest eigenvalue that is not
+    positive, where Cholesky factorization would fail.  Only the matrices
+    not cleared go through ``eigvalsh``.
+    """
+    cond = np.full(len(info), np.nan)
+    ridge = np.zeros(len(info), dtype=bool)
+    rest = np.flatnonzero(~_cleared(info, cap))
+    if rest.size:
+        eig = np.linalg.eigvalsh(info[rest])
+        size = np.abs(eig)
+        exact = np.full(len(rest), np.inf)
+        np.divide(size.max(1), size.min(1), out=exact, where=size.min(1) > 0)
+        cond[rest], ridge[rest] = exact, eig[:, 0] <= 0.0
+    return cond, ridge
+
+
+def _ridged(info, used):
+    """The informations, with a tiny ridge on each that ``used`` marks."""
     if used.any():
         dim = info.shape[-1]
         info = info.copy()
         info[used] += (1e-10 * np.trace(info[used], axis1=1, axis2=2) / dim)[
             :, None, None] * np.eye(dim)
-    return info, used
+    return info
 
 
 def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
@@ -358,6 +409,12 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
     numbers do not depend on the other rows.  A fit's
     :class:`InterOddsError` (the ones listed in :func:`fit_logit`) is
     recorded in ``errors`` instead of raised.
+
+    Each iteration tests every fit's information against
+    ``options.cond_cap`` and adds a tiny ridge where it is not positive
+    definite (:func:`_conditioning`).  One stacked Cholesky clears the
+    well-conditioned fits; only the others go through ``eigvalsh``, so
+    every decision, message and condition number is eigvalsh's.
 
     Raises
     ------
@@ -417,12 +474,7 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
         rows = rows[gnorm > options.score_tol * (1.0 + np.abs(loglik[rows]))]
         if not rows.size:
             break
-        # the information is symmetric: its 2-norm condition number is the
-        # ratio of its extreme eigenvalue magnitudes, no SVD needed
-        eig = np.linalg.eigvalsh(info[rows])
-        size = np.abs(eig)
-        cond = np.full(len(rows), np.inf)
-        np.divide(size.max(1), size.min(1), out=cond, where=size.min(1) > 0)
+        cond, ridge = _conditioning(info[rows], options.cond_cap)
         singular = cond > options.cond_cap
         for b, c in zip(rows[singular], cond[singular]):
             errors[b] = _separation_error(
@@ -430,9 +482,9 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
                 f"{options.cond_cap:.0e}; separation suspected",
                 masks, y, weights[b], p,
             )
-        rows, eig = rows[~singular], eig[~singular]
-        system, used = _ridged(info[rows], eig[:, 0])
-        ridge_used[rows] |= used
+        rows, ridge = rows[~singular], ridge[~singular]
+        system = _ridged(info[rows], ridge)
+        ridge_used[rows] |= ridge
         step = np.linalg.solve(system, score[rows][..., None])[..., 0]
 
         # halve each fit's step until its loglik does not decrease; the
@@ -483,7 +535,9 @@ def fit_design(masks, covariates, outcome, p, options=None, start=None):
     covariates ``covariates[i]`` (an (n, q) float array, q may be 0) and
     outcome ``outcome[i]``; its design row ``[1, downset indicator of the
     mask, covariates]`` is never built.  This is a batch of one for
-    :func:`fit_batch`, every record with weight one.  Raises as described
+    :func:`fit_batch`, every record with weight one.  The covariance is the
+    inverse of the information at the fit, with :func:`fit_batch`'s ridge
+    where that information is not positive definite.  Raises as described
     in :func:`fit_logit`.
     """
     fits = fit_batch(
@@ -493,8 +547,8 @@ def fit_design(masks, covariates, outcome, p, options=None, start=None):
     )
     if fits.errors[0] is not None:
         raise fits.errors[0]
-    info, used = _ridged(fits.info[:1], np.linalg.eigvalsh(fits.info[:1])[:, 0])
-    full_cov = np.linalg.inv(info[0])
+    used = _conditioning(fits.info[:1], np.inf)[1]
+    full_cov = np.linalg.inv(_ridged(fits.info[:1], used)[0])
     full_cov = 0.5 * (full_cov + full_cov.T)
     psi = slice(1, 1 << p)
     return FitResult(

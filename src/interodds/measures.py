@@ -158,14 +158,16 @@ class MeasureSpec:
     A spec is immutable and validated once: ``fixed`` is a copy of the
     mapping passed in, and ``varying`` (J, ascending) and ``fixed_mask``
     (the factors held at level 1) are computed when the spec is made.
+    Specs hash by those two in place of the dict, so equal specs hash
+    equal and a spec can key a dict.
     """
 
     p: int
     kind: str
     order: Optional[int] = None
-    fixed: Mapping[int, int] = field(default_factory=dict)
-    varying: tuple = field(init=False, repr=False, compare=False)
-    fixed_mask: int = field(init=False, repr=False, compare=False)
+    fixed: Mapping[int, int] = field(default_factory=dict, hash=False)
+    varying: tuple = field(init=False, repr=False, compare=False, hash=True)
+    fixed_mask: int = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
         object.__setattr__(self, "kind", canonical_kind(self.kind))

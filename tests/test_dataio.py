@@ -367,6 +367,27 @@ def test_clean_file_never_enters_the_row_pass(tmp_path):
             load_csv(bad, "y", ["v1"], ["z1"])
 
 
+def test_bom_crlf_and_multiline_header_take_the_column_pass(tmp_path):
+    def row_pass(*args):
+        raise AssertionError("row pass entered")
+
+    body = "\r\n".join(CLEAN) + "\r\n"
+    files = {
+        "bom-crlf": "\ufeff" + HEADER + "\r\n" + body,
+        # a quoted line break in a header name: two lines, one record
+        "multiline-header": '"y","v1","w\r\nname","v2","z1"\r\n' + body,
+        "bom-multiline-header": '\ufeff"y","v1","w\nname","v2","z1"\n'
+        + "\n".join(CLEAN) + "\n",
+    }
+    for name, text in files.items():
+        path = tmp_path / f"{name}.csv"
+        path.write_bytes(text.encode("utf-8"))
+        with mock.patch.object(dataio, "_parse_rows", row_pass):
+            table = load_outcome(path)
+        assert table == load_outcome(path, row_pass_only=True), name
+        assert table[1] == [1, 0, 1, 0], name
+
+
 def test_measure_tokens():
     assert parse_measure_token("AP:2") == ("AP", 2)
     assert parse_measure_token("or") == ("OR", None)

@@ -1,10 +1,12 @@
 import hashlib
+import re
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from interodds import inference, logit
 from interodds.errors import (
     ConvergenceError,
     EmptyClassError,
@@ -371,8 +373,10 @@ def test_condition_cap_reads_the_information_eigenvalues():
         SeparationError, match=r"condition number \S+ exceeds 1e\+00; separation"
     ):
         fit_logit(data, FitOptions(cond_cap=1.0))
-    # a zero eigenvalue is an infinite condition number, not a division error
-    with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1])):
+    # a zero eigenvalue is an infinite condition number, not a division error;
+    # only eigvalsh sees one, as no matrix with one passes the certificate
+    with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1])), \
+            mock.patch.object(logit, "_cleared", lambda a, cap: np.zeros(len(a), bool)):
         with pytest.raises(SeparationError, match="condition number inf exceeds"):
             fit_logit(data)
 
@@ -598,3 +602,169 @@ def test_fractional_case_weights_are_not_an_empty_class():
     fit = fit_logit(data)
     assert np.allclose(beta[1:], fit.params.to_vector()[1:], rtol=0, atol=1e-7)
     assert beta[0] == pytest.approx(fit.params.kappa[0] + np.log(c), abs=1e-7)
+
+
+# ------------------------------------------------- condition certificate
+
+
+def eigvalsh_verdicts(info):
+    """Condition numbers and ridge tests read from every eigenvalue."""
+    eig = np.linalg.eigvalsh(info)
+    size = np.abs(eig)
+    cond = np.full(len(info), np.inf)
+    np.divide(size.max(1), size.min(1), out=cond, where=size.min(1) > 0)
+    return cond, eig[:, 0] <= 0.0
+
+
+def with_spectrum(rng, eigenvalues):
+    """A symmetric matrix with the given eigenvalues, in a random basis."""
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues),) * 2))
+    m = (q * eigenvalues) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def certificate_stacks(k=9):
+    """Named stacks of k x k matrices and the cap each is checked against."""
+    rng = np.random.default_rng(70)
+    spd = []
+    for _ in range(12):
+        g = rng.normal(size=(k, k))
+        spd.append(g @ g.T + k * np.eye(k))
+    cap = 1e12
+
+    def conditioned(c):
+        return with_spectrum(rng, np.geomspace(1.0, 1.0 / c, k))
+
+    near_cap = [conditioned(cap * f) for f in (1 - 1e-3, 1 + 1e-3, 0.5)]
+    low = with_spectrum(rng, np.r_[np.geomspace(1.0, 1e-3, k - 1), 0.0])
+    indefinite = with_spectrum(rng, np.r_[np.geomspace(1.0, 1e-3, k - 1), -1e-12])
+    zero_diagonal = spd[0].copy()
+    zero_diagonal[3, :] = zero_diagonal[:, 3] = 0.0
+    scale = np.geomspace(1.0, 1e7, k)
+    wide = spd[1] * scale * scale[:, None]  # diagonal ratio about 1e14
+    unit = np.eye(k)  # unit diagonal, a candidate, but not positive definite
+    unit[0, 1] = unit[1, 0] = 1.5
+    return {
+        "random_spd": (np.array(spd), cap),
+        "near_cap": (np.array(near_cap), cap),
+        "singular_and_indefinite": (np.array([low, indefinite, spd[2]]), cap),
+        "zero_diagonal": (np.array([zero_diagonal, spd[3]]), cap),
+        "huge_diagonal_ratio": (np.array([wide, spd[4]]), cap),
+        "user_cap_10": (np.array(spd[:4] + [conditioned(9.0), conditioned(11.0)]), 10.0),
+        "one_row_fails_the_stack": (np.array(spd[5:9] + [unit] + spd[9:]), cap),
+        "no_cap": (np.array(spd[:3] + [zero_diagonal, wide]), np.inf),
+    }
+
+
+# rows the certificate must clear (True) or send to eigvalsh (False)
+CLEARED = {
+    "random_spd": [True] * 12,
+    "near_cap": [False] * 3,
+    "singular_and_indefinite": [False] * 3,  # their Cholesky fails the stack
+    "zero_diagonal": [False, True],
+    "huge_diagonal_ratio": [False, True],
+    "user_cap_10": [False] * 6,
+    "one_row_fails_the_stack": [False] * 8,
+    "no_cap": [True, True, True, False, False],
+}
+
+
+@pytest.mark.parametrize("name", list(CLEARED))
+def test_certificate_decides_as_eigvalsh(name):
+    info, cap = certificate_stacks()[name]
+    assert logit._cleared(info, cap).tolist() == CLEARED[name]
+    cond, ridge = logit._conditioning(info, cap)
+    expected_cond, expected_ridge = eigvalsh_verdicts(info)
+    assert ((cond > cap) == (expected_cond > cap)).all()
+    assert (ridge == expected_ridge).all()
+    cleared = np.isnan(cond)
+    assert cleared.tolist() == CLEARED[name]
+    # what eigvalsh computes, it computes as on the whole stack
+    assert np.array_equal(cond[~cleared], expected_cond[~cleared])
+    assert (expected_cond[cleared] <= cap / 2).all()
+    assert not expected_ridge[cleared].any()
+
+
+def separating_batch():
+    """Two ordinary fits and one whose records separate on v1.
+
+    The separating fit holds only records whose second covariate is tiny,
+    so its information exceeds the condition cap at the first iteration.
+    """
+    rng = np.random.default_rng(0)
+    n = 400
+    v = (rng.random((n, 2)) < 0.4).astype(np.int8)
+    y = np.repeat([0, 1], n // 2)
+    tiny = rng.random(n) < 0.5
+    z = np.column_stack(
+        [rng.normal(size=n), np.where(tiny, 1e-6, 1.0) * rng.normal(size=n)]
+    )
+    weights = np.ones((3, n))
+    weights[1] = rng.integers(0, 3, n)
+    weights[2] = tiny
+    weights[2, (v[:, 0] == 1) & (y == 0)] = 0
+    return v[:, 0] + 2 * v[:, 1], z, y, 2, weights
+
+
+def boot_batch():
+    """The first batch bootstrap_replicates fits on a discrete confounder."""
+    design = SimDesign(
+        p=3, q=1, psi_true=StructuralParams(np.log([1.8] * 3 + [1.3] * 3 + [1.0]), 3),
+        kappa_true=np.array([-2.0, 0.4]),
+        exposure_probs=np.array([0.40, 0.35, 0.30]), n0=1000, n1=1000, seed=20,
+        z_models=(ConfounderModel.discrete([0.0, 1.0], [0.5, 0.5]),),
+    )
+    batches = []
+    with mock.patch.object(
+        inference, "fit_batch", lambda *args: batches.append(args) or fit_batch(*args)
+    ):
+        inference.bootstrap_replicates(simulate(design), 200, seed=3)
+    return batches[0]
+
+
+def sweep_fit():
+    """A p = 5 fit shaped like the Monte Carlo sweep's, as a batch of one."""
+    design = SimDesign(
+        p=5, q=1, psi_true=StructuralParams(np.full(31, 0.1), 5),
+        kappa_true=np.array([-2.5, 0.3]), exposure_probs=np.full(5, 0.45),
+        n0=2000, n1=2000, seed=30, z_models=(ConfounderModel.normal(),),
+    )
+    data = simulate(design)
+    return (data.exposure_masks, data.covariates, data.outcome, 5,
+            np.ones((1, data.n)))
+
+
+@pytest.mark.parametrize("make", [boot_batch, separating_batch, sweep_fit])
+def test_certificate_leaves_every_fit_bit_for_bit(make, monkeypatch):
+    args = make()
+    cleared = []
+    real = logit._cleared
+
+    def counting(info, cap):
+        clear = real(info, cap)
+        cleared.append(int(clear.sum()))
+        return clear
+
+    monkeypatch.setattr(logit, "_cleared", counting)
+    fast = fit_batch(*args)
+    fast_design = fit_design(*args[:4]) if make is sweep_fit else None
+    assert sum(cleared) > 0  # the certificate did clear fits
+    monkeypatch.setattr(logit, "_cleared", lambda info, cap: np.zeros(len(info), bool))
+    slow = fit_batch(*args)
+    for field in ("beta", "loglik", "score", "info", "iterations", "ridge_used"):
+        a, b = getattr(fast, field), getattr(slow, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+    assert [(type(e), str(e)) for e in fast.errors] == [
+        (type(e), str(e)) for e in slow.errors
+    ]
+    if make is separating_batch:
+        assert fast.errors[:2] == [None, None]
+        assert re.match(
+            r"information matrix condition number \S+ exceeds 1e\+12; separation "
+            r"suspected; only cases have exposure patterns v1, v1:v2$",
+            str(fast.errors[2]),
+        )
+    if fast_design is not None:
+        slow_design = fit_design(*args[:4])
+        assert fast_design.sigma_psi.tobytes() == slow_design.sigma_psi.tobytes()
+        assert fast_design.ridge_used == slow_design.ridge_used

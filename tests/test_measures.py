@@ -289,6 +289,19 @@ def test_spec_is_frozen_and_validated_once():
     assert MeasureSpec(p=3, kind="SI", order=2, fixed={2: 1}).varying == (0, 1)
 
 
+def test_equal_specs_hash_equal():
+    spec = MeasureSpec(p=3, kind="EOR", order=2, fixed={0: 1})
+    same = MeasureSpec(p=3, kind="eor", order=2, fixed={0: 1})
+    other_level = MeasureSpec(p=3, kind="EOR", order=2, fixed={0: 0})
+    assert spec == same and hash(spec) == hash(same)
+    assert spec != other_level
+    held_two = [MeasureSpec(p=4, kind="AP", order=1, fixed=f)
+                for f in ({1: 0, 3: 1}, {3: 1, 1: 0})]
+    assert held_two[0] == held_two[1] and hash(held_two[0]) == hash(held_two[1])
+    assert len({spec, same, other_level, *held_two}) == 3
+    assert {spec: "x"}[same] == "x"
+
+
 def test_kind_aliases():
     assert MeasureSpec(p=2, kind="or_joint").kind == "OR"
     with pytest.raises(ValueError):
