@@ -39,12 +39,10 @@ from .measures import (
     measure_parts,
     odds_ratio,
     or_increment,
-    parts_gradients,
     predicted_or,
 )
 from .logit import (
     CaseControlDataset,
-    FitOptions,
     FitResult,
     FullParams,
     fit_design,
@@ -52,10 +50,8 @@ from .logit import (
 )
 from .inference import (
     EstimateReport,
-    Transform,
     bootstrap_ci,
     bootstrap_replicates,
-    ci_transform,
     delta_ci,
     measure_gradient,
 )
@@ -79,7 +75,6 @@ __all__ = [
     "CsvParseError",
     "EmptyClassError",
     "EstimateReport",
-    "FitOptions",
     "FitResult",
     "FullParams",
     "InterOddsError",
@@ -96,13 +91,11 @@ __all__ = [
     "SimDesign",
     "SingularDesignError",
     "StructuralParams",
-    "Transform",
     "TransformRangeError",
     "UndefinedSynergyError",
     "bootstrap_ci",
     "bootstrap_replicates",
     "canonical_kind",
-    "ci_transform",
     "delta_ci",
     "excess_or",
     "fit_design",
@@ -116,7 +109,6 @@ __all__ = [
     "parse_design_file",
     "parse_measure_token",
     "pattern_index",
-    "parts_gradients",
     "predicted_or",
     "psi_coordinate_names",
     "run_self_checks",

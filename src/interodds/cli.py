@@ -235,21 +235,12 @@ def run_analysis(config: AnalysisConfig):
     any_failed = False
     replicates = None  # built at the first bootstrap interval, then shared
     for kind, order in config.measures:
-        label_order = order
         try:
             spec = MeasureSpec(
                 p=data.p, kind=kind, order=order, fixed=spec_fixed
             )
-            label_order = spec.effective_order
-            label = measure_label(
-                spec.kind,
-                spec.effective_order,
-                varying_names,
-                held,
-                config.subset_fit,
-            )
         except InterOddsError as exc:
-            label = measure_label(kind, label_order, varying_names, held,
+            label = measure_label(kind, order, varying_names, held,
                                   config.subset_fit)
             entries.append(
                 {"label": label, "kind": kind, "order": order,
@@ -258,6 +249,8 @@ def run_analysis(config: AnalysisConfig):
             any_failed = True
             continue
 
+        label = measure_label(spec.kind, spec.effective_order, varying_names,
+                              held, config.subset_fit)
         base = {"label": label, "kind": spec.kind, "order": spec.effective_order}
         if config.ci_method in ("delta", "both"):
             try:

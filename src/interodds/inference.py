@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import exp, fsum, log, sqrt, tanh
 from statistics import NormalDist
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -27,13 +27,11 @@ from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa:
 from .measures import (
     MeasureSpec,
     StructuralParams,
-    canonical_kind,
     kind_value,
     log_or_tables,
     measure,
     measure_parts,  # noqa: F401  not called here: the benchmark's tracer wraps it
     measure_value,
-    parts_gradients,
     si_defined,
     spec_plan,
 )
@@ -103,16 +101,6 @@ def _point_and_gradient(params: StructuralParams, spec: MeasureSpec) -> tuple:
     return a, b, point, t.dot(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class Transform:
-    """Increasing map from a measure's range to the real line; delta_ci writes it out."""
-
-    name: str
-    apply: Callable[[float], float]
-    invert: Callable[[float], float]
-    derivative: Callable[[float], float]
-
-
 def _unit(x: float) -> float:
     if not -1.0 < x < 1.0:
         raise TransformRangeError(f"value {x} outside the open interval (-1, 1)")
@@ -132,28 +120,11 @@ def _exp(y: float) -> float:
         return float(np.exp(y))
 
 
-_LOG = Transform("log", lambda x: log(_positive(x)), _exp, lambda x: 1.0 / _positive(x))
-_TRANSFORMS = {
-    "OR": _LOG,
-    "EOR": Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0),
-    "AP": Transform(
-        "atanh_like",
-        lambda x: log((1.0 + _unit(x)) / (1.0 - x)),
-        lambda y: tanh(0.5 * y),
-        lambda x: 2.0 / (1.0 - _unit(x) * x),
-    ),
-    "SI": _LOG,
-}
-
-
-def ci_transform(kind: str) -> Transform:
-    """Variance-stabilizing transform used for each measure kind.
-
-    Identity for the excess odds ratio, ``log((1 + x)/(1 - x))`` for the
-    attributable proportion, and the logarithm for the synergy index and
-    the joint odds ratio.  Each kind's transform is one shared instance.
-    """
-    return _TRANSFORMS[canonical_kind(kind)]
+# The variance-stabilizing transform of each kind, which delta_ci writes
+# out: the identity for the excess odds ratio, log((1 + x)/(1 - x)) for the
+# attributable proportion, and the logarithm for the odds ratio and the
+# synergy index.
+TRANSFORM_NAMES = {"OR": "log", "EOR": "identity", "AP": "atanh_like", "SI": "log"}
 
 
 @dataclass
@@ -181,8 +152,9 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     gradient with the structural covariance block; the interval is
     symmetric on the transformed scale and mapped back, so it respects
     the measure's natural range.  The gradient reads the spec's plan parts
-    as the fit's parameters keep them, and the kind's :func:`ci_transform`
-    is written out, its derivative, map and inverse in one step.
+    as the fit's parameters keep them, and the kind's transform (see
+    :data:`TRANSFORM_NAMES`) is written out, its derivative, map and
+    inverse in one step.
 
     Raises
     ------
@@ -240,8 +212,8 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
             "joint and predicted odds ratios are numerically tied; "
             "the gradient used the joint branch of the denominator"
         )
-    return EstimateReport(spec.kind, point, _TRANSFORMS[spec.kind].name, se_t, ci_low,
-                          ci_high, alpha, "DELTA", None, None, None, note)
+    return EstimateReport(spec.kind, point, TRANSFORM_NAMES[spec.kind], se_t,
+                          ci_low, ci_high, alpha, "DELTA", None, None, None, note)
 
 
 @dataclass(eq=False)

@@ -28,7 +28,14 @@ from .errors import (
     SingularDesignError,
 )
 from .measures import StructuralParams
-from .patterns import lattice_sums, pattern_index
+from .patterns import as_masks, lattice_sums, pattern_index
+
+# The Newton loop's limits
+MAX_ITER = 100
+SCORE_TOL = 1e-8  # scaled by (1 + |loglik|)
+STEP_TOL = 1e-10
+COEF_BOUND = 15.0  # |coefficient| beyond this means divergence
+COND_CAP = 1e12  # information condition numbers above this mean separation
 
 
 @dataclass(eq=False)
@@ -90,11 +97,7 @@ class CaseControlDataset:
     @cached_property
     def exposure_masks(self) -> np.ndarray:
         """Each record's exposure pattern as a bitmask (factor j is bit j)."""
-        masks = np.zeros(self.n, dtype=np.int64)
-        for column in self.exposures.T[::-1]:  # no int64 copy of the exposures
-            masks <<= 1
-            masks |= column
-        return masks
+        return as_masks(self.exposures)
 
 
 @dataclass(eq=False)
@@ -127,15 +130,6 @@ class FullParams:
         psi = StructuralParams(beta[1 : npsi + 1], p)
         kappa = np.concatenate([[beta[0]], beta[npsi + 1 :]])
         return cls(psi=psi, kappa=kappa)
-
-
-@dataclass
-class FitOptions:
-    max_iter: int = 100
-    score_tol: float = 1e-8  # scaled by (1 + |loglik|)
-    step_tol: float = 1e-10
-    coef_bound: float = 15.0  # |coefficient| beyond this means divergence
-    cond_cap: float = 1e12
 
 
 @dataclass(eq=False)
@@ -395,7 +389,7 @@ def _ridged(info, used):
     return info
 
 
-def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
+def fit_batch(masks, covariates, outcome, p, weights, start=None):
     """Newton/step-halving ML fits of one model per row of ``weights``.
 
     The records are shared, given as in :func:`fit_design`; row ``b`` of the
@@ -411,7 +405,7 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
     recorded in ``errors`` instead of raised.
 
     Each iteration tests every fit's information against
-    ``options.cond_cap`` and adds a tiny ridge where it is not positive
+    ``COND_CAP`` and adds a tiny ridge where it is not positive
     definite (:func:`_conditioning`).  One stacked Cholesky clears the
     well-conditioned fits; only the others go through ``eigvalsh``, so
     every decision, message and condition number is eigvalsh's.
@@ -422,7 +416,6 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
         ``weights`` is not a (B, n) array of non-negative weights, or a fit
         has fewer weighted records than coefficients plus one.
     """
-    options = options or FitOptions()
     zt = np.ascontiguousarray(covariates.T)  # a view for column-major records
     y = np.asarray(outcome)
     weights = np.asarray(weights, dtype=float)
@@ -468,18 +461,18 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
     if rows.size:
         loglik[rows], score[rows], info[rows] = evaluate(beta[rows], rows)
 
-    for iteration in range(1, options.max_iter + 1):
+    for iteration in range(1, MAX_ITER + 1):
         iterations[rows] = iteration
         gnorm = np.abs(score[rows]).max(1)
-        rows = rows[gnorm > options.score_tol * (1.0 + np.abs(loglik[rows]))]
+        rows = rows[gnorm > SCORE_TOL * (1.0 + np.abs(loglik[rows]))]
         if not rows.size:
             break
-        cond, ridge = _conditioning(info[rows], options.cond_cap)
-        singular = cond > options.cond_cap
+        cond, ridge = _conditioning(info[rows], COND_CAP)
+        singular = cond > COND_CAP
         for b, c in zip(rows[singular], cond[singular]):
             errors[b] = _separation_error(
                 f"information matrix condition number {c:.3g} exceeds "
-                f"{options.cond_cap:.0e}; separation suspected",
+                f"{COND_CAP:.0e}; separation suspected",
                 masks, y, weights[b], p,
             )
         rows, ridge = rows[~singular], ridge[~singular]
@@ -512,23 +505,23 @@ def fit_batch(masks, covariates, outcome, p, weights, options=None, start=None):
             pending = pending[~stuck]
 
         worst = np.abs(beta[rows]).max(1)
-        diverged = moved & (worst > options.coef_bound)
+        diverged = moved & (worst > COEF_BOUND)
         for b, value in zip(rows[diverged], worst[diverged]):
             errors[b] = _separation_error(
                 f"coefficient magnitude {value:.3g} exceeds the divergence "
-                f"bound {options.coef_bound}; separation suspected",
+                f"bound {COEF_BOUND}; separation suspected",
                 masks, y, weights[b], p,
             )
-        small = np.abs(t[:, None] * step).max(1) <= options.step_tol
+        small = np.abs(t[:, None] * step).max(1) <= STEP_TOL
         rows = rows[moved & ~diverged & ~small]
     for b in rows:
         errors[b] = ConvergenceError(
-            f"no convergence after {options.max_iter} Newton iterations"
+            f"no convergence after {MAX_ITER} Newton iterations"
         )
     return BatchFit(beta, loglik, score, info, iterations, ridge_used, errors)
 
 
-def fit_design(masks, covariates, outcome, p, options=None, start=None):
+def fit_design(masks, covariates, outcome, p, start=None):
     """Newton/step-halving ML fit on records given by their exposure masks.
 
     Record ``i`` has exposure bitmask ``masks[i]`` (factor j is bit j),
@@ -543,7 +536,7 @@ def fit_design(masks, covariates, outcome, p, options=None, start=None):
     fits = fit_batch(
         masks, covariates, outcome, p,
         np.broadcast_to(1.0, (1, len(masks))),  # the ones, with no copy
-        options, None if start is None else np.asarray(start, dtype=float)[None],
+        None if start is None else np.asarray(start, dtype=float)[None],
     )
     if fits.errors[0] is not None:
         raise fits.errors[0]
@@ -562,14 +555,12 @@ def fit_design(masks, covariates, outcome, p, options=None, start=None):
     )
 
 
-def fit_logit(data: CaseControlDataset, options=None, start=None) -> FitResult:
+def fit_logit(data: CaseControlDataset, start=None) -> FitResult:
     """Fit the saturated-factor logistic model to a case-control dataset.
 
     Parameters
     ----------
     data : CaseControlDataset
-    options : FitOptions, optional
-        Iteration and guard thresholds.
     start : array_like, optional
         Starting coefficient vector in design order (defaults to zeros).
 
@@ -585,13 +576,6 @@ def fit_logit(data: CaseControlDataset, options=None, start=None) -> FitResult:
     EmptyClassError
         All records share one outcome.
     """
-    if start is not None and isinstance(start, FullParams):
+    if isinstance(start, FullParams):
         start = start.to_vector()
-    return fit_design(
-        data.exposure_masks,
-        data.covariates,
-        data.outcome,
-        data.p,
-        options=options,
-        start=start,
-    )
+    return fit_design(data.exposure_masks, data.covariates, data.outcome, data.p, start)

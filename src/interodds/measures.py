@@ -24,14 +24,15 @@ over K).
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from math import comb, fsum
-from typing import Mapping, Optional
+from math import fsum
+from typing import Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from .errors import OrderRangeError, UndefinedSynergyError
 from .patterns import (
     MAX_FACTORS,
+    alternating_binomial_sum,
     as_mask,
     downset_rows,
     lattice_sums,
@@ -55,6 +56,13 @@ def canonical_kind(kind: str) -> str:
         return _KIND_ALIASES[str(kind).strip().upper()]
     except KeyError:
         raise ValueError(f"unknown measure kind {kind!r}; expected one of {KINDS}")
+
+
+def _frozen(*arrays) -> tuple:
+    """The arrays, made read-only: cached tables are shared by every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 @dataclass(eq=False)
@@ -87,8 +95,7 @@ class StructuralParams:
             )
         if not np.all(np.isfinite(psi)):
             raise ValueError("psi entries must all be finite")
-        psi.setflags(write=False)
-        self.psi = psi
+        self.psi = _frozen(psi)[0]
 
     @classmethod
     def zeros(cls, p: int) -> "StructuralParams":
@@ -100,9 +107,7 @@ class StructuralParams:
 
         See :func:`log_or_tables`.  Entry 0 is exactly 0.
         """
-        table = log_or_tables(self.psi)
-        table.setflags(write=False)
-        return table
+        return _frozen(log_or_tables(self.psi))[0]
 
     @cached_property
     def or_table(self) -> np.ndarray:
@@ -111,9 +116,7 @@ class StructuralParams:
         ``exp`` of :attr:`log_or_table`; every odds-ratio lookup after the
         first is O(1).  Entry 0 is exactly 1.
         """
-        table = np.exp(self.log_or_table)
-        table.setflags(write=False)
-        return table
+        return _frozen(np.exp(self.log_or_table))[0]
 
     def plan_parts(self, plan: tuple) -> tuple:
         """``(joint, predicted, baseline, terms, rows)`` of a :func:`spec_plan` plan.
@@ -125,8 +128,7 @@ class StructuralParams:
         entry = self._parts.get(id(plan))
         if entry is None or entry[1] is not plan:  # not cached, or a copy's key
             ors = self.or_table[plan[0]]
-            terms = plan[1] * ors
-            terms.setflags(write=False)
+            terms = _frozen(plan[1] * ors)[0]
             # the entry holds the plan, so its id names no other plan
             entry = self._parts[id(plan)] = (
                 float(ors[0]), fsum(terms.tolist()), float(ors[1]), terms, plan[2]), plan
@@ -198,19 +200,12 @@ class MeasureSpec:
         return 1 if self.order is None else self.order
 
 
-@dataclass
-class MeasureParts:
+class MeasureParts(NamedTuple):
     """The three odds ratios every measure is built from."""
 
     joint: float  # OR with every varying factor on
     predicted: float  # reconstruction from increments below the target order
     baseline: float  # OR with every varying factor off
-
-    def value(self, kind: str) -> float:
-        """The measure of the given kind; see :func:`measure`."""
-        return measure_value(
-            canonical_kind(kind), self.joint, self.predicted, self.baseline
-        )
 
 
 def kind_value(kind: str, a, b, c, maximum=max):
@@ -242,15 +237,6 @@ def measure_value(kind: str, a: float, b: float, c: float) -> float:
             f"baseline={c:.6g}"
         )
     return kind_value(kind, a, b, c)
-
-
-@dataclass(eq=False)
-class PartsGradients:
-    """Gradients of the measure parts w.r.t. the structural coefficients."""
-
-    joint: np.ndarray
-    predicted: np.ndarray
-    baseline: np.ndarray
 
 
 def _validate_fixed(p: int, fixed) -> tuple:
@@ -290,29 +276,33 @@ def _local_mask(v_j, varying) -> int:
     return mask
 
 
-def _spread(local: int, varying) -> int:
-    """Lift a mask over the varying factors to a full-pattern mask."""
-    m = 0
+@lru_cache(maxsize=100_000)
+def _sublattice(varying, fixed_mask):
+    """The ``(local, full, size)`` table of every pattern of the varying factors.
+
+    Entry ``w`` belongs to the mask ``w`` over the varying factors: ``full``
+    is its full-pattern mask, with the held factors at their fixed levels,
+    and ``size`` its count of factors on.
+    """
+    local = np.arange(1 << len(varying), dtype=np.int64)
+    full = np.full(len(local), fixed_mask, dtype=np.int64)
     for i, j in enumerate(varying):
-        if (local >> i) & 1:
-            m |= 1 << j
-    return m
+        full |= (local >> i & 1) << j
+    return _frozen(local, full, np.bitwise_count(local).astype(np.int64))
+
+
+def _below(varying, vj_local, fixed_mask, order):
+    """The ``_sublattice`` rows of the patterns ``w <= v_j`` with ``|w| <= order``."""
+    local, full, size = _sublattice(varying, fixed_mask)
+    keep = (local & ~vj_local == 0) & (size <= order)
+    return local[keep], full[keep], size[keep]
 
 
 @lru_cache(maxsize=100_000)
 def _increment_terms(p, varying, vj_local, fixed_mask):
     """Gather masks and signs for one alternating-sign increment."""
-    masks, signs = [], []
-    d = vj_local.bit_count()
-    for w in range(1 << len(varying)):
-        if w & ~vj_local:
-            continue
-        masks.append(_spread(w, varying) | fixed_mask)
-        signs.append(-1.0 if (d - w.bit_count()) % 2 else 1.0)
-    masks, signs = np.array(masks), np.array(signs)
-    masks.setflags(write=False)
-    signs.setflags(write=False)
-    return masks, signs
+    _, masks, size = _below(varying, vj_local, fixed_mask, len(varying))
+    return _frozen(masks, np.where((vj_local.bit_count() - size) & 1, -1.0, 1.0))
 
 
 @lru_cache(maxsize=100_000)
@@ -323,41 +313,27 @@ def _increment_sum_terms(p, varying, vj_local, fixed_mask, order):
     increment's slice of it, so every increment is still summed on its own
     before the increments are added up.
     """
-    parts = [
-        _increment_terms(p, varying, w, fixed_mask)
-        for w in range(1 << len(varying))
-        if not (w & ~vj_local or w.bit_count() > order)
-    ]
+    below = _below(varying, vj_local, fixed_mask, order)[0].tolist()
+    parts = [_increment_terms(p, varying, w, fixed_mask) for w in below]
     ends = np.cumsum([len(m) for m, _ in parts]).tolist()
     slices = tuple(map(slice, [0, *ends[:-1]], ends))
-    masks = np.concatenate([m for m, _ in parts])
-    signs = np.concatenate([s for _, s in parts])
-    masks.setflags(write=False)
-    signs.setflags(write=False)
-    return masks, signs, slices
+    return (*_frozen(np.concatenate([m for m, _ in parts]),
+                     np.concatenate([s for _, s in parts])), slices)
 
 
 @lru_cache(maxsize=100_000)
 def _prediction_terms(p, varying, vj_local, fixed_mask, order):
     """Gather masks and closed-form coefficients for a truncated prediction.
 
-    The coefficient of the odds ratio at subpattern w (|w| <= order) is
-    ``(-1)^(order - |w|) * C(|v_J| - 1 - |w|, order - |w|)``.
+    The coefficient of the odds ratio at subpattern w (|w| <= order < |v_J|)
+    is ``(-1)^(order - |w|) * C(|v_J| - 1 - |w|, order - |w|)``, the
+    :func:`~interodds.patterns.alternating_binomial_sum` of
+    ``C(|v_J| - |w|, l)`` over ``l <= order - |w|``.
     """
     d = vj_local.bit_count()
-    masks, coeffs = [], []
-    for w in range(1 << len(varying)):
-        if w & ~vj_local:
-            continue
-        k = w.bit_count()
-        if k > order:
-            continue
-        masks.append(_spread(w, varying) | fixed_mask)
-        coeffs.append((-1.0) ** (order - k) * comb(d - 1 - k, order - k))
-    masks, coeffs = np.array(masks), np.array(coeffs)
-    masks.setflags(write=False)
-    coeffs.setflags(write=False)
-    return masks, coeffs
+    _, masks, size = _below(varying, vj_local, fixed_mask, order)
+    coeffs = [alternating_binomial_sum(d - k, order - k) for k in size.tolist()]
+    return _frozen(masks, np.array(coeffs, dtype=float))
 
 
 def odds_ratio(params: StructuralParams, v) -> float:
@@ -411,7 +387,7 @@ def predicted_or(params: StructuralParams, v_j, fixed, order: int) -> float:
     if not 0 <= order <= d:
         raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
     if order == d:
-        return float(params.or_table[_spread(vj_local, varying) | fixed_mask])
+        return float(params.or_table[_sublattice(varying, fixed_mask)[1][vj_local]])
     masks, coeffs = _prediction_terms(
         params.p, varying, vj_local, fixed_mask, order
     )
@@ -463,16 +439,13 @@ def _spec_terms(p, varying, fixed_mask, order):
     0/1 floats: each odds ratio differentiates to itself times its row, and
     a float table spares every gradient product a cast.
     """
-    joint = _spread((1 << len(varying)) - 1, varying) | fixed_mask
+    full = _sublattice(varying, fixed_mask)[1]
     pred_masks, coeffs = _prediction_terms(
-        p, varying, (1 << len(varying)) - 1, fixed_mask, order - 1
+        p, varying, len(full) - 1, fixed_mask, order - 1
     )
-    masks = np.concatenate([[joint, fixed_mask], pred_masks])
+    masks = np.concatenate([full[[-1, 0]], pred_masks])
     coef = np.concatenate([[0.0, 0.0], coeffs])
-    rows = downset_rows(p, masks).astype(float)
-    for table in (masks, coef, rows):
-        table.setflags(write=False)
-    return masks, coef, rows
+    return _frozen(masks, coef, downset_rows(p, masks).astype(float))
 
 
 def spec_plan(p: int, spec: MeasureSpec) -> tuple:
@@ -486,19 +459,7 @@ def spec_plan(p: int, spec: MeasureSpec) -> tuple:
 
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
     """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    joint, predicted, baseline, _, _ = params.plan_parts(spec_plan(params.p, spec))
-    return MeasureParts(joint, predicted, baseline)
-
-
-def parts_gradients(params: StructuralParams, spec: MeasureSpec) -> PartsGradients:
-    """Analytic gradients of (joint, predicted, baseline) odds ratios.
-
-    Each odds ratio differentiates to itself times the 0/1 indicator of
-    the coordinates it sums over, so every part's gradient is its
-    weighted odds ratios times the indicator rows of their patterns.
-    """
-    joint, _, baseline, terms, rows = params.plan_parts(spec_plan(params.p, spec))
-    return PartsGradients(joint * rows[0], terms @ rows, baseline * rows[1])
+    return MeasureParts(*params.plan_parts(spec_plan(params.p, spec))[:3])
 
 
 def measure(params: StructuralParams, spec: MeasureSpec) -> float:
@@ -525,4 +486,4 @@ def measure(params: StructuralParams, spec: MeasureSpec) -> float:
     ValueError
         ``spec`` and ``params`` disagree on the number of risk factors.
     """
-    return measure_parts(params, spec).value(spec.kind)
+    return measure_value(spec.kind, *measure_parts(params, spec))

@@ -39,6 +39,18 @@ def as_mask(bits) -> int:
     return mask
 
 
+def as_masks(exposures) -> np.ndarray:
+    """Pack each row of an (n, p) 0/1 array into a bitmask, as :func:`as_mask`.
+
+    Shifts and ors in one column at a time, with no int64 copy of the array.
+    """
+    masks = np.zeros(len(exposures), dtype=np.int64)
+    for column in exposures.T[::-1]:
+        masks <<= 1
+        masks |= column
+    return masks
+
+
 def as_bits(mask: int, p: int) -> tuple:
     """Unpack a bitmask into a length-``p`` tuple of 0/1 ints."""
     return tuple((mask >> j) & 1 for j in range(p))

@@ -18,7 +18,7 @@ from math import comb, fsum
 
 import numpy as np
 
-from .inference import measure_gradient, parts_gradients
+from .inference import measure_gradient
 from .measures import (
     KINDS,
     MeasureSpec,
@@ -29,6 +29,7 @@ from .measures import (
     or_increment,
     predicted_or,
     predicted_or_increments,
+    spec_plan,
 )
 from .errors import UndefinedSynergyError
 from .patterns import alternating_binomial_sum
@@ -176,11 +177,12 @@ def _random_spec(p, rng, kind, hold_one):
 def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
     """Worst error of the analytic gradients against finite differences.
 
-    Checks the three part gradients and the assembled measure gradient at
-    random (parameters, spec) points.  The points cycle through the four
-    kinds, and every other round of four holds a factor at level 1, so
-    each kind is also checked where its baseline odds ratio varies with
-    the coefficients (with every held level 0 that gradient is zero).
+    Checks the three part gradients (each odds ratio of the plan times its
+    downset row) and the assembled measure gradient at random (parameters,
+    spec) points.  The points cycle through the four kinds, and every
+    other round of four holds a factor at level 1, so each kind is also
+    checked where its baseline odds ratio varies with the coefficients
+    (with every held level 0 that gradient is zero).
     Points where the synergy index is undefined nearby, or where the
     attributable-proportion denominator is within 1e-6 relative of its
     tie, are redrawn (the gradient is not defined there).
@@ -197,8 +199,7 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
             continue
         params = random_params(p, rng)
         spec = _random_spec(p, rng, kind, hold_one)
-        parts = measure_parts(params, spec)
-        a, b = parts.joint, parts.predicted
+        a, b, c, terms, rows = params.plan_parts(spec_plan(p, spec))
         if spec.kind == "AP" and abs(a - b) < 1e-6 * max(a, b):
             continue
         try:
@@ -206,14 +207,13 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
             fd_measure = _fd(lambda pr: measure(pr, spec), params, step)
         except UndefinedSynergyError:
             continue
-        g = parts_gradients(params, spec)
         fd_joint = _fd(lambda pr: measure_parts(pr, spec).joint, params, step)
         fd_pred = _fd(lambda pr: measure_parts(pr, spec).predicted, params, step)
         fd_base = _fd(lambda pr: measure_parts(pr, spec).baseline, params, step)
         for exact, approx in (
-            (g.joint, fd_joint),
-            (g.predicted, fd_pred),
-            (g.baseline, fd_base),
+            (a * rows[0], fd_joint),
+            (terms @ rows, fd_pred),
+            (c * rows[1], fd_base),
             (analytic, fd_measure),
         ):
             for x, y in zip(exact, approx):

@@ -15,6 +15,7 @@ from .errors import PrevalenceError
 from .inference import normal_quantile
 from .logit import CaseControlDataset
 from .measures import MeasureSpec, StructuralParams, measure
+from .patterns import as_masks
 
 _BATCH = 8192  # fixed so that a given seed always yields the same stream
 
@@ -117,8 +118,7 @@ def _population_batch(design, rng, chol, size=_BATCH):
     for j, model in enumerate(design.z_models):
         z[:, j] = model.draw(rng, size)
 
-    weights = (1 << np.arange(design.p)).astype(np.int64)
-    masks = exposures.astype(np.int64) @ weights
+    masks = as_masks(exposures)
     eta = (
         design.kappa_true[0]
         + design.psi_true.log_or_table[masks]

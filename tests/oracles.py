@@ -4,7 +4,10 @@ Each is written out from its definition, independently of the code it
 checks, and lives here because only the tests use it.
 """
 
-from math import fsum, sqrt
+from dataclasses import dataclass
+from math import comb, exp, fsum, log, sqrt, tanh
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -18,18 +21,18 @@ from interodds.errors import (
 from interodds.inference import (
     AP_TIE_RTOL,
     EstimateReport,
-    ci_transform,
     normal_quantile,
 )
 from interodds.measures import (
     StructuralParams,
+    canonical_kind,
     excess_or,
     measure,
     measure_value,
     odds_ratio,
     spec_plan,
 )
-from interodds.patterns import as_mask, pattern_index
+from interodds.patterns import as_bits, as_mask, pattern_index
 from interodds.selfcheck import iter_splits, random_params, rel_err
 
 
@@ -39,6 +42,82 @@ def downset_indicator(u) -> np.ndarray:
     mask = as_mask(bits)
     masks = pattern_index(len(bits)).masks.tolist()
     return np.array([int(m & ~mask == 0) for m in masks], dtype=np.int8)
+
+
+def parts_gradients(params, spec):
+    """Gradients of the (joint, predicted, baseline) odds ratios by psi.
+
+    Each odds ratio of the spec's plan differentiates to itself times the
+    :func:`downset_indicator` of its pattern; the predicted part weights
+    them by the plan's coefficients.
+    """
+    masks, coef, _ = spec_plan(params.p, spec)
+    ors = params.or_table[masks]
+    rows = np.array([downset_indicator(as_bits(m, params.p)) for m in masks.tolist()],
+                    dtype=float)
+    return SimpleNamespace(
+        joint=ors[0] * rows[0], predicted=(coef * ors) @ rows, baseline=ors[1] * rows[1]
+    )
+
+
+def _full_mask(w, varying, fixed_mask):
+    """The full-pattern mask of the mask ``w`` over the varying factors."""
+    mask = fixed_mask
+    for i, j in enumerate(varying):
+        if (w >> i) & 1:
+            mask |= 1 << j
+    return mask
+
+
+def increment_terms_loop(varying, vj_local, fixed_mask):
+    """Masks and signs of the increment at ``v_j``, every ``w <= v_j`` ascending."""
+    masks, signs = [], []
+    d = vj_local.bit_count()
+    for w in range(1 << len(varying)):
+        if w & ~vj_local:
+            continue
+        masks.append(_full_mask(w, varying, fixed_mask))
+        signs.append(-1.0 if (d - w.bit_count()) % 2 else 1.0)
+    return np.array(masks), np.array(signs)
+
+
+def increment_sum_terms_loop(varying, vj_local, fixed_mask, order):
+    """The increment terms of each ``w <= v_j`` with ``|w| <= order``, and their slices."""
+    masks, signs, slices, start = [], [], [], 0
+    for w in range(1 << len(varying)):
+        if w & ~vj_local or w.bit_count() > order:
+            continue
+        m, s = increment_terms_loop(varying, w, fixed_mask)
+        masks += m.tolist()
+        signs += s.tolist()
+        slices.append(slice(start, start + len(m)))
+        start += len(m)
+    return np.array(masks), np.array(signs), tuple(slices)
+
+
+def prediction_terms_loop(varying, vj_local, fixed_mask, order):
+    """Masks and coefficients ``(-1)^(order-|w|) C(|v_j|-1-|w|, order-|w|)``."""
+    masks, coeffs = [], []
+    d = vj_local.bit_count()
+    for w in range(1 << len(varying)):
+        k = w.bit_count()
+        if w & ~vj_local or k > order:
+            continue
+        masks.append(_full_mask(w, varying, fixed_mask))
+        coeffs.append((-1.0) ** (order - k) * comb(d - 1 - k, order - k))
+    return np.array(masks), np.array(coeffs)
+
+
+def spec_terms_loop(p, varying, fixed_mask, order):
+    """The (masks, coef, rows) plan: joint, baseline, then the prediction terms."""
+    joint = _full_mask((1 << len(varying)) - 1, varying, fixed_mask)
+    pred_masks, coeffs = prediction_terms_loop(
+        varying, (1 << len(varying)) - 1, fixed_mask, order - 1
+    )
+    masks = np.array([joint, fixed_mask, *pred_masks.tolist()])
+    coef = np.array([0.0, 0.0, *coeffs.tolist()])
+    rows = [downset_indicator(as_bits(m, p)) for m in masks.tolist()]
+    return masks, coef, np.array(rows, dtype=float)
 
 
 def excess_or_explicit(params, fixed, order: int) -> float:
@@ -111,6 +190,59 @@ def excess_oracle_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
                     oracle = excess_or_explicit(params, fixed, order)
                     worst = max(worst, rel_err(fast, oracle))
     return worst
+
+
+def _unit(x: float) -> float:
+    if not -1.0 < x < 1.0:
+        raise TransformRangeError(f"value {x} outside the open interval (-1, 1)")
+    return x
+
+
+def _positive(x: float) -> float:
+    if not x > 0.0:
+        raise TransformRangeError(f"value {x} outside (0, inf)")
+    return x
+
+
+def _exp(y: float) -> float:
+    if y < 700.0:
+        return exp(y)
+    with np.errstate(over="ignore"):  # inf past 709.78, where math.exp raises
+        return float(np.exp(y))
+
+
+@dataclass(frozen=True, eq=False)
+class Transform:
+    """Increasing map from a measure's range to the real line."""
+
+    name: str
+    apply: Callable[[float], float]
+    invert: Callable[[float], float]
+    derivative: Callable[[float], float]
+
+
+_LOG = Transform("log", lambda x: log(_positive(x)), _exp, lambda x: 1.0 / _positive(x))
+_TRANSFORMS = {
+    "OR": _LOG,
+    "EOR": Transform("identity", lambda x: x, lambda y: y, lambda x: 1.0),
+    "AP": Transform(
+        "atanh_like",
+        lambda x: log((1.0 + _unit(x)) / (1.0 - x)),
+        lambda y: tanh(0.5 * y),
+        lambda x: 2.0 / (1.0 - _unit(x) * x),
+    ),
+    "SI": _LOG,
+}
+
+
+def ci_transform(kind: str) -> Transform:
+    """Variance-stabilizing transform of each measure kind, as delta_ci uses it.
+
+    Identity for the excess odds ratio, ``log((1 + x)/(1 - x))`` for the
+    attributable proportion, and the logarithm for the synergy index and
+    the joint odds ratio.  Each kind's transform is one shared instance.
+    """
+    return _TRANSFORMS[canonical_kind(kind)]
 
 
 def bootstrap_ci_per_replicate(fit, replicates, spec, alpha=0.05):

@@ -19,11 +19,9 @@ from interodds.inference import (
     BootstrapReplicates,
     bootstrap_ci,
     bootstrap_replicates,
-    ci_transform,
     delta_ci,
     measure_gradient,
     normal_quantile,
-    parts_gradients,
 )
 from interodds.logit import (
     CaseControlDataset,
@@ -33,10 +31,12 @@ from interodds.logit import (
     fit_logit,
 )
 from interodds.measures import (
+    KINDS,
     MeasureSpec,
     StructuralParams,
     measure,
     measure_parts,
+    measure_value,
     spec_plan,
 )
 from interodds.patterns import pattern_index
@@ -45,8 +45,10 @@ from interodds.simulate import ConfounderModel, SimDesign, simulate
 
 from oracles import (
     bootstrap_ci_per_replicate,
+    ci_transform,
     delta_ci_reference,
     downset_indicator,
+    parts_gradients,
 )
 
 RUN2 = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
@@ -181,6 +183,7 @@ def test_transform_shapes():
     assert si.apply(1.0) == 0.0
     assert ci_transform("EOR").name == "identity"
     assert ci_transform("OR").name == "log"
+    assert {k: ci_transform(k).name for k in KINDS} == inference.TRANSFORM_NAMES
 
 
 @pytest.mark.parametrize(
@@ -345,7 +348,7 @@ def oracle_delta_ci(fit, spec, alpha=0.05):
     """The delta interval in two steps: part gradients, then the chain rule."""
     psi = fit.params.psi
     parts = measure_parts(psi, spec)
-    point = parts.value(spec.kind)
+    point = measure_value(spec.kind, *parts)
     g = parts_gradients(psi, spec)
     a, b, c = parts.joint, parts.predicted, parts.baseline
     if spec.kind == "OR":

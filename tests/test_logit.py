@@ -15,7 +15,6 @@ from interodds.errors import (
 )
 from interodds.logit import (
     CaseControlDataset,
-    FitOptions,
     FullParams,
     _evaluator,
     fit_batch,
@@ -372,7 +371,8 @@ def test_condition_cap_reads_the_information_eigenvalues():
     with pytest.raises(
         SeparationError, match=r"condition number \S+ exceeds 1e\+00; separation"
     ):
-        fit_logit(data, FitOptions(cond_cap=1.0))
+        with mock.patch.object(logit, "COND_CAP", 1.0):
+            fit_logit(data)
     # a zero eigenvalue is an infinite condition number, not a division error;
     # only eigvalsh sees one, as no matrix with one passes the certificate
     with mock.patch.object(np.linalg, "eigvalsh", lambda a: np.zeros(a.shape[:-1])), \
@@ -434,7 +434,8 @@ def test_too_few_records_rejected():
 def test_iteration_budget_respected():
     data = small_dataset(n=600, seed=14)
     with pytest.raises(ConvergenceError):
-        fit_logit(data, options=FitOptions(max_iter=1, score_tol=1e-14, step_tol=0.0))
+        with mock.patch.multiple(logit, MAX_ITER=1, SCORE_TOL=1e-14, STEP_TOL=0.0):
+            fit_logit(data)
 
 
 def test_fit_is_pinned_bit_for_bit():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from interodds import measures
 from interodds.errors import OrderRangeError, UndefinedSynergyError
 from interodds.measures import (
     MeasureSpec,
@@ -25,7 +26,15 @@ from interodds.selfcheck import (
     rel_err,
 )
 
-from oracles import downset_indicator, excess_or_explicit, excess_oracle_error
+from oracles import (
+    downset_indicator,
+    excess_or_explicit,
+    excess_oracle_error,
+    increment_sum_terms_loop,
+    increment_terms_loop,
+    prediction_terms_loop,
+    spec_terms_loop,
+)
 
 # the worked two-factor example used throughout: marginal odds ratios 2 and
 # 3, interaction odds ratio 1.5
@@ -188,6 +197,43 @@ def test_excess_explicit_rejects_many_factors():
     params = StructuralParams.zeros(4)
     with pytest.raises(ValueError):
         excess_or_explicit(params, {}, 1)
+
+
+def same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert not got.flags.writeable
+
+
+def test_compiled_plans_match_the_loop_oracle_bit_for_bit():
+    for p in range(1, 7):
+        for fixed in iter_splits(p):
+            spec = MeasureSpec(p=p, kind="EOR", order=1, fixed=fixed)
+            varying, fixed_mask = spec.varying, spec.fixed_mask
+            for vj in range(1 << len(varying)):
+                d = vj.bit_count()
+                got = measures._increment_terms(p, varying, vj, fixed_mask)
+                for g, w in zip(got, increment_terms_loop(varying, vj, fixed_mask),
+                                strict=True):
+                    same_bytes(g, w)
+                for order in range(d + 1):
+                    *got, slices = measures._increment_sum_terms(
+                        p, varying, vj, fixed_mask, order)
+                    *want, want_slices = increment_sum_terms_loop(
+                        varying, vj, fixed_mask, order)
+                    assert slices == want_slices
+                    for g, w in zip(got, want, strict=True):
+                        same_bytes(g, w)
+                for order in range(d):
+                    got = measures._prediction_terms(p, varying, vj, fixed_mask, order)
+                    want = prediction_terms_loop(varying, vj, fixed_mask, order)
+                    for g, w in zip(got, want, strict=True):
+                        same_bytes(g, w)
+            for order in range(1, len(varying) + 1):
+                spec = MeasureSpec(p=p, kind="EOR", order=order, fixed=fixed)
+                want = spec_terms_loop(p, varying, fixed_mask, order)
+                for g, w in zip(measures.spec_plan(p, spec), want, strict=True):
+                    same_bytes(g, w)
 
 
 # -------------------------------------------------------------------- measure
