@@ -278,22 +278,28 @@ def psi_coordinate_names(p, names=None):
 
 def _parse_confounder_model(text):
     text = text.strip()
-    if text.startswith("normal(") and text.endswith(")"):
-        inner = text[len("normal(") : -1]
-        mean, sd = (float(t) for t in inner.split(","))
-        return ConfounderModel.normal(mean, sd)
-    if text.startswith("discrete(") and text.endswith(")"):
-        inner = text[len("discrete(") : -1]
-        levels, probs = [], []
-        for chunk in inner.split(","):
-            level, prob = chunk.split(":")
-            levels.append(float(level))
-            probs.append(float(prob))
-        return ConfounderModel.discrete(levels, probs)
+    kind, _, inner = text.partition("(")
+    try:
+        chunks = [[float(t) for t in c.split(":")] for c in inner[:-1].split(",")]
+    except ValueError:
+        chunks = []
+    shape = [len(c) for c in chunks] if inner.endswith(")") else []
+    if kind == "normal" and shape == [1, 1]:
+        return ConfounderModel.normal(chunks[0][0], chunks[1][0])
+    if kind == "discrete" and set(shape) == {2}:
+        return ConfounderModel.discrete(*zip(*chunks))
     raise ValueError(
         f"bad confounder model {text!r}; expected normal(mean, sd) or "
         "discrete(level: prob, ...)"
     )
+
+
+def _floats(text):
+    return [float(t) for t in text.split(",") if t.strip()]
+
+
+# What a value that Python's own conversion rejects should have been
+_EXPECTED = {int: "an integer", float: "a number", _floats: "numbers separated by commas"}
 
 
 def _parse_fix(text, p):
@@ -336,39 +342,43 @@ def parse_design_file(path):
             key = key.strip()
             if key in entries:
                 raise ValueError(f"line {lineno}: duplicate key {key!r}")
-            entries[key] = value.strip()
+            entries[key] = lineno, value.strip()
 
-    def require(key):
+    def parsed(key, convert, default=None):
+        """``convert`` of the value of ``key``; a bad value names the key and its line."""
         if key not in entries:
-            raise ValueError(f"design file is missing required key {key!r}")
-        return entries.pop(key)
+            if default is None:
+                raise ValueError(f"design file is missing required key {key!r}")
+            return convert(default)
+        lineno, text = entries.pop(key)
+        try:
+            return convert(text)
+        except ValueError as exc:
+            expected = _EXPECTED.get(convert)
+            detail = f"expected {expected}, got {text!r}" if expected else exc
+            raise ValueError(f"line {lineno}: {key}: {detail}") from None
 
-    def floats(text):
-        return [float(t) for t in text.split(",") if t.strip()]
-
-    p = int(require("p"))
-    q = int(require("q"))
-    n0 = int(require("n0"))
-    n1 = int(require("n1"))
-    seed = int(entries.pop("seed", "0"))
-    psi = floats(require("psi"))
+    p = parsed("p", int)
+    q = parsed("q", int)
+    n0 = parsed("n0", int)
+    n1 = parsed("n1", int)
+    seed = parsed("seed", int, "0")
+    psi = parsed("psi", _floats)
     if len(psi) != (1 << p) - 1:
         raise ValueError(
             f"psi needs {(1 << p) - 1} values in canonical order "
             f"({', '.join(psi_coordinate_names(p))}), got {len(psi)}"
         )
-    kappa = floats(require("kappa"))
-    probs = floats(require("exposure_probs"))
-    rho = float(entries.pop("exposure_rho", "0"))
+    kappa = parsed("kappa", _floats)
+    probs = parsed("exposure_probs", _floats)
+    rho = parsed("exposure_rho", float, "0")
     z_models = tuple(
-        _parse_confounder_model(require(f"z{j + 1}")) for j in range(q)
+        parsed(f"z{j + 1}", _parse_confounder_model) for j in range(q)
     )
-    fixed = _parse_fix(entries.pop("fix", ""), p)
-    measures = [
-        parse_measure_token(tok)
-        for tok in entries.pop("measures", "").split(",")
-        if tok.strip()
-    ]
+    fixed = parsed("fix", lambda text: _parse_fix(text, p), "")
+    measures = parsed("measures", lambda text: [
+        parse_measure_token(tok) for tok in text.split(",") if tok.strip()
+    ], "")
     if entries:
         raise ValueError(f"unknown design keys: {sorted(entries)}")
 

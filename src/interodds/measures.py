@@ -262,18 +262,23 @@ def _varying_of(p, held_mask):
     return varying
 
 
-def _local_mask(v_j, varying) -> int:
+def _pattern(p: int, v_j, fixed, order=None) -> tuple:
+    """``(varying, fixed_mask, v_j's local mask)``, with ``order`` in ``0..|v_j|``."""
+    varying, fixed_mask = _validate_fixed(p, fixed)
     if len(v_j) != len(varying):
         raise ValueError(
             f"expected {len(varying)} levels for the varying factors, got {len(v_j)}"
         )
-    mask = 0
+    vj_local = 0
     for i, b in enumerate(v_j):
         if b == 1:
-            mask |= 1 << i
+            vj_local |= 1 << i
         elif b != 0:
             raise ValueError(f"levels must be 0 or 1, got {tuple(v_j)}")
-    return mask
+    d = vj_local.bit_count()
+    if order is not None and not 0 <= order <= d:
+        raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
+    return varying, fixed_mask, vj_local
 
 
 @lru_cache(maxsize=100_000)
@@ -303,22 +308,6 @@ def _increment_terms(p, varying, vj_local, fixed_mask):
     """Gather masks and signs for one alternating-sign increment."""
     _, masks, size = _below(varying, vj_local, fixed_mask, len(varying))
     return _frozen(masks, np.where((vj_local.bit_count() - size) & 1, -1.0, 1.0))
-
-
-@lru_cache(maxsize=100_000)
-def _increment_sum_terms(p, varying, vj_local, fixed_mask, order):
-    """The increment terms of every ``w <= v_j`` with ``|w| <= order``.
-
-    One concatenated gather for all of them; ``slices`` holds each
-    increment's slice of it, so every increment is still summed on its own
-    before the increments are added up.
-    """
-    below = _below(varying, vj_local, fixed_mask, order)[0].tolist()
-    parts = [_increment_terms(p, varying, w, fixed_mask) for w in below]
-    ends = np.cumsum([len(m) for m, _ in parts]).tolist()
-    slices = tuple(map(slice, [0, *ends[:-1]], ends))
-    return (*_frozen(np.concatenate([m for m, _ in parts]),
-                     np.concatenate([s for _, s in parts])), slices)
 
 
 @lru_cache(maxsize=100_000)
@@ -366,8 +355,10 @@ def or_increment(params: StructuralParams, v_j, fixed=None) -> float:
         it is a plain difference of odds ratios; for two or more factors
         it measures additive interaction net of all lower orders.
     """
-    varying, fixed_mask = _validate_fixed(params.p, fixed)
-    vj_local = _local_mask(v_j, varying)
+    return _increment(params, *_pattern(params.p, v_j, fixed))
+
+
+def _increment(params: StructuralParams, varying, fixed_mask, vj_local) -> float:
     masks, signs = _increment_terms(params.p, varying, vj_local, fixed_mask)
     # alternating sums cancel heavily; fsum keeps the increment correctly
     # rounded instead of accumulating error term by term
@@ -381,12 +372,8 @@ def predicted_or(params: StructuralParams, v_j, fixed, order: int) -> float:
     ``order`` active factors (the fast path); at ``order == |v_j|`` the
     truncation is vacuous and the exact odds ratio is returned.
     """
-    varying, fixed_mask = _validate_fixed(params.p, fixed)
-    vj_local = _local_mask(v_j, varying)
-    d = vj_local.bit_count()
-    if not 0 <= order <= d:
-        raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
-    if order == d:
+    varying, fixed_mask, vj_local = _pattern(params.p, v_j, fixed, order)
+    if order == vj_local.bit_count():
         return float(params.or_table[_sublattice(varying, fixed_mask)[1][vj_local]])
     masks, coeffs = _prediction_terms(
         params.p, varying, vj_local, fixed_mask, order
@@ -398,19 +385,13 @@ def predicted_or_increments(params: StructuralParams, v_j, fixed, order: int) ->
     """Reference implementation of :func:`predicted_or`: sum the increments.
 
     Literally adds :func:`or_increment` over every subpattern of ``v_j``
-    with at most ``order`` active factors.  Slower than the closed form
-    but definitionally transparent; kept as a cross-check.
+    with at most ``order`` active factors: the ``fsum`` of each increment's
+    own ``fsum``.  Slower than the closed form but definitionally
+    transparent; kept as a cross-check.
     """
-    varying, fixed_mask = _validate_fixed(params.p, fixed)
-    vj_local = _local_mask(v_j, varying)
-    d = vj_local.bit_count()
-    if not 0 <= order <= d:
-        raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
-    masks, signs, slices = _increment_sum_terms(
-        params.p, varying, vj_local, fixed_mask, order
-    )
-    terms = (signs * params.or_table[masks]).tolist()
-    return fsum(map(fsum, map(terms.__getitem__, slices)))
+    varying, fixed_mask, vj_local = _pattern(params.p, v_j, fixed, order)
+    below = _below(varying, vj_local, fixed_mask, order)[0].tolist()
+    return fsum(_increment(params, varying, fixed_mask, w) for w in below)
 
 
 def excess_or(params: StructuralParams, fixed, order: int) -> float:

@@ -28,7 +28,6 @@ from .measures import (
     odds_ratio,
     or_increment,
     predicted_or,
-    predicted_or_increments,
     spec_plan,
 )
 from .errors import UndefinedSynergyError
@@ -59,13 +58,32 @@ def iter_splits(p: int):
             yield {j: (levels >> i) & 1 for i, j in enumerate(held)}
 
 
-def _full_bits(p, fixed, varying, vj_local):
-    bits = [0] * p
-    for j, level in fixed.items():
-        bits[j] = level
-    for i, j in enumerate(varying):
-        bits[j] = (vj_local >> i) & 1
-    return tuple(bits)
+def _identity_grid(p_values, draws, seed, stride):
+    """Every (draw, split, pattern ``v_j``) of each ``p``, seeded ``seed + stride * p``.
+
+    Yields ``(params, fixed, v_j bits, incs, below, target)``: ``incs`` are
+    the increments of every pattern of the varying factors, computed once
+    per (split, draw); ``below`` the local masks ``w <= v_j``; ``target`` the
+    odds ratio at ``v_j``.
+    """
+    for p in p_values:
+        rng = np.random.default_rng(seed + stride * p)
+        splits = list(iter_splits(p))
+        for _ in range(draws):
+            params = random_params(p, rng)
+            for fixed in splits:
+                varying = tuple(j for j in range(p) if j not in fixed)
+                patterns = [
+                    tuple((w >> i) & 1 for i in range(len(varying)))
+                    for w in range(1 << len(varying))
+                ]
+                incs = [or_increment(params, v, fixed) for v in patterns]
+                for vj, v_bits in enumerate(patterns):
+                    bits = [fixed.get(j, 0) for j in range(p)]
+                    for i, j in enumerate(varying):
+                        bits[j] = v_bits[i]
+                    below = [w for w in range(len(patterns)) if not (w & ~vj)]
+                    yield params, fixed, v_bits, incs, below, odds_ratio(params, bits)
 
 
 def expansion_identity_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
@@ -75,57 +93,28 @@ def expansion_identity_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
     combination, and every pattern of the varying factors.
     """
     worst = 0.0
-    for p in p_values:
-        rng = np.random.default_rng(seed + p)
-        splits = list(iter_splits(p))
-        for _ in range(draws):
-            params = random_params(p, rng)
-            for fixed in splits:
-                varying = tuple(j for j in range(p) if j not in fixed)
-                nj = len(varying)
-                incs = [
-                    or_increment(
-                        params, tuple((w >> i) & 1 for i in range(nj)), fixed
-                    )
-                    for w in range(1 << nj)
-                ]
-                for vj in range(1 << nj):
-                    lhs = fsum(
-                        incs[w] for w in range(1 << nj) if not (w & ~vj)
-                    )
-                    rhs = odds_ratio(params, _full_bits(p, fixed, varying, vj))
-                    worst = max(worst, abs(lhs - rhs) / rhs)
+    for _, _, _, incs, below, target in _identity_grid(p_values, draws, seed, 1):
+        worst = max(worst, abs(fsum(incs[w] for w in below) - target) / target)
     return worst
 
 
 def prediction_equivalence_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
-    """Worst disagreement between the two prediction paths.
+    """Worst disagreement between the closed-form prediction and the increments.
 
-    The increment-sum reference and the closed form must agree for every
-    truncation order below the pattern cardinality, and both must equal
-    the plain odds ratio when nothing is truncated.
+    For every truncation order the closed form must equal the ``fsum`` of
+    the increments below the pattern with at most that many factors on;
+    with nothing truncated, both must equal the plain odds ratio.
     """
     worst = 0.0
-    for p in p_values:
-        rng = np.random.default_rng(seed + 31 * p)
-        drawn = [random_params(p, rng) for _ in range(draws)]
-        for fixed in iter_splits(p):
-            varying = tuple(j for j in range(p) if j not in fixed)
-            nj = len(varying)
-            for vj in range(1 << nj):
-                v_bits = tuple((vj >> i) & 1 for i in range(nj))
-                d = vj.bit_count()
-                full_bits = _full_bits(p, fixed, varying, vj)
-                for params in drawn:
-                    for order in range(d):
-                        closed = predicted_or(params, v_bits, fixed, order)
-                        ref = predicted_or_increments(params, v_bits, fixed, order)
-                        worst = max(worst, rel_err(closed, ref))
-                    full = predicted_or(params, v_bits, fixed, d)
-                    ref = predicted_or_increments(params, v_bits, fixed, d)
-                    target = odds_ratio(params, full_bits)
-                    worst = max(worst, rel_err(full, target))
-                    worst = max(worst, rel_err(ref, target))
+    for params, fixed, v_bits, incs, below, target in _identity_grid(
+        p_values, draws, seed, 31
+    ):
+        d = sum(v_bits)
+        for order in range(d + 1):
+            ref = fsum(incs[w] for w in below if w.bit_count() <= order)
+            closed = predicted_or(params, v_bits, fixed, order)
+            worst = max(worst, rel_err(closed, ref if order < d else target))
+        worst = max(worst, rel_err(ref, target))
     return worst
 
 

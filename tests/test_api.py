@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import re
 import subprocess
@@ -26,6 +27,43 @@ def test_every_exported_name_resolves():
     assert len(set(interodds.__all__)) == len(interodds.__all__)
     for name in interodds.__all__:
         assert hasattr(interodds, name), name
+
+
+PUBLIC = {
+    # what the demos and the README import
+    "ConfounderModel", "MeasureSpec", "SimDesign", "StructuralParams",
+    "UndefinedSynergyError", "bootstrap_ci", "bootstrap_replicates", "delta_ci",
+    "fit_logit", "measure", "measure_parts", "odds_ratio", "or_increment",
+    "psi_coordinate_names", "simulate", "true_measure",
+    # the other error classes: each maps to an exit code
+    "BootstrapFailureError", "ConvergenceError", "CsvParseError", "EmptyClassError",
+    "InterOddsError", "NegativeVarianceError", "NonBinaryFactorError",
+    "OrderRangeError", "PrevalenceError", "SeparationError", "SingularDesignError",
+    "TransformRangeError",
+    # the data and result types, and CSV in and out
+    "CaseControlDataset", "FitResult", "EstimateReport", "load_csv", "write_csv",
+}
+
+# names left to their own modules, each still importable there
+SUBMODULE_ONLY = [
+    ("logit", "FullParams"), ("logit", "fit_design"), ("inference", "fit_design"),
+    ("inference", "measure_parts"), ("inference", "measure_gradient"),
+    ("measures", "KINDS"), ("measures", "MeasureParts"), ("measures", "canonical_kind"),
+    ("measures", "excess_or"), ("measures", "predicted_or"),
+    ("patterns", "MAX_FACTORS"), ("patterns", "PatternIndex"),
+    ("patterns", "pattern_index"), ("dataio", "parse_design_file"),
+    ("dataio", "parse_measure_token"), ("selfcheck", "run_all"),
+]
+
+
+def test_the_public_surface_is_what_callers_use():
+    assert len(PUBLIC) == 33
+    assert set(interodds.__all__) == PUBLIC
+
+
+@pytest.mark.parametrize("module, name", SUBMODULE_ONLY)
+def test_submodule_names_still_import(module, name):
+    assert hasattr(importlib.import_module(f"interodds.{module}"), name)
 
 
 @pytest.mark.parametrize(

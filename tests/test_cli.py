@@ -415,6 +415,28 @@ def test_simulate_command_rejects_zero_cases(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("z1 = normal(0, 1)", "z1 = discrete(0, 1, 2)",
+     "line 10: z1: bad confounder model 'discrete(0, 1, 2)'; expected normal(mean, sd)"
+     " or discrete(level: prob, ...)"),
+    ("z1 = normal(0, 1)", "z1 = normal(0)", "line 10: z1: bad confounder model 'normal(0)'"),
+    ("z1 = normal(0, 1)", "z1 = normal(0, x)",
+     "line 10: z1: bad confounder model 'normal(0, x)'"),
+    ("p = 2", "p = x", "line 2: p: expected an integer, got 'x'"),
+    ("psi = 0.6931471805599453, 1.0986122886681098, 0.4054651081081644",
+     "psi = 0.5, abc, 0.1",
+     "line 7: psi: expected numbers separated by commas, got '0.5, abc, 0.1'"),
+])
+def test_simulate_names_the_bad_design_value(tmp_path, capsys, old, new, message):
+    design_path = tmp_path / "design.txt"
+    design_path.write_text(DESIGN.replace(old, new))
+    code = main(["simulate", "--design", str(design_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}"), err
+    assert "unpack" not in err and "int()" not in err and "float" not in err
+
+
 def test_simulate_then_analyze_round_trip(tmp_path, capsys):
     design_path = tmp_path / "design.txt"
     design_path.write_text(DESIGN.replace("200", "2000"))

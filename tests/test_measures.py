@@ -1,4 +1,5 @@
 from dataclasses import FrozenInstanceError
+from math import fsum
 
 import numpy as np
 import pytest
@@ -216,14 +217,6 @@ def test_compiled_plans_match_the_loop_oracle_bit_for_bit():
                 for g, w in zip(got, increment_terms_loop(varying, vj, fixed_mask),
                                 strict=True):
                     same_bytes(g, w)
-                for order in range(d + 1):
-                    *got, slices = measures._increment_sum_terms(
-                        p, varying, vj, fixed_mask, order)
-                    *want, want_slices = increment_sum_terms_loop(
-                        varying, vj, fixed_mask, order)
-                    assert slices == want_slices
-                    for g, w in zip(got, want, strict=True):
-                        same_bytes(g, w)
                 for order in range(d):
                     got = measures._prediction_terms(p, varying, vj, fixed_mask, order)
                     want = prediction_terms_loop(varying, vj, fixed_mask, order)
@@ -234,6 +227,54 @@ def test_compiled_plans_match_the_loop_oracle_bit_for_bit():
                 want = spec_terms_loop(p, varying, fixed_mask, order)
                 for g, w in zip(measures.spec_plan(p, spec), want, strict=True):
                     same_bytes(g, w)
+
+
+def test_increment_sum_is_the_sliced_reference_bit_for_bit():
+    # the sum of increments, formed from the loop oracle's concatenated
+    # terms and slices: an fsum of each increment's own fsum
+    rng = np.random.default_rng(20)
+    for p in range(1, 6):
+        for params in [random_params(p, rng) for _ in range(3)]:
+            for fixed in iter_splits(p):
+                spec = MeasureSpec(p=p, kind="EOR", order=1, fixed=fixed)
+                nj = len(spec.varying)
+                for vj in range(1 << nj):
+                    v_bits = tuple((vj >> i) & 1 for i in range(nj))
+                    for order in range(vj.bit_count() + 1):
+                        masks, signs, slices = increment_sum_terms_loop(
+                            spec.varying, vj, spec.fixed_mask, order)
+                        terms = (signs * params.or_table[masks]).tolist()
+                        want = fsum(fsum(terms[s]) for s in slices)
+                        got = predicted_or_increments(params, v_bits, fixed, order)
+                        assert got == want
+
+
+@pytest.mark.parametrize("func", [or_increment, predicted_or, predicted_or_increments],
+                         ids=lambda func: func.__name__)
+def test_pattern_arguments_raise_the_same_errors(func):
+    params = StructuralParams.zeros(3)
+
+    def call(v_j, fixed, order=0):
+        if func is or_increment:
+            return func(params, v_j, fixed)
+        return func(params, v_j, fixed, order)
+
+    with pytest.raises(ValueError, match=r"^fixed factor 5 outside 0\.\.2$"):
+        call((1, 1, 0), {5: 0})
+    with pytest.raises(ValueError, match=r"^fixed level for factor 2 must be 0 or 1$"):
+        call((1, 1), {2: 3})
+    with pytest.raises(ValueError,
+                       match=r"^expected 2 levels for the varying factors, got 3$"):
+        call((1, 1, 0), {2: 0})
+    with pytest.raises(ValueError, match=r"^levels must be 0 or 1, got \(1, 2\)$"):
+        call((1, 2), {2: 0})
+    if func is not or_increment:
+        with pytest.raises(OrderRangeError,
+                           match=r"^prediction order must be in 0\.\.1, got 2$"):
+            call((1, 0), {2: 0}, 2)
+        with pytest.raises(OrderRangeError,
+                           match=r"^prediction order must be in 0\.\.2, got -1$"):
+            call((1, 1), {2: 0}, -1)
 
 
 # -------------------------------------------------------------------- measure
