@@ -34,9 +34,11 @@ class NegativeVarianceError(InterOddsError, ValueError):
 class SeparationError(InterOddsError, RuntimeError):
     """Coefficients diverging or information matrix near-singular.
 
-    Raised when any coefficient magnitude exceeds the divergence bound
-    during iteration, or the condition number of the information matrix
-    exceeds its cap.  Usually means (quasi-)complete separation.
+    Raised when the magnitude of the intercept, a structural coefficient or
+    a slope times its covariate's standard deviation exceeds the divergence
+    bound during iteration, or the condition number of the information
+    matrix exceeds its cap.  Usually means (quasi-)complete separation, or,
+    where the message names one, a nearly collinear covariate.
     """
 
 

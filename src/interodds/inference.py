@@ -1,12 +1,13 @@
 """Confidence intervals for the odds-scale measures.
 
 The delta method propagates the asymptotic covariance of the structural
-coefficients through a measure: the gradient of the measure with respect
-to those coefficients is assembled analytically through its three
-odds-ratio parts, the variance is the usual quadratic form, and the
-interval is built symmetrically on a variance-stabilizing scale and mapped
-back.  A stratified percentile bootstrap is provided as an independent,
-slower route to the same interval.
+coefficients through a measure.  Every measure is a function of three
+odds-ratio parts, so its variance is ``r' G r``: ``r`` holds its analytic
+derivatives by the parts and ``G`` is the parts' 3 x 3 covariance, which
+each fit keeps per plan.  The interval is built symmetrically on a
+variance-stabilizing scale and mapped back.  A stratified percentile
+bootstrap is provided as an independent, slower route to the same
+interval.
 """
 
 from dataclasses import dataclass
@@ -27,6 +28,7 @@ from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa:
 from .measures import (
     MeasureSpec,
     StructuralParams,
+    _frozen,
     kind_value,
     log_or_tables,
     measure,
@@ -35,6 +37,7 @@ from .measures import (
     si_defined,
     spec_plan,
 )
+from .patterns import downset_rows
 
 # Relative gap below which the attributable-proportion denominator is
 # treated as tied; the gradient then follows the joint-OR branch.
@@ -72,33 +75,55 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     subgradient is used there (ties have measure zero for continuous
     estimates).
     """
-    return _point_and_gradient(params, spec)[3]
-
-
-def _point_and_gradient(params: StructuralParams, spec: MeasureSpec) -> tuple:
-    """Joint and predicted parts, value and gradient from the plan's cached parts.
-
-    ``r0, r1, r2`` are the derivatives of the measure by its (joint,
-    predicted, baseline) parts; they scale a copy of the plan's weighted
-    odds ratios.  The value is :func:`measure_value`, written out.
-    """
     a, b, c, terms, rows = params.plan_parts(spec_plan(params.p, spec))
-    if spec.kind == "OR":
-        point, r0, r1, r2 = a / c, 1.0 / c, 0.0, -a / c**2
-    elif spec.kind == "EOR":
-        point, r0, r1, r2 = (a - b) / c, 1.0 / c, -1.0 / c, -(a - b) / c**2
-    elif spec.kind == "AP" and a >= b:
-        point, r0, r1, r2 = (a - b) / a, b / a**2, -1.0 / a, 0.0
-    elif spec.kind == "AP":
-        point, r0, r1, r2 = (a - b) / b, 1.0 / b, -a / b**2, 0.0
-    else:
-        point = measure_value(spec.kind, a, b, c)  # raises where SI is undefined
-        d = b - c
-        r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
-    t = terms * r1
+    _, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
+    t = terms * r1  # each odds ratio differentiates to itself times its row
     t[0] = r0 * a
     t[1] = r2 * c
-    return a, b, point, t.dot(rows)
+    return t.dot(rows)
+
+
+def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
+    """The measure (:func:`measure_value`) and its derivatives by its parts."""
+    if kind == "OR":
+        return a / c, 1.0 / c, 0.0, -a / c**2
+    if kind == "EOR":
+        return (a - b) / c, 1.0 / c, -1.0 / c, -(a - b) / c**2
+    if kind == "AP" and a >= b:
+        return (a - b) / a, b / a**2, -1.0 / a, 0.0
+    if kind == "AP":
+        return (a - b) / b, 1.0 / b, -a / b**2, 0.0
+    d = b - c  # measure_value raises first where the synergy index is undefined
+    return measure_value(kind, a, b, c), 1.0 / d, -(a - c) / d**2, (a - b) / d**2
+
+
+def _plan_covariance(fit: FitResult, plan: tuple) -> tuple:
+    """``(a, b, c, G00, G01, G02, G11, G12, G22)``: a plan's parts and their covariance.
+
+    The parts are :meth:`~interodds.measures.StructuralParams.plan_parts`'s.
+    ``G`` reads ``Y = diag(OR) R sigma_psi R' diag(OR)``, the covariance of
+    the odds ratios at all masks (``R`` their downset rows).  Both are kept
+    on the fit from first use, ``Y`` while ``sigma_psi`` and ``params.psi``
+    are the same objects.
+    """
+    cache = fit._delta
+    if cache is None or cache[0] is not fit.sigma_psi or cache[1] is not fit.params.psi:
+        ors = fit.params.psi.or_table
+        d = downset_rows(fit.params.psi.p, np.arange(len(ors))) * ors[:, None]
+        y = _frozen(d.dot(fit.sigma_psi).dot(d.T))[0]
+        cache = (fit.sigma_psi, fit.params.psi, y, y.tolist(), ors.tolist(), {})
+        fit._delta = cache
+    entry = cache[5].get(id(plan))
+    if entry is None or entry[1] is not plan:  # not cached, or a copy's key
+        _, _, y, rows, ors, entries = cache
+        (j, z, *m), k = plan[0].tolist(), plan[1].tolist()[2:]
+        u = y.take(plan[0][2:], 1).dot(plan[1][2:]).tolist()  # Y[:, m] coef
+        # the entry holds the plan, so its id names no other plan
+        entry = entries[id(plan)] = (
+            ors[j], fsum([w * ors[i] for w, i in zip(k, m)]), ors[z], rows[j][j],
+            u[j], rows[j][z], sum([w * u[i] for w, i in zip(k, m)]), u[z], rows[z][z]
+        ), plan
+    return entry[0]
 
 
 def _unit(x: float) -> float:
@@ -148,13 +173,14 @@ class EstimateReport:
 def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> EstimateReport:
     """Delta-method confidence interval for a measure at the fitted model.
 
-    The variance of the estimate is the quadratic form of the analytic
-    gradient with the structural covariance block; the interval is
-    symmetric on the transformed scale and mapped back, so it respects
-    the measure's natural range.  The gradient reads the spec's plan parts
-    as the fit's parameters keep them, and the kind's transform (see
-    :data:`TRANSFORM_NAMES`) is written out, its derivative, map and
-    inverse in one step.
+    The variance of the estimate is ``r' G r``: ``r`` holds the measure's
+    analytic derivatives by its joint, predicted and baseline odds ratios,
+    and ``G`` is their 3 x 3 covariance, which the fit keeps per plan from
+    first use (see :func:`_plan_covariance`), so a call after the first of
+    its plan is scalar arithmetic.  The interval is symmetric on the
+    transformed scale and mapped back, so it respects the measure's natural
+    range; the kind's transform (see :data:`TRANSFORM_NAMES`) is written
+    out, its derivative, map and inverse in one step.
 
     Raises
     ------
@@ -171,8 +197,11 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    a, b, point, grad = _point_and_gradient(fit.params.psi, spec)
-    var = float(grad.dot(fit.sigma_psi).dot(grad))
+    a, b, c, g00, g01, g02, g11, g12, g22 = _plan_covariance(
+        fit, spec_plan(fit.params.psi.p, spec))
+    point, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
+    var = (r0 * (r0 * g00 + 2.0 * (r1 * g01 + r2 * g02))
+           + r1 * (r1 * g11 + 2.0 * r2 * g12) + r2 * r2 * g22)
     if var < -1e-10:
         raise NegativeVarianceError(
             f"delta-method variance {var:.3g} is negative; covariance defect"

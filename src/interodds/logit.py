@@ -16,7 +16,7 @@ any matching variables included as covariates); the intercept soaks up the
 sampling fractions and should not be interpreted.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -34,7 +34,7 @@ from .patterns import as_masks, lattice_sums, pattern_index
 MAX_ITER = 100
 SCORE_TOL = 1e-8  # scaled by (1 + |loglik|)
 STEP_TOL = 1e-10
-COEF_BOUND = 15.0  # |coefficient| beyond this means divergence
+COEF_BOUND = 15.0  # |intercept|, |psi| or |slope| x covariate SD beyond this diverges
 COND_CAP = 1e12  # information condition numbers above this mean separation
 
 
@@ -141,6 +141,8 @@ class FitResult:
     converged: bool
     gradient_norm: float
     ridge_used: bool = False
+    # inference.delta_ci's part covariances, kept from first use
+    _delta: tuple = field(default=None, init=False, repr=False)
 
     @property
     def se_psi(self) -> np.ndarray:
@@ -296,30 +298,51 @@ def _check_design(masks, zt, p):
         raise SingularDesignError(
             f"{deficient}: no record has {_patterns_named(p, counts == 0)}"
         )
-    centred = np.empty((n, q), order="F")
-    for j, z in enumerate(zt):
-        means = np.bincount(masks, z, nmask) / counts
-        np.subtract(z, means[masks], out=centred[:, j])
     tol = np.sqrt(cover.sum() + np.vdot(zt, zt)) * max(n, nmask + q) * 2.0**-52
-    if q == 0 or np.linalg.svd(centred, compute_uv=False)[-1] > tol:
-        return
-    for j in range(q):  # the first covariate that adds no rank
+    dependent = _first_dependent(masks, zt, counts, tol)
+    if dependent:
+        raise SingularDesignError(f"{deficient}: {dependent}")
+
+
+def _first_dependent(masks, zt, counts, tol, nearly=""):
+    """Name the first covariate that adds no singular value above ``tol``.
+
+    The covariates are centred within exposure patterns; ``counts`` holds
+    each mask's records, none of them 0.  None where every covariate adds one.
+    """
+    centred = np.empty((len(masks), len(zt)), order="F")
+    for j, z in enumerate(zt):
+        means = np.bincount(masks, z, len(counts)) / counts
+        np.subtract(z, means[masks], out=centred[:, j])
+    if not len(zt) or np.linalg.svd(centred, compute_uv=False)[-1] > tol:
+        return None
+    for j in range(len(zt)):
         if np.linalg.svd(centred[:, : j + 1], compute_uv=False)[-1] <= tol:
-            how = ("is collinear with the exposure patterns and the covariates "
-                   "before it" if j else "is constant within every exposure pattern")
-            raise SingularDesignError(
-                f"{deficient}: covariate {j + 1} (design column {nmask + j}) {how}"
-            )
+            how = ("collinear with the exposure patterns and the covariates before it"
+                   if j else "constant within every exposure pattern")
+            return f"covariate {j + 1} (design column {len(counts) + j}) is {nearly}{how}"
 
 
-def _separation_error(reason, masks, y, weights, p):
-    """SeparationError for ``reason``, naming the one-sided exposure patterns."""
+def _separation_error(reason, masks, y, weights, p, zt=()):
+    """SeparationError for ``reason``, naming the one-sided exposure patterns.
+
+    Where none is one-sided, it names a nearly collinear covariate of ``zt``
+    if there is one: one that, scaled to unit spread on the fit's records,
+    adds no singular value above 1e-3.  The information's condition number
+    grows as the inverse square of that value.
+    """
     cases = np.bincount(masks, weights * y, 1 << p)
     controls = np.bincount(masks, weights * (1.0 - y), 1 << p)
-    for side, only in (("cases", controls == 0), ("controls", cases == 0)):
-        if only.any():
-            reason += f"; only {side} have {_patterns_named(p, only)}"
-    return SeparationError(reason)
+    named = "".join(f"; only {side} have {_patterns_named(p, only)}" for side, only in (
+        ("cases", controls == 0), ("controls", cases == 0)) if only.any())
+    if not named and len(zt):
+        own, has = zt.compress(weights > 0, 1), masks[weights > 0]
+        own /= np.linalg.norm(own - own.mean(1, keepdims=True), axis=1, keepdims=True)
+        counts = np.bincount(has, minlength=1 << p)
+        dependent = _first_dependent(has, own, counts, 1e-3, "nearly ")
+        if dependent:
+            return SeparationError(f"{reason}; {dependent}")
+    return SeparationError(f"{reason}; separation suspected{named}")
 
 
 # The Cholesky margin of the certificate in _cleared, far above the
@@ -429,6 +452,12 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
             f"got {n.min():g}"
         )
     both = (weights @ y > 0) & (weights @ (1 - y) > 0)
+    scale = np.ones((nfits, ncols))  # COEF_BOUND reads a slope per weighted SD
+    for i, z in enumerate(zt, start=1 << p):
+        dev = z - z.mean()  # then the weighted mean of dev is near 0
+        mean = weights @ dev / n
+        spread = weights @ np.square(dev, out=dev) / n - mean**2
+        scale[:, i] = np.sqrt(np.maximum(spread, 0.0))
     errors = [None] * nfits
     checked = {}  # fits with the same records share one rank check
     for b in range(nfits):
@@ -472,8 +501,7 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
         for b, c in zip(rows[singular], cond[singular]):
             errors[b] = _separation_error(
                 f"information matrix condition number {c:.3g} exceeds "
-                f"{COND_CAP:.0e}; separation suspected",
-                masks, y, weights[b], p,
+                f"{COND_CAP:.0e}", masks, y, weights[b], p, zt,
             )
         rows, ridge = rows[~singular], ridge[~singular]
         system = _ridged(info[rows], ridge)
@@ -504,13 +532,12 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
             moved[pending[stuck]] = False
             pending = pending[~stuck]
 
-        worst = np.abs(beta[rows]).max(1)
+        worst = np.abs(beta[rows] * scale[rows]).max(1)
         diverged = moved & (worst > COEF_BOUND)
         for b, value in zip(rows[diverged], worst[diverged]):
             errors[b] = _separation_error(
                 f"coefficient magnitude {value:.3g} exceeds the divergence "
-                f"bound {COEF_BOUND}; separation suspected",
-                masks, y, weights[b], p,
+                f"bound {COEF_BOUND}", masks, y, weights[b], p,
             )
         small = np.abs(t[:, None] * step).max(1) <= STEP_TOL
         rows = rows[moved & ~diverged & ~small]
@@ -569,8 +596,9 @@ def fit_logit(data: CaseControlDataset, start=None) -> FitResult:
     SingularDesignError
         A design column is constant, or the design is collinear.
     SeparationError
-        A coefficient passed the divergence bound or the information
-        matrix condition number passed its cap during iteration.
+        A coefficient (a slope in units of its covariate's weighted SD)
+        passed the divergence bound or the information matrix condition
+        number passed its cap during iteration.
     ConvergenceError
         Iteration budget exhausted without meeting either tolerance.
     EmptyClassError

@@ -32,7 +32,7 @@ from interodds.measures import (
     odds_ratio,
     spec_plan,
 )
-from interodds.patterns import as_bits, as_mask, pattern_index
+from interodds.patterns import as_bits, as_mask, downset_rows, pattern_index
 from interodds.selfcheck import iter_splits, random_params, rel_err
 
 
@@ -289,12 +289,17 @@ def bootstrap_ci_per_replicate(fit, replicates, spec, alpha=0.05):
 
 
 def delta_ci_reference(fit, spec, alpha=0.05):
-    """:func:`interodds.inference.delta_ci` as one gather of the plan per call.
+    """:func:`interodds.inference.delta_ci` from scratch on every call.
 
-    Gathers the spec's odds ratios afresh, evaluates the measure with
-    :func:`measure_value` and maps the interval through the transform's
-    ``derivative``, ``apply`` and ``invert``.  The package must agree with
-    it bit for bit: the same operations on the same operands.
+    Forms ``Y = diag(OR) R sigma_psi R' diag(OR)``, the covariance of the
+    odds ratios at all ``2^p`` patterns (``R`` their downset rows), reads
+    the 3 x 3 covariance ``G`` of the spec's joint, predicted and baseline
+    parts from it, and takes the variance as ``r' G r`` with ``r`` the
+    measure's derivatives by its parts.  The measure is
+    :func:`measure_value`, and the interval maps through the transform's
+    ``derivative``, ``apply`` and ``invert``.  The package keeps ``Y`` and
+    ``G``; it must agree with this bit for bit: the same operations on the
+    same operands.
     """
     if not fit.converged:
         raise ValueError("delta_ci requires a converged fit")
@@ -302,10 +307,16 @@ def delta_ci_reference(fit, spec, alpha=0.05):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     params = fit.params.psi
-    masks, coef, rows = spec_plan(params.p, spec)
-    ors = params.or_table[masks]
-    terms = coef * ors
-    a, b, c = float(ors[0]), fsum(terms.tolist()), float(ors[1])
+    masks, coef, _ = spec_plan(params.p, spec)
+    table = params.or_table
+    jac = downset_rows(params.p, np.arange(len(table))) * table[:, None]  # dOR/dpsi
+    y = jac.dot(fit.sigma_psi).dot(jac.T)
+    ors = table.tolist()
+    j, z, m, k = int(masks[0]), int(masks[1]), masks[2:].tolist(), coef[2:].tolist()
+    a, b, c = ors[j], fsum([w * ors[i] for w, i in zip(k, m)]), ors[z]
+    u = y.take(masks[2:], 1).dot(coef[2:]).tolist()  # Y[:, m] coef
+    g00, g01, g02 = float(y[j, j]), u[j], float(y[j, z])
+    g11, g12, g22 = sum([w * u[i] for w, i in zip(k, m)]), u[z], float(y[z, z])
     point = measure_value(spec.kind, a, b, c)
     if spec.kind == "OR":
         r0, r1, r2 = 1.0 / c, 0.0, -a / c**2
@@ -318,12 +329,8 @@ def delta_ci_reference(fit, spec, alpha=0.05):
     else:
         d = b - c
         r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
-    terms *= r1
-    terms[0] = r0 * a
-    terms[1] = r2 * c
-    grad = terms.dot(rows)
-
-    var = float(grad.dot(fit.sigma_psi).dot(grad))
+    var = (r0 * (r0 * g00 + 2.0 * (r1 * g01 + r2 * g02))
+           + r1 * (r1 * g11 + 2.0 * r2 * g12) + r2 * r2 * g22)
     if var < -1e-10:
         raise NegativeVarianceError(
             f"delta-method variance {var:.3g} is negative; covariance defect"

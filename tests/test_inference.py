@@ -510,6 +510,60 @@ def test_cached_plan_parts_never_answer_for_another_plan():
     assert psi.plan_parts(other)[1] != psi.plan_parts(first)[1]
 
 
+def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
+    specs = all_specs(4)
+    fit = random_fit(4, np.random.default_rng(5), 0.5)
+    formed = []
+    real = inference.fsum  # the predicted part's sum, once per formed entry
+    monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
+    first = [bits(delta_ci, fit, spec) for spec in specs]
+    plans = {id(spec_plan(4, spec)) for spec in specs}
+    y, entries = fit._delta[2], dict(fit._delta[5])
+    assert len(formed) == len(entries) == len(plans) < len(specs)
+    assert [bits(delta_ci, fit, spec) for spec in specs] == first
+    assert len(formed) == len(plans)  # the second pass formed nothing
+    assert fit._delta[2] is y
+    assert all(fit._delta[5][key] is entry for key, entry in entries.items())
+
+
+def test_delta_ci_follows_a_reassigned_covariance_or_fit():
+    rng = np.random.default_rng(8)
+    fit, other = random_fit(5, rng, 0.5), random_fit(5, rng, 0.5)
+    spec = MeasureSpec(p=5, kind="EOR", order=2, fixed={4: 1})
+    before = delta_ci(fit, spec)
+    fit.sigma_psi = 4.0 * fit.sigma_psi
+    rep = delta_ci(fit, spec)
+    assert rep.point == before.point
+    assert rep.se_transformed == pytest.approx(2.0 * before.se_transformed, rel=1e-12)
+    assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec)
+    fit.params = other.params
+    fresh = make_fit(other.params.psi, fit.sigma_psi)
+    assert bits(delta_ci, fit, spec) == bits(delta_ci, fresh, spec)
+    assert delta_ci(fit, spec).point != before.point
+
+
+def test_cached_part_covariance_never_answers_for_another_plan():
+    # as with plan_parts: an unpickled fit's cache keys are ids of plans in
+    # the process that pickled it
+    fit = random_fit(2, np.random.default_rng(3), 0.5)
+    first, other = (MeasureSpec(p=2, kind="EOR", order=k) for k in (1, 2))
+    delta_ci(fit, first)
+    loaded = pickle.loads(pickle.dumps(fit))
+    entries = loaded._delta[5]
+    entries[id(spec_plan(2, other))] = entries.pop(id(spec_plan(2, first)))
+    assert bits(delta_ci, loaded, other) == bits(delta_ci, fit, other)
+    assert bits(delta_ci, fit, other) != bits(delta_ci, fit, first)
+
+
+def test_cached_odds_ratio_covariance_is_read_only():
+    fit = random_fit(3, np.random.default_rng(4), 0.5)
+    delta_ci(fit, MeasureSpec(p=3, kind="AP", order=2))
+    y = fit._delta[2]
+    assert y.shape == (8, 8) and not y.flags.writeable
+    with pytest.raises(ValueError):
+        y[0, 0] = 1.0
+
+
 def test_delta_ci_or_interval_overflows_to_inf_without_a_warning():
     # the upper log-scale bound passes 709.78, where exp overflows
     fit = make_fit(RUN2, 1e5 * np.eye(3))

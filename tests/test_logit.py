@@ -363,6 +363,48 @@ def test_complete_separation_detected():
         fit_logit(data)
 
 
+def test_covariate_units_do_not_stop_a_fit():
+    # the bound reads a slope per weighted SD of its covariate, so rescaling
+    # a covariate leaves the fit as it was: at 0.01 the raw slope is 45
+    data = small_dataset(n=2000)
+    fit = fit_logit(data)
+    for scale in (0.01, 1e-4, 100.0):
+        rescaled = fit_logit(CaseControlDataset(
+            data.exposures, scale * data.covariates, data.outcome))
+        assert np.allclose(rescaled.params.psi.psi, fit.params.psi.psi, rtol=1e-6, atol=0)
+        assert rescaled.params.kappa[1] == pytest.approx(fit.params.kappa[1] / scale, rel=1e-6)
+    # a covariate that separates cases from controls still diverges
+    rng = np.random.default_rng(1)
+    z = 0.01 * (data.outcome - 0.5) + 0.001 * rng.random(data.n)
+    with pytest.raises(SeparationError, match="exceeds the divergence bound 15.0; "
+                       "separation suspected$"):
+        fit_logit(CaseControlDataset(data.exposures, z, data.outcome))
+
+
+def test_condition_cap_names_a_nearly_collinear_covariate():
+    # covariate 2 is the v1 indicator plus 1e-6 N(0, 1): the rank check
+    # passes it, the information's condition number does not
+    rng = np.random.default_rng(0)
+    n = 400
+    v = (rng.random((n, 2)) < 0.4).astype(np.int8)
+    y = np.repeat([0, 1], n // 2)
+    z = np.column_stack([rng.normal(size=n), v[:, 0] + 1e-6 * rng.normal(size=n)])
+    weights = np.ones((3, n))
+    weights[1] = rng.integers(0, 3, n)
+    weights[2, (v[:, 0] == 1) & (y == 0)] = 0  # only cases have v1
+    errors = fit_batch(v[:, 0] + 2 * v[:, 1], z, y, 2, weights).errors
+    for error in errors[:2]:
+        assert isinstance(error, SeparationError)
+        assert re.fullmatch(
+            r"information matrix condition number \S+ exceeds 1e\+12; covariate 2 "
+            r"\(design column 5\) is nearly collinear with the exposure patterns and "
+            r"the covariates before it", str(error))
+    # where a pattern is one-sided, the message is unchanged
+    assert isinstance(errors[2], SeparationError)
+    assert str(errors[2]).endswith(
+        "; separation suspected; only cases have exposure patterns v1, v1:v2")
+
+
 def test_condition_cap_reads_the_information_eigenvalues():
     data = small_dataset()
     info = np.linalg.inv(fit_logit(data).sigma_psi)  # symmetric positive definite
