@@ -29,10 +29,11 @@ from .measures import (
     MeasureSpec,
     StructuralParams,
     _frozen,
+    _plan_parts,
     kind_value,
     log_or_tables,
     measure,
-    measure_parts,  # noqa: F401  not called here: the benchmark's tracer wraps it
+    measure_parts,
     measure_value,
     si_defined,
     spec_plan,
@@ -70,17 +71,18 @@ def normal_quantile(beta: float) -> float:
 def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     """Gradient of the measure w.r.t. the structural coefficients.
 
-    Chain rule through the three parts.  The attributable proportion is
-    not differentiable where joint and predicted tie; the joint-branch
-    subgradient is used there (ties have measure zero for continuous
-    estimates).
+    Chain rule through the parts and the plan's downset rows, formed per
+    call.  The attributable proportion is not differentiable where joint
+    and predicted tie; the joint-branch subgradient is used there (ties
+    have measure zero for continuous estimates).
     """
-    a, b, c, terms, rows = params.plan_parts(spec_plan(params.p, spec))
+    masks, coef = spec_plan(params.p, spec)
+    a, b, c = measure_parts(params, spec)
     _, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
-    t = terms * r1  # each odds ratio differentiates to itself times its row
+    t = coef * params.or_table[masks] * r1
     t[0] = r0 * a
     t[1] = r2 * c
-    return t.dot(rows)
+    return t.dot(downset_rows(params.p, masks))
 
 
 def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
@@ -97,14 +99,14 @@ def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
     return measure_value(kind, a, b, c), 1.0 / d, -(a - c) / d**2, (a - b) / d**2
 
 
-def _plan_covariance(fit: FitResult, plan: tuple) -> tuple:
+def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> tuple:
     """``(a, b, c, G00, G01, G02, G11, G12, G22)``: a plan's parts and their covariance.
 
-    The parts are :meth:`~interodds.measures.StructuralParams.plan_parts`'s.
-    ``G`` reads ``Y = diag(OR) R sigma_psi R' diag(OR)``, the covariance of
-    the odds ratios at all masks (``R`` their downset rows).  Both are kept
-    on the fit from first use, ``Y`` while ``sigma_psi`` and ``params.psi``
-    are the same objects.
+    The parts are :func:`~interodds.measures.measure_parts`'s.  ``G`` reads
+    ``Y = diag(OR) R sigma_psi R' diag(OR)``, the covariance of the odds
+    ratios at all masks (``R`` their downset rows).  The fit keeps ``Y``
+    while ``sigma_psi`` and ``params.psi`` are the same objects, and each
+    plan's entry, for all its specs, under the values that compile it.
     """
     cache = fit._delta
     if cache is None or cache[0] is not fit.sigma_psi or cache[1] is not fit.params.psi:
@@ -113,17 +115,18 @@ def _plan_covariance(fit: FitResult, plan: tuple) -> tuple:
         y = _frozen(d.dot(fit.sigma_psi).dot(d.T))[0]
         cache = (fit.sigma_psi, fit.params.psi, y, y.tolist(), ors.tolist(), {})
         fit._delta = cache
-    entry = cache[5].get(id(plan))
-    if entry is None or entry[1] is not plan:  # not cached, or a copy's key
+    key = (spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
+    entry = cache[5].get(key)
+    if entry is None:
         _, _, y, rows, ors, entries = cache
-        (j, z, *m), k = plan[0].tolist(), plan[1].tolist()[2:]
-        u = y.take(plan[0][2:], 1).dot(plan[1][2:]).tolist()  # Y[:, m] coef
-        # the entry holds the plan, so its id names no other plan
-        entry = entries[id(plan)] = (
+        masks, coef = spec_plan(fit.params.psi.p, spec)
+        (j, z, *m), k = masks.tolist(), coef.tolist()[2:]
+        u = y.take(masks[2:], 1).dot(coef[2:]).tolist()  # Y[:, m] coef
+        entry = entries[key] = (
             ors[j], fsum([w * ors[i] for w, i in zip(k, m)]), ors[z], rows[j][j],
             u[j], rows[j][z], sum([w * u[i] for w, i in zip(k, m)]), u[z], rows[z][z]
-        ), plan
-    return entry[0]
+        )
+    return entry
 
 
 def _unit(x: float) -> float:
@@ -197,8 +200,7 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    a, b, c, g00, g01, g02, g11, g12, g22 = _plan_covariance(
-        fit, spec_plan(fit.params.psi.p, spec))
+    a, b, c, g00, g01, g02, g11, g12, g22 = _plan_covariance(fit, spec)
     point, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
     var = (r0 * (r0 * g00 + 2.0 * (r1 * g01 + r2 * g02))
            + r1 * (r1 * g11 + 2.0 * r2 * g12) + r2 * r2 * g22)
@@ -397,10 +399,7 @@ def bootstrap_ci(
 
     point = measure(fit.params.psi, spec)
     tables = replicates.or_tables
-    masks, coef, _ = spec_plan(tables.shape[1].bit_length() - 1, spec)
-    ors = tables[:, masks]
-    a, c = ors[:, 0], ors[:, 1]
-    b = np.array([fsum(row) for row in (coef * ors).tolist()])
+    a, b, c = _plan_parts(tables, spec_plan(tables.shape[1].bit_length() - 1, spec))
     errors = list(replicates.errors)  # a failed refit counts for every measure
     if spec.kind == "SI":  # an undefined measure only for its own
         defined = si_defined(a, b, c)

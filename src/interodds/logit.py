@@ -535,9 +535,12 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
         worst = np.abs(beta[rows] * scale[rows]).max(1)
         diverged = moved & (worst > COEF_BOUND)
         for b, value in zip(rows[diverged], worst[diverged]):
+            i = int(np.abs(beta[b] * scale[b]).argmax())  # the coefficient at worst
+            name = ("intercept" if i == 0 else pattern_index(p).label(i - 1)
+                    if i < 1 << p else f"covariate {i - (1 << p) + 1} (per SD)")
             errors[b] = _separation_error(
-                f"coefficient magnitude {value:.3g} exceeds the divergence "
-                f"bound {COEF_BOUND}", masks, y, weights[b], p,
+                f"coefficient magnitude {value:.3g} of {name} exceeds the "
+                f"divergence bound {COEF_BOUND}", masks, y, weights[b], p,
             )
         small = np.abs(t[:, None] * step).max(1) <= STEP_TOL
         rows = rows[moved & ~diverged & ~small]

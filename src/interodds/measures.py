@@ -34,7 +34,6 @@ from .patterns import (
     MAX_FACTORS,
     alternating_binomial_sum,
     as_mask,
-    downset_rows,
     lattice_sums,
     pattern_index,
 )
@@ -77,12 +76,11 @@ class StructuralParams:
     p : int
         Number of binary risk factors.
 
-    The odds-ratio tables and each plan's parts are computed on first use.
+    The odds-ratio tables are computed on first use.
     """
 
     psi: np.ndarray
     p: int
-    _parts: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if not 1 <= self.p <= MAX_FACTORS:
@@ -117,22 +115,6 @@ class StructuralParams:
         first is O(1).  Entry 0 is exactly 1.
         """
         return _frozen(np.exp(self.log_or_table))[0]
-
-    def plan_parts(self, plan: tuple) -> tuple:
-        """``(joint, predicted, baseline, terms, rows)`` of a :func:`spec_plan` plan.
-
-        ``terms``, read-only, are the plan's weights times the odds ratios at
-        its masks; the predicted part is their ``fsum``; ``rows`` are the
-        plan's.  Kept per plan from first use, as :attr:`or_table` is.
-        """
-        entry = self._parts.get(id(plan))
-        if entry is None or entry[1] is not plan:  # not cached, or a copy's key
-            ors = self.or_table[plan[0]]
-            terms = _frozen(plan[1] * ors)[0]
-            # the entry holds the plan, so its id names no other plan
-            entry = self._parts[id(plan)] = (
-                float(ors[0]), fsum(terms.tolist()), float(ors[1]), terms, plan[2]), plan
-        return entry[0]
 
 
 def log_or_tables(psi: np.ndarray) -> np.ndarray:
@@ -405,8 +387,9 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     nj = len(varying)
     if not 1 <= order <= nj:
         raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
-    parts = params.plan_parts(_spec_terms(params.p, varying, fixed_mask, order))
-    return parts[0] - parts[1]
+    plan = _spec_terms(params.p, varying, fixed_mask, order)
+    a, b, _ = _plan_parts(params.or_table, plan)
+    return float(a - b)
 
 
 @lru_cache(maxsize=100_000)
@@ -416,21 +399,18 @@ def _spec_terms(p, varying, fixed_mask, order):
     ``masks`` lists the joint pattern, the baseline pattern, then the
     prediction terms of order below ``order``.  ``coef`` weights the odds
     ratios at ``masks`` into the predicted part; its joint and baseline
-    slots are 0.  ``rows`` are the downset indicator rows of ``masks`` as
-    0/1 floats: each odds ratio differentiates to itself times its row, and
-    a float table spares every gradient product a cast.
+    slots are 0.
     """
     full = _sublattice(varying, fixed_mask)[1]
     pred_masks, coeffs = _prediction_terms(
         p, varying, len(full) - 1, fixed_mask, order - 1
     )
     masks = np.concatenate([full[[-1, 0]], pred_masks])
-    coef = np.concatenate([[0.0, 0.0], coeffs])
-    return _frozen(masks, coef, downset_rows(p, masks).astype(float))
+    return _frozen(masks, np.concatenate([[0.0, 0.0], coeffs]))
 
 
 def spec_plan(p: int, spec: MeasureSpec) -> tuple:
-    """The (masks, coef, rows) plan of ``spec`` for parameters over ``p`` factors."""
+    """The (masks, coef) plan of ``spec`` for parameters over ``p`` factors."""
     if p != spec.p:
         raise ValueError(
             f"spec has {spec.p} risk factors but the parameters have {p}"
@@ -438,9 +418,23 @@ def spec_plan(p: int, spec: MeasureSpec) -> tuple:
     return _spec_terms(spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
 
 
+def _plan_parts(or_tables: np.ndarray, plan: tuple) -> tuple:
+    """``(joint, predicted, baseline)`` of a plan at each odds-ratio table.
+
+    ``or_tables`` has any leading axes, and so has each part.  The
+    predicted part is the ``fsum`` of the plan's weights times the odds
+    ratios at its masks, the joint and baseline slots (weight 0) included.
+    """
+    masks, coef = plan
+    ors = or_tables.take(masks, -1)
+    sums = [fsum(row) for row in (coef * ors).reshape(-1, len(coef)).tolist()]
+    return ors[..., 0], np.array(sums).reshape(ors.shape[:-1]), ors[..., 1]
+
+
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:
     """The (joint, predicted, baseline) odds-ratio triple for a spec."""
-    return MeasureParts(*params.plan_parts(spec_plan(params.p, spec))[:3])
+    parts = _plan_parts(params.or_table, spec_plan(params.p, spec))
+    return MeasureParts(*map(float, parts))
 
 
 def measure(params: StructuralParams, spec: MeasureSpec) -> float:

@@ -31,7 +31,7 @@ from .measures import (
     spec_plan,
 )
 from .errors import UndefinedSynergyError
-from .patterns import alternating_binomial_sum
+from .patterns import alternating_binomial_sum, downset_rows
 
 # Per-factor odds ratios between exp(-0.75) ~ 0.47 and exp(0.75) ~ 2.1: a
 # realistic effect range that also keeps the alternating sums far from
@@ -188,7 +188,7 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
             continue
         params = random_params(p, rng)
         spec = _random_spec(p, rng, kind, hold_one)
-        a, b, c, terms, rows = params.plan_parts(spec_plan(p, spec))
+        a, b, c = measure_parts(params, spec)
         if spec.kind == "AP" and abs(a - b) < 1e-6 * max(a, b):
             continue
         try:
@@ -199,10 +199,11 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
         fd_joint = _fd(lambda pr: measure_parts(pr, spec).joint, params, step)
         fd_pred = _fd(lambda pr: measure_parts(pr, spec).predicted, params, step)
         fd_base = _fd(lambda pr: measure_parts(pr, spec).baseline, params, step)
+        masks, coef = spec_plan(p, spec)
         for exact, approx in (
-            (a * rows[0], fd_joint),
-            (terms @ rows, fd_pred),
-            (c * rows[1], fd_base),
+            (a * downset_rows(p, masks[0]), fd_joint),
+            ((coef * params.or_table[masks]) @ downset_rows(p, masks), fd_pred),
+            (c * downset_rows(p, masks[1]), fd_base),
             (analytic, fd_measure),
         ):
             for x, y in zip(exact, approx):

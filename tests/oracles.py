@@ -51,7 +51,7 @@ def parts_gradients(params, spec):
     :func:`downset_indicator` of its pattern; the predicted part weights
     them by the plan's coefficients.
     """
-    masks, coef, _ = spec_plan(params.p, spec)
+    masks, coef = spec_plan(params.p, spec)
     ors = params.or_table[masks]
     rows = np.array([downset_indicator(as_bits(m, params.p)) for m in masks.tolist()],
                     dtype=float)
@@ -108,16 +108,14 @@ def prediction_terms_loop(varying, vj_local, fixed_mask, order):
     return np.array(masks), np.array(coeffs)
 
 
-def spec_terms_loop(p, varying, fixed_mask, order):
-    """The (masks, coef, rows) plan: joint, baseline, then the prediction terms."""
+def spec_terms_loop(varying, fixed_mask, order):
+    """The (masks, coef) plan: joint, baseline, then the prediction terms."""
     joint = _full_mask((1 << len(varying)) - 1, varying, fixed_mask)
     pred_masks, coeffs = prediction_terms_loop(
         varying, (1 << len(varying)) - 1, fixed_mask, order - 1
     )
     masks = np.array([joint, fixed_mask, *pred_masks.tolist()])
-    coef = np.array([0.0, 0.0, *coeffs.tolist()])
-    rows = [downset_indicator(as_bits(m, p)) for m in masks.tolist()]
-    return masks, coef, np.array(rows, dtype=float)
+    return masks, np.array([0.0, 0.0, *coeffs.tolist()])
 
 
 def excess_or_explicit(params, fixed, order: int) -> float:
@@ -307,7 +305,7 @@ def delta_ci_reference(fit, spec, alpha=0.05):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     params = fit.params.psi
-    masks, coef, _ = spec_plan(params.p, spec)
+    masks, coef = spec_plan(params.p, spec)
     table = params.or_table
     jac = downset_rows(params.p, np.arange(len(table))) * table[:, None]  # dOR/dpsi
     y = jac.dot(fit.sigma_psi).dot(jac.T)

@@ -47,7 +47,8 @@ PUBLIC = {
 # names left to their own modules, each still importable there
 SUBMODULE_ONLY = [
     ("logit", "FullParams"), ("logit", "fit_design"), ("inference", "fit_design"),
-    ("inference", "measure_parts"), ("inference", "measure_gradient"),
+    ("inference", "measure_parts"), ("inference", "measure"),
+    ("inference", "measure_gradient"),
     ("measures", "KINDS"), ("measures", "MeasureParts"), ("measures", "canonical_kind"),
     ("measures", "excess_or"), ("measures", "predicted_or"),
     ("patterns", "MAX_FACTORS"), ("patterns", "PatternIndex"),

@@ -487,29 +487,6 @@ def test_delta_ci_bits_do_not_depend_on_call_order_or_repetition():
         assert bits(delta_ci, fit, specs[i]) == expected, specs[i]
 
 
-def test_cached_plan_terms_are_read_only():
-    psi = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
-    spec = MeasureSpec(p=2, kind="EOR", order=2)
-    terms = psi.plan_parts(spec_plan(2, spec))[3]
-    assert not terms.flags.writeable
-    with pytest.raises(ValueError):
-        terms[0] = 1.0
-    delta_ci(make_fit(psi, 0.01 * np.eye(3)), spec)
-    assert psi.plan_parts(spec_plan(2, spec))[3] is terms
-
-
-def test_cached_plan_parts_never_answer_for_another_plan():
-    # an unpickled copy keeps its cache's keys: ids of plans in the process
-    # that pickled it, which may name other plans where it is loaded
-    psi = StructuralParams(np.log([2.0, 3.0, 1.5]), 2)
-    first, other = (spec_plan(2, MeasureSpec(p=2, kind="EOR", order=k)) for k in (1, 2))
-    psi.plan_parts(first)
-    loaded = pickle.loads(pickle.dumps(psi))
-    loaded._parts[id(other)] = loaded._parts.pop(id(first))
-    assert loaded.plan_parts(other)[:3] == psi.plan_parts(other)[:3]
-    assert psi.plan_parts(other)[1] != psi.plan_parts(first)[1]
-
-
 def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
     specs = all_specs(4)
     fit = random_fit(4, np.random.default_rng(5), 0.5)
@@ -543,15 +520,15 @@ def test_delta_ci_follows_a_reassigned_covariance_or_fit():
 
 
 def test_cached_part_covariance_never_answers_for_another_plan():
-    # as with plan_parts: an unpickled fit's cache keys are ids of plans in
-    # the process that pickled it
+    # an unpickled fit keeps its cache: the entry of the plan it holds
+    # answers, and the other plan's misses
     fit = random_fit(2, np.random.default_rng(3), 0.5)
     first, other = (MeasureSpec(p=2, kind="EOR", order=k) for k in (1, 2))
     delta_ci(fit, first)
     loaded = pickle.loads(pickle.dumps(fit))
-    entries = loaded._delta[5]
-    entries[id(spec_plan(2, other))] = entries.pop(id(spec_plan(2, first)))
-    assert bits(delta_ci, loaded, other) == bits(delta_ci, fit, other)
+    assert loaded._delta[0] is loaded.sigma_psi and len(loaded._delta[5]) == 1
+    for spec in (first, other):
+        assert bits(delta_ci, loaded, spec) == bits(delta_ci, fit, spec)
     assert bits(delta_ci, fit, other) != bits(delta_ci, fit, first)
 
 
@@ -574,11 +551,16 @@ def test_delta_ci_or_interval_overflows_to_inf_without_a_warning():
 
 def test_delta_ci_rejects_spec_with_other_factor_count():
     fit = make_fit(RUN2, np.eye(3) * 0.01)
-    delta_ci(fit, MeasureSpec(p=2, kind="OR"))  # the fit now holds a cached plan
-    for call in (delta_ci, lambda fit, spec: measure_parts(fit.params.psi, spec),
-                 lambda fit, spec: measure_gradient(fit.params.psi, spec)):
-        with pytest.raises(ValueError, match="3 risk factors.*have 2"):
-            call(fit, MeasureSpec(p=3, kind="OR"))
+    # the fit now holds cached plans; a p=3 spec that holds factor 3 at 0
+    # has the varying factors, fixed levels and order of the p=2 EOR:2
+    delta_ci(fit, MeasureSpec(p=2, kind="OR"))
+    delta_ci(fit, MeasureSpec(p=2, kind="EOR", order=2))
+    for spec in (MeasureSpec(p=3, kind="OR"),
+                 MeasureSpec(p=3, kind="EOR", order=2, fixed={2: 0})):
+        for call in (delta_ci, lambda fit, spec: measure_parts(fit.params.psi, spec),
+                     lambda fit, spec: measure_gradient(fit.params.psi, spec)):
+            with pytest.raises(ValueError, match="3 risk factors.*have 2"):
+                call(fit, spec)
 
 
 def test_delta_ci_alpha_validation():

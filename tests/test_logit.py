@@ -381,6 +381,17 @@ def test_covariate_units_do_not_stop_a_fit():
         fit_logit(CaseControlDataset(data.exposures, z, data.outcome))
 
 
+def test_divergence_names_the_coefficient_that_passed_the_bound():
+    # no exposure pattern is one-sided, so only the coefficient's name says
+    # where the fit diverged
+    data = small_dataset(n=2000)
+    z = 0.01 * (data.outcome - 0.5) + 0.001 * np.random.default_rng(1).random(data.n)
+    with pytest.raises(SeparationError, match=r"^coefficient magnitude 15.5 of covariate "
+                       r"1 \(per SD\) exceeds the divergence bound 15.0; separation "
+                       r"suspected$"):
+        fit_logit(CaseControlDataset(data.exposures, z, data.outcome))
+
+
 def test_condition_cap_names_a_nearly_collinear_covariate():
     # covariate 2 is the v1 indicator plus 1e-6 N(0, 1): the rank check
     # passes it, the information's condition number does not
