@@ -141,7 +141,7 @@ class FitResult:
     converged: bool
     gradient_norm: float
     ridge_used: bool = False
-    # inference.delta_ci's part covariances, kept from first use
+    # Y and the part covariances by plan value: inference._plan_covariance
     _delta: tuple = field(default=None, init=False, repr=False)
 
     @property

@@ -293,11 +293,13 @@ def delta_ci_reference(fit, spec, alpha=0.05):
     odds ratios at all ``2^p`` patterns (``R`` their downset rows), reads
     the 3 x 3 covariance ``G`` of the spec's joint, predicted and baseline
     parts from it, and takes the variance as ``r' G r`` with ``r`` the
-    measure's derivatives by its parts.  The measure is
+    measure's derivatives by its parts.  ``G`` is formed as the package's
+    stacked pass forms it, on a block of one dense weight row ``w``:
+    ``u = w Y`` and ``G11 = w . u`` are ``einsum`` sums.  The measure is
     :func:`measure_value`, and the interval maps through the transform's
     ``derivative``, ``apply`` and ``invert``.  The package keeps ``Y`` and
     ``G``; it must agree with this bit for bit: the same operations on the
-    same operands.
+    same operands, whatever block its pass formed the plan in.
     """
     if not fit.converged:
         raise ValueError("delta_ci requires a converged fit")
@@ -312,9 +314,12 @@ def delta_ci_reference(fit, spec, alpha=0.05):
     ors = table.tolist()
     j, z, m, k = int(masks[0]), int(masks[1]), masks[2:].tolist(), coef[2:].tolist()
     a, b, c = ors[j], fsum([w * ors[i] for w, i in zip(k, m)]), ors[z]
-    u = y.take(masks[2:], 1).dot(coef[2:]).tolist()  # Y[:, m] coef
-    g00, g01, g02 = float(y[j, j]), u[j], float(y[j, z])
-    g11, g12, g22 = sum([w * u[i] for w, i in zip(k, m)]), u[z], float(y[z, z])
+    w = np.zeros((1, len(table)))  # the predicted part's weights
+    w[0, m] = k
+    u = np.einsum("rk,kc->rc", w, y)
+    g00, g01, g02 = float(y[j, j]), float(u[0, j]), float(y[j, z])
+    g11 = float(np.einsum("rk,rk->r", w, u)[0])
+    g12, g22 = float(u[0, z]), float(y[z, z])
     point = measure_value(spec.kind, a, b, c)
     if spec.kind == "OR":
         r0, r1, r2 = 1.0 / c, 0.0, -a / c**2

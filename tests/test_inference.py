@@ -489,18 +489,48 @@ def test_delta_ci_bits_do_not_depend_on_call_order_or_repetition():
 
 def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
     specs = all_specs(4)
-    fit = random_fit(4, np.random.default_rng(5), 0.5)
+    plans = {id(spec_plan(4, spec)) for spec in specs}
     formed = []
     real = inference.fsum  # the predicted part's sum, once per formed entry
     monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
-    first = [bits(delta_ci, fit, spec) for spec in specs]
-    plans = {id(spec_plan(4, spec)) for spec in specs}
-    y, entries = fit._delta[2], dict(fit._delta[5])
-    assert len(formed) == len(entries) == len(plans) < len(specs)
-    assert [bits(delta_ci, fit, spec) for spec in specs] == first
-    assert len(formed) == len(plans)  # the second pass formed nothing
-    assert fit._delta[2] is y
-    assert all(fit._delta[5][key] is entry for key, entry in entries.items())
+    # the first fit registers each plan at its first call; the second finds
+    # them all registered and forms every entry in its first pass
+    monkeypatch.setattr(inference, "_PLANS", {})
+    for seed, first_pass in ((5, 1), (6, len(plans))):
+        fit = random_fit(4, np.random.default_rng(seed), 0.5)
+        formed.clear()
+        delta_ci(fit, specs[0])
+        assert len(formed) == first_pass
+        first = [bits(delta_ci, fit, spec) for spec in specs]
+        y, entries = fit._delta[2], dict(fit._delta[3])
+        assert len(formed) == len(entries) == len(plans) < len(specs)
+        assert [bits(delta_ci, fit, spec) for spec in specs] == first
+        assert len(formed) == len(plans)  # the second pass formed nothing
+        assert fit._delta[2] is y
+        assert all(fit._delta[3][key] is entry for key, entry in entries.items())
+
+
+def test_stacked_pass_makeup_does_not_change_bits(monkeypatch):
+    # fit A forms every p=5 plan in one pass; fit B, the same numbers in new
+    # objects, forms each plan alone, in random order, on an empty table
+    specs = all_specs(5)
+    rng = np.random.default_rng(29)
+    monkeypatch.setattr(inference, "_PLANS", {})
+    registering = random_fit(5, rng, 0.5)
+    for spec in specs:
+        outcome(delta_ci, registering, spec)
+    a = random_fit(5, rng, 0.8)
+    delta_ci(a, specs[0])
+    assert len(a._delta[3]) == len(inference._PLANS[5][0]) == 405
+    b = make_fit(StructuralParams(a.params.psi.psi.copy(), 5), a.sigma_psi.copy())
+    monkeypatch.setattr(inference, "_PLANS", {})
+    for i in rng.permutation(len(specs)):
+        formed = len(b._delta[3]) if b._delta else 0
+        for alpha in (0.05, 0.2):
+            expected = bits(delta_ci, a, specs[i], alpha)
+            assert bits(delta_ci, b, specs[i], alpha) == expected, specs[i]
+        assert len(b._delta[3]) - formed in (0, 1)
+    assert len(b._delta[3]) == 405
 
 
 def test_delta_ci_follows_a_reassigned_covariance_or_fit():
@@ -519,17 +549,28 @@ def test_delta_ci_follows_a_reassigned_covariance_or_fit():
     assert delta_ci(fit, spec).point != before.point
 
 
-def test_cached_part_covariance_never_answers_for_another_plan():
+def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
     # an unpickled fit keeps its cache: the entry of the plan it holds
     # answers, and the other plan's misses
+    monkeypatch.setattr(inference, "_PLANS", {})
     fit = random_fit(2, np.random.default_rng(3), 0.5)
     first, other = (MeasureSpec(p=2, kind="EOR", order=k) for k in (1, 2))
     delta_ci(fit, first)
-    loaded = pickle.loads(pickle.dumps(fit))
-    assert loaded._delta[0] is loaded.sigma_psi and len(loaded._delta[5]) == 1
+    saved = pickle.dumps(fit)
+    loaded = pickle.loads(saved)
+    assert loaded._delta[0] is loaded.sigma_psi and len(loaded._delta[3]) == 1
     for spec in (first, other):
         assert bits(delta_ci, loaded, spec) == bits(delta_ci, fit, spec)
     assert bits(delta_ci, fit, other) != bits(delta_ci, fit, first)
+    # in a fresh process the table is empty, and its plans are registered in
+    # another order: entries are keyed by plan value, never by table row
+    specs = all_specs(2)
+    expected = [bits(delta_ci, fit, spec) for spec in specs]
+    monkeypatch.setattr(inference, "_PLANS", {})
+    loaded = pickle.loads(saved)
+    for i in reversed(range(len(specs))):
+        assert bits(delta_ci, loaded, specs[i]) == expected[i], specs[i]
+    assert next(iter(inference._PLANS[2][0])) != next(iter(loaded._delta[3]))
 
 
 def test_cached_odds_ratio_covariance_is_read_only():
