@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import measures
 from .errors import (
     BootstrapFailureError,
     NegativeVarianceError,
@@ -77,13 +78,11 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     and predicted tie; the joint-branch subgradient is used there (ties
     have measure zero for continuous estimates).
     """
-    masks, coef = spec_plan(params.p, spec)
+    joint, baseline, masks, coef = spec_plan(params.p, spec)
     a, b, c = measure_parts(params, spec)
     _, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
-    t = coef * params.or_table[masks] * r1
-    t[0] = r0 * a
-    t[1] = r2 * c
-    return t.dot(downset_rows(params.p, masks))
+    t = np.r_[r0 * a, r2 * c, coef * params.or_table[masks] * r1]
+    return t.dot(downset_rows(params.p, np.r_[joint, baseline, masks]))
 
 
 def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
@@ -100,11 +99,6 @@ def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
     return measure_value(kind, a, b, c), 1.0 / d, -(a - c) / d**2, (a - b) / d**2
 
 
-# Per factor count, the plans delta_ci has compiled in this process, append-only:
-# their values, joint and baseline masks, term counts, term masks and weights.
-_PLANS = {}
-
-
 def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> tuple:
     """``(a, b, c, G00, G01, G02, G11, G12, G22)``: a plan's parts and their covariance.
 
@@ -113,11 +107,12 @@ def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> tuple:
     ratios at all masks (``R`` their downset rows).  The fit keeps ``Y``
     while ``sigma_psi`` and ``params.psi`` are the same objects, and each
     entry under its plan's value ``(p, varying, fixed_mask, order)``.  A miss
-    forms, in one stacked pass, every plan in ``_PLANS`` that the fit lacks:
-    about 1 ms for the 405 of p = 5.  ``b`` is an ``fsum`` per plan, and
-    ``u = W Y`` and ``G11 = (W * u) 1`` are ``einsum`` sums over blocks of
-    ``2^p`` dense weight rows ``W``: unlike a BLAS product's, their bits do
-    not depend on the block.
+    forms, in one stacked pass, every plan in ``measures._PLANS`` (which
+    specs fill when made) that the fit lacks: about 1 ms for the 405 of
+    p = 5.  ``b`` is an ``fsum`` per plan, and ``u = W Y`` and
+    ``G11 = (W * u) 1`` are ``einsum`` sums over blocks of ``2^p`` dense
+    weight rows ``W``: unlike a BLAS product's, their bits do not depend
+    on the block.
     """
     psi, cache = fit.params.psi, fit._delta
     if cache is None or cache[0] is not fit.sigma_psi or cache[1] is not psi:
@@ -127,13 +122,9 @@ def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> tuple:
     key = (spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
     entry = cache[3].get(key)
     if entry is None:
+        spec_plan(psi.p, spec)  # raises for another p; registers an unpickled spec
         _, _, y, entries = cache
-        table = _PLANS.setdefault(psi.p, [{}, *[np.zeros(0, int)] * 4, np.zeros(0)])
-        if key not in table[0]:
-            masks, coef = spec_plan(psi.p, spec)
-            table[0][key] = None
-            new = (masks[:1], masks[1:2], [len(masks) - 2], masks[2:], coef[2:])
-            table[1:] = [np.concatenate(pair) for pair in zip(table[1:], new)]
+        table = measures._PLANS[psi.p]
         miss = ~np.fromiter(map(entries.__contains__, table[0]), bool, len(table[0]))
         keys, term = [*compress(table[0], miss)], np.repeat(miss, table[3])
         (j, z, n), (m, w) = (c[miss] for c in table[1:4]), (c[term] for c in table[4:])
@@ -203,12 +194,13 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
 
     The variance of the estimate is ``r' G r``: ``r`` holds the measure's
     analytic derivatives by its joint, predicted and baseline odds ratios,
-    and ``G`` is their 3 x 3 covariance, formed for every compiled plan in
-    one stacked pass on a fit's first call (see :func:`_plan_covariance`),
-    so later calls are scalar arithmetic.  The interval is symmetric on the
-    transformed scale and mapped back, so it respects the measure's natural
-    range; the kind's transform (see :data:`TRANSFORM_NAMES`) is written
-    out, its derivative, map and inverse in one step.
+    and ``G`` is their 3 x 3 covariance.  A fit's first call forms it, in
+    one stacked pass, for every plan that the specs made so far have added
+    to the plan table (see :func:`_plan_covariance`), so later calls are
+    scalar arithmetic.  The interval is symmetric on the transformed scale
+    and mapped back, so it respects the measure's natural range; the
+    kind's transform (see :data:`TRANSFORM_NAMES`) is written out, its
+    derivative, map and inverse in one step.
 
     Raises
     ------

@@ -117,20 +117,6 @@ class FullParams:
     def q(self) -> int:
         return self.kappa.size - 1
 
-    def to_vector(self) -> np.ndarray:
-        """Stack into the design-column order [kappa0, psi..., kappa1..q]."""
-        return np.concatenate([[self.kappa[0]], self.psi.psi, self.kappa[1:]])
-
-    @classmethod
-    def from_vector(cls, beta, p: int, q: int) -> "FullParams":
-        beta = np.asarray(beta, dtype=float)
-        npsi = (1 << p) - 1
-        if beta.shape != (npsi + 1 + q,):
-            raise ValueError(f"expected vector of length {npsi + 1 + q}")
-        psi = StructuralParams(beta[1 : npsi + 1], p)
-        kappa = np.concatenate([[beta[0]], beta[npsi + 1 :]])
-        return cls(psi=psi, kappa=kappa)
-
 
 @dataclass(eq=False)
 class FitResult:
@@ -573,9 +559,9 @@ def fit_design(masks, covariates, outcome, p, start=None):
     used = _conditioning(fits.info[:1], np.inf)[1]
     full_cov = np.linalg.inv(_ridged(fits.info[:1], used)[0])
     full_cov = 0.5 * (full_cov + full_cov.T)
-    psi = slice(1, 1 << p)
+    beta, psi = fits.beta[0], slice(1, 1 << p)
     return FitResult(
-        params=FullParams.from_vector(fits.beta[0], p, covariates.shape[1]),
+        params=FullParams(StructuralParams(beta[psi], p), np.delete(beta, psi)),
         sigma_psi=np.array(full_cov[psi, psi]),
         loglik=float(fits.loglik[0]),
         iterations=int(fits.iterations[0]),
@@ -592,7 +578,7 @@ def fit_logit(data: CaseControlDataset, start=None) -> FitResult:
     ----------
     data : CaseControlDataset
     start : array_like, optional
-        Starting coefficient vector in design order (defaults to zeros).
+        Design-order start ``[kappa0, psi..., kappa1..q]``; zeros by default.
 
     Raises
     ------
@@ -607,6 +593,4 @@ def fit_logit(data: CaseControlDataset, start=None) -> FitResult:
     EmptyClassError
         All records share one outcome.
     """
-    if isinstance(start, FullParams):
-        start = start.to_vector()
     return fit_design(data.exposure_masks, data.covariates, data.outcome, data.p, start)

@@ -140,10 +140,10 @@ class MeasureSpec:
     interaction.  The joint odds ratio ("OR") does not use an order.
 
     A spec is immutable and validated once: ``fixed`` is a copy of the
-    mapping passed in, and ``varying`` (J, ascending) and ``fixed_mask``
-    (the factors held at level 1) are computed when the spec is made.
-    Specs hash by those two in place of the dict, so equal specs hash
-    equal and a spec can key a dict.
+    mapping passed in, and ``varying`` (J, ascending), ``fixed_mask`` (the
+    factors held at level 1) and the spec's plan (see :func:`spec_plan`)
+    are made with the spec.  Specs hash by the first two in place of the
+    dict, so equal specs hash equal and a spec can key a dict.
     """
 
     p: int
@@ -176,6 +176,7 @@ class MeasureSpec:
                 raise OrderRangeError(
                     f"SI requires order in 2..{nj}, got {self.order}"
                 )
+        spec_plan(self.p, self)
 
     @property
     def effective_order(self) -> int:
@@ -392,25 +393,34 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     return float(a - b)
 
 
-@lru_cache(maxsize=100_000)
+_PLANS = {}  # the plan table of each factor count: see _spec_terms
+
+
 def _spec_terms(p, varying, fixed_mask, order):
     """The compiled plan of a measure spec: which odds ratios, with which weights.
 
-    ``masks`` lists the joint pattern, the baseline pattern, then the
-    prediction terms of order below ``order``.  ``coef`` weights the odds
-    ratios at ``masks`` into the predicted part; its joint and baseline
-    slots are 0.
+    A plan is ``(joint, baseline, masks, coef)``: two patterns, then the
+    prediction terms of order below ``order`` and their weights in the
+    predicted part.  ``_PLANS[p]`` holds every plan compiled in this process,
+    append-only: a dict from plan value to plan, then the plans' joint and
+    baseline masks, term counts, and flat term masks and weights.
     """
-    full = _sublattice(varying, fixed_mask)[1]
-    pred_masks, coeffs = _prediction_terms(
-        p, varying, len(full) - 1, fixed_mask, order - 1
-    )
-    masks = np.concatenate([full[[-1, 0]], pred_masks])
-    return _frozen(masks, np.concatenate([[0.0, 0.0], coeffs]))
+    key = (p, varying, fixed_mask, order)
+    if p not in _PLANS:
+        _PLANS[p] = [{}, *[np.zeros(0, int)] * 4, np.zeros(0)]
+    table = _PLANS[p]
+    plan = table[0].get(key)
+    if plan is None:
+        full = _sublattice(varying, fixed_mask)[1]
+        masks, coef = _prediction_terms(p, varying, len(full) - 1, fixed_mask, order - 1)
+        plan = table[0][key] = (int(full[-1]), int(fixed_mask), masks, coef)
+        new = ([plan[0]], [fixed_mask], [len(masks)], masks, coef)
+        table[1:] = [np.concatenate(pair) for pair in zip(table[1:], new)]
+    return plan
 
 
 def spec_plan(p: int, spec: MeasureSpec) -> tuple:
-    """The (masks, coef) plan of ``spec`` for parameters over ``p`` factors."""
+    """The plan of ``spec`` for ``p`` factors; an unpickled spec's is compiled here."""
     if p != spec.p:
         raise ValueError(
             f"spec has {spec.p} risk factors but the parameters have {p}"
@@ -423,12 +433,13 @@ def _plan_parts(or_tables: np.ndarray, plan: tuple) -> tuple:
 
     ``or_tables`` has any leading axes, and so has each part.  The
     predicted part is the ``fsum`` of the plan's weights times the odds
-    ratios at its masks, the joint and baseline slots (weight 0) included.
+    ratios at its masks.
     """
-    masks, coef = plan
-    ors = or_tables.take(masks, -1)
-    sums = [fsum(row) for row in (coef * ors).reshape(-1, len(coef)).tolist()]
-    return ors[..., 0], np.array(sums).reshape(ors.shape[:-1]), ors[..., 1]
+    joint, baseline, masks, coef = plan
+    terms = coef * or_tables.take(masks, -1)
+    sums = [fsum(row) for row in terms.reshape(-1, len(coef)).tolist()]
+    predicted = np.array(sums).reshape(terms.shape[:-1])
+    return or_tables[..., joint], predicted, or_tables[..., baseline]
 
 
 def measure_parts(params: StructuralParams, spec: MeasureSpec) -> MeasureParts:

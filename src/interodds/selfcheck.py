@@ -199,11 +199,11 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
         fd_joint = _fd(lambda pr: measure_parts(pr, spec).joint, params, step)
         fd_pred = _fd(lambda pr: measure_parts(pr, spec).predicted, params, step)
         fd_base = _fd(lambda pr: measure_parts(pr, spec).baseline, params, step)
-        masks, coef = spec_plan(p, spec)
+        joint, baseline, masks, coef = spec_plan(p, spec)
         for exact, approx in (
-            (a * downset_rows(p, masks[0]), fd_joint),
+            (a * downset_rows(p, joint), fd_joint),
             ((coef * params.or_table[masks]) @ downset_rows(p, masks), fd_pred),
-            (c * downset_rows(p, masks[1]), fd_base),
+            (c * downset_rows(p, baseline), fd_base),
             (analytic, fd_measure),
         ):
             for x, y in zip(exact, approx):

@@ -51,12 +51,13 @@ def parts_gradients(params, spec):
     :func:`downset_indicator` of its pattern; the predicted part weights
     them by the plan's coefficients.
     """
-    masks, coef = spec_plan(params.p, spec)
-    ors = params.or_table[masks]
-    rows = np.array([downset_indicator(as_bits(m, params.p)) for m in masks.tolist()],
-                    dtype=float)
+    joint, baseline, masks, coef = spec_plan(params.p, spec)
+    ors = params.or_table[[joint, baseline, *masks.tolist()]]
+    rows = np.array([downset_indicator(as_bits(m, params.p))
+                     for m in [joint, baseline, *masks.tolist()]], dtype=float)
     return SimpleNamespace(
-        joint=ors[0] * rows[0], predicted=(coef * ors) @ rows, baseline=ors[1] * rows[1]
+        joint=ors[0] * rows[0], predicted=(coef * ors[2:]) @ rows[2:],
+        baseline=ors[1] * rows[1],
     )
 
 
@@ -109,13 +110,12 @@ def prediction_terms_loop(varying, vj_local, fixed_mask, order):
 
 
 def spec_terms_loop(varying, fixed_mask, order):
-    """The (masks, coef) plan: joint, baseline, then the prediction terms."""
+    """The (joint, baseline, masks, coef) plan: the prediction terms last."""
     joint = _full_mask((1 << len(varying)) - 1, varying, fixed_mask)
     pred_masks, coeffs = prediction_terms_loop(
         varying, (1 << len(varying)) - 1, fixed_mask, order - 1
     )
-    masks = np.array([joint, fixed_mask, *pred_masks.tolist()])
-    return masks, np.array([0.0, 0.0, *coeffs.tolist()])
+    return joint, fixed_mask, pred_masks, coeffs
 
 
 def excess_or_explicit(params, fixed, order: int) -> float:
@@ -307,12 +307,12 @@ def delta_ci_reference(fit, spec, alpha=0.05):
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     params = fit.params.psi
-    masks, coef = spec_plan(params.p, spec)
+    j, z, masks, coef = spec_plan(params.p, spec)
     table = params.or_table
     jac = downset_rows(params.p, np.arange(len(table))) * table[:, None]  # dOR/dpsi
     y = jac.dot(fit.sigma_psi).dot(jac.T)
     ors = table.tolist()
-    j, z, m, k = int(masks[0]), int(masks[1]), masks[2:].tolist(), coef[2:].tolist()
+    m, k = masks.tolist(), coef.tolist()
     a, b, c = ors[j], fsum([w * ors[i] for w, i in zip(k, m)]), ors[z]
     w = np.zeros((1, len(table)))  # the predicted part's weights
     w[0, m] = k

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import interodds.inference as inference
+import interodds.measures as measures
 from interodds.errors import (
     BootstrapFailureError,
     InterOddsError,
@@ -493,9 +494,10 @@ def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
     formed = []
     real = inference.fsum  # the predicted part's sum, once per formed entry
     monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
-    # the first fit registers each plan at its first call; the second finds
-    # them all registered and forms every entry in its first pass
-    monkeypatch.setattr(inference, "_PLANS", {})
+    # the specs were made before the table was emptied, so the first fit
+    # registers each plan at its first call; the second finds them all
+    # registered and forms every entry in its first pass
+    monkeypatch.setattr(measures, "_PLANS", {})
     for seed, first_pass in ((5, 1), (6, len(plans))):
         fit = random_fit(4, np.random.default_rng(seed), 0.5)
         formed.clear()
@@ -510,20 +512,37 @@ def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
         assert all(fit._delta[3][key] is entry for key, entry in entries.items())
 
 
+def test_specs_made_on_an_empty_table_are_formed_in_one_pass(monkeypatch):
+    # a spec adds its plan to the table when it is made, so a fresh fit's
+    # first interval forms the entries of all 405 p=5 plans at once
+    monkeypatch.setattr(measures, "_PLANS", {})
+    specs = all_specs(5)
+    assert len(measures._PLANS[5][0]) == 405
+    formed = []
+    real = inference.fsum  # the predicted part's sum, once per formed entry
+    monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
+    fit = random_fit(5, np.random.default_rng(31), 0.5)
+    delta_ci(fit, specs[0])
+    assert len(formed) == len(fit._delta[3]) == 405
+    for spec in specs:
+        assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec), spec
+    assert len(formed) == 405
+
+
 def test_stacked_pass_makeup_does_not_change_bits(monkeypatch):
     # fit A forms every p=5 plan in one pass; fit B, the same numbers in new
     # objects, forms each plan alone, in random order, on an empty table
     specs = all_specs(5)
     rng = np.random.default_rng(29)
-    monkeypatch.setattr(inference, "_PLANS", {})
+    monkeypatch.setattr(measures, "_PLANS", {})
     registering = random_fit(5, rng, 0.5)
     for spec in specs:
         outcome(delta_ci, registering, spec)
     a = random_fit(5, rng, 0.8)
     delta_ci(a, specs[0])
-    assert len(a._delta[3]) == len(inference._PLANS[5][0]) == 405
+    assert len(a._delta[3]) == len(measures._PLANS[5][0]) == 405
     b = make_fit(StructuralParams(a.params.psi.psi.copy(), 5), a.sigma_psi.copy())
-    monkeypatch.setattr(inference, "_PLANS", {})
+    monkeypatch.setattr(measures, "_PLANS", {})
     for i in rng.permutation(len(specs)):
         formed = len(b._delta[3]) if b._delta else 0
         for alpha in (0.05, 0.2):
@@ -551,10 +570,11 @@ def test_delta_ci_follows_a_reassigned_covariance_or_fit():
 
 def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
     # an unpickled fit keeps its cache: the entry of the plan it holds
-    # answers, and the other plan's misses
-    monkeypatch.setattr(inference, "_PLANS", {})
+    # answers, and the other plan's misses.  The specs are made before the
+    # table is emptied, so the fit's first pass forms only the first plan
     fit = random_fit(2, np.random.default_rng(3), 0.5)
     first, other = (MeasureSpec(p=2, kind="EOR", order=k) for k in (1, 2))
+    monkeypatch.setattr(measures, "_PLANS", {})
     delta_ci(fit, first)
     saved = pickle.dumps(fit)
     loaded = pickle.loads(saved)
@@ -566,11 +586,11 @@ def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
     # another order: entries are keyed by plan value, never by table row
     specs = all_specs(2)
     expected = [bits(delta_ci, fit, spec) for spec in specs]
-    monkeypatch.setattr(inference, "_PLANS", {})
+    monkeypatch.setattr(measures, "_PLANS", {})
     loaded = pickle.loads(saved)
     for i in reversed(range(len(specs))):
         assert bits(delta_ci, loaded, specs[i]) == expected[i], specs[i]
-    assert next(iter(inference._PLANS[2][0])) != next(iter(loaded._delta[3]))
+    assert next(iter(measures._PLANS[2][0])) != next(iter(loaded._delta[3]))
 
 
 def test_cached_odds_ratio_covariance_is_read_only():

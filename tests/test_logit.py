@@ -52,6 +52,11 @@ def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
 # pattern-basis arithmetic of ``interodds.logit``.
 
 
+def design_vector(params: FullParams) -> np.ndarray:
+    """The coefficients in design-column order: [kappa0, psi..., kappa1..q]."""
+    return np.concatenate([params.kappa[:1], params.psi.psi, params.kappa[1:]])
+
+
 def design_row(v, z) -> np.ndarray:
     """One design-matrix row: [1, indicator of patterns <= v, z...]."""
     z = np.asarray(z, dtype=float).reshape(-1)
@@ -80,7 +85,7 @@ def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
     if params.psi.p != data.p or params.q != data.q:
         raise ValueError("parameter dimensions do not match the dataset")
     return explicit_loglik_score_info(
-        params.to_vector(), design_matrix(data), data.outcome.astype(float)
+        design_vector(params), design_matrix(data), data.outcome.astype(float)
     )
 
 
@@ -311,7 +316,7 @@ def test_refit_from_perturbed_start_reconverges():
     data = small_dataset(n=600, seed=8)
     fit = fit_logit(data)
     rng = np.random.default_rng(9)
-    start = fit.params.to_vector() + 0.1 * rng.normal(size=4 + data.q)
+    start = design_vector(fit.params) + 0.1 * rng.normal(size=4 + data.q)
     again = fit_logit(data, start=start)
     assert np.allclose(again.params.psi.psi, fit.params.psi.psi, atol=1e-6)
 
@@ -545,14 +550,17 @@ def test_sigma_psi_is_block_of_full_inverse():
     assert eigenvalues.min() >= -1e-8 * np.trace(fit.sigma_psi)
 
 
-def test_full_params_vector_round_trip():
-    psi = StructuralParams(np.array([0.1, -0.2, 0.3]), 2)
-    params = FullParams(psi=psi, kappa=np.array([-1.0, 0.5, 0.25]))
-    vec = params.to_vector()
-    assert vec.tolist() == [-1.0, 0.1, -0.2, 0.3, 0.5, 0.25]
-    back = FullParams.from_vector(vec, 2, 2)
-    assert np.allclose(back.psi.psi, psi.psi)
-    assert np.allclose(back.kappa, params.kappa)
+def test_fit_params_follow_the_design_column_order():
+    # fit_design reads [kappa0, psi..., kappa1..q] off fit_batch's vector,
+    # the order of the design columns [1, downset indicators, covariates]
+    data = small_dataset(n=600, seed=19, q=2, kappa=np.array([-0.5, 0.4, -0.3]))
+    masks, z, y = data.exposure_masks, data.covariates, data.outcome
+    fit = fit_design(masks, z, y, 2)
+    beta = fit_batch(masks, z, y, 2, np.ones((1, data.n))).beta[0]
+    assert fit.params.kappa.tolist() == [beta[0], *beta[4:]]
+    assert fit.params.psi.psi.tolist() == beta[1:4].tolist()
+    assert design_vector(fit.params).tolist() == beta.tolist()
+    assert fit.params.q == 2 and len(beta) == 6
 
 
 # ------------------------------------------------------- weighted fit, oracle
@@ -613,7 +621,7 @@ def test_weighted_fit_equals_fit_on_repeated_records():
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     repeated = fit_design(masks[rows], z[rows], y[rows], 2)
     beta, sigma_psi, loglik = weighted_fit(masks, z, y, 2, counts)
-    assert np.allclose(beta, repeated.params.to_vector(), rtol=0, atol=1e-9)
+    assert np.allclose(beta, design_vector(repeated.params), rtol=0, atol=1e-9)
     assert np.allclose(sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
     assert loglik == pytest.approx(repeated.loglik, rel=1e-12)
 
@@ -654,7 +662,7 @@ def test_fractional_case_weights_are_not_an_empty_class():
     c = 0.9 / data.n1
     beta, _, _ = weighted_fit(masks, z, y, 2, np.where(y == 1, c, 1.0))
     fit = fit_logit(data)
-    assert np.allclose(beta[1:], fit.params.to_vector()[1:], rtol=0, atol=1e-7)
+    assert np.allclose(beta[1:], design_vector(fit.params)[1:], rtol=0, atol=1e-7)
     assert beta[0] == pytest.approx(fit.params.kappa[0] + np.log(c), abs=1e-7)
 
 

@@ -224,8 +224,10 @@ def test_compiled_plans_match_the_loop_oracle_bit_for_bit():
                         same_bytes(g, w)
             for order in range(1, len(varying) + 1):
                 spec = MeasureSpec(p=p, kind="EOR", order=order, fixed=fixed)
+                joint, baseline, *terms = measures.spec_plan(p, spec)
                 want = spec_terms_loop(varying, fixed_mask, order)
-                for g, w in zip(measures.spec_plan(p, spec), want, strict=True):
+                assert (joint, baseline) == want[:2]
+                for g, w in zip(terms, want[2:], strict=True):
                     same_bytes(g, w)
 
 
