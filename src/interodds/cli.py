@@ -43,7 +43,6 @@ from .errors import (
     EmptyClassError,
     InterOddsError,
     NonBinaryFactorError,
-    PrevalenceError,
     SeparationError,
     SingularDesignError,
     UndefinedSynergyError,
@@ -62,7 +61,7 @@ EXIT_FIT = 4
 EXIT_MEASURE = 5
 
 _DATA_ERRORS = (CsvParseError, NonBinaryFactorError, EmptyClassError)
-_FIT_ERRORS = (SeparationError, SingularDesignError, ConvergenceError)
+_FIT_ERRORS = (SeparationError, SingularDesignError, ConvergenceError, ValueError)
 
 _NOTES = (
     "the intercept reflects the case/control sampling fractions, not "
@@ -179,14 +178,14 @@ def run_analysis(config: AnalysisConfig):
     )
 
     held = list(config.fixed)
+    varying_names = [c for c in config.risk_factors if c not in dict(held)]
     if config.subset_fit:
         # keep only records at the held levels and drop those columns from
         # the model: a smaller fit instead of fixing levels inside measures
         keep = np.ones(data.n, dtype=bool)
         for col, level in held:
             keep &= data.exposures[:, config.risk_factors.index(col)] == level
-        varying_cols = [c for c in config.risk_factors if c not in dict(held)]
-        cols = [config.risk_factors.index(c) for c in varying_cols]
+        cols = [config.risk_factors.index(c) for c in varying_names]
         if not keep.any():
             raise EmptyClassError("no records left at the held factor levels")
         data = CaseControlDataset(
@@ -194,7 +193,7 @@ def run_analysis(config: AnalysisConfig):
             data.covariates[keep],
             data.outcome[keep],
         )
-        factor_names = varying_cols
+        factor_names = varying_names
         spec_fixed = {}
     else:
         factor_names = list(config.risk_factors)
@@ -203,7 +202,6 @@ def run_analysis(config: AnalysisConfig):
         }
 
     fit = fit_logit(data)
-    varying_names = [c for c in config.risk_factors if c not in dict(held)]
 
     psi_names = psi_coordinate_names(data.p, factor_names)
     fit_block = {
@@ -400,13 +398,10 @@ def cmd_analyze(args) -> int:
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _FIT_ERRORS as exc:
-        print(f"fit error: {exc}", file=sys.stderr)
-        return EXIT_FIT
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except _FIT_ERRORS as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
     _write_stdout(render_report(report, config.output_format))
@@ -414,7 +409,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    try:
+    try:  # a PrevalenceError from simulate is a ValueError
         design, measures, fixed = parse_design_file(args.design)
         if args.seed is not None:
             design.seed = args.seed
@@ -422,17 +417,9 @@ def cmd_simulate(args) -> int:
             MeasureSpec(p=design.p, kind=kind, order=order, fixed=fixed)
             for kind, order in measures
         ]
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         data = simulate(design)
-    except PrevalenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         write_csv(data, args.out)
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     lines = [

@@ -65,7 +65,7 @@ def load_csv(path, outcome, risk_factors, covariates=()):
         A risk-factor cell parses to something other than 0 or 1.
     CsvParseError
         Missing or unparseable cells (all offenders listed, with 1-based
-        data-row numbers).
+        data-row numbers), or a file that is not UTF-8 text.
     EmptyClassError
         No cases or no controls after parsing.
     """
@@ -73,17 +73,21 @@ def load_csv(path, outcome, risk_factors, covariates=()):
     covariates = list(covariates)
     wanted = [outcome] + risk_factors + covariates
     p = len(risk_factors)
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        header = _read_header(reader, wanted)
-    columns = _parse_columns(
-        path, reader.line_num, len(header), [header.index(c) for c in wanted], 1 + p
-    )
-    if columns is None:
+    try:
         with open(path, newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
-            next(reader)
-            columns = _parse_rows(reader, header, outcome, risk_factors, covariates)
+            header = _read_header(reader, wanted)
+        columns = _parse_columns(
+            path, reader.line_num, len(header), [header.index(c) for c in wanted], 1 + p
+        )
+        if columns is None:
+            with open(path, newline="", encoding="utf-8-sig") as handle:
+                reader = csv.reader(handle)
+                next(reader)
+                columns = _parse_rows(reader, header, outcome, risk_factors, covariates)
+    except UnicodeDecodeError as exc:  # a ValueError, which would read as a fit error
+        bad = f"{exc.reason} 0x{exc.object[exc.start]:02x}"
+        raise CsvParseError([(0, "<file>", f"not UTF-8 text ({bad})")]) from None
 
     n = len(columns[0])
     if not n:

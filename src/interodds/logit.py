@@ -498,7 +498,6 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
         # accepted trial's coefficients, loglik, score and information stay
         origin, floor = beta[rows], loglik[rows]
         t = np.ones(len(rows))
-        moved = np.ones(len(rows), dtype=bool)
         pending = np.arange(len(rows))
         while pending.size:
             candidate = origin[pending] + t[pending, None] * step[pending]
@@ -515,11 +514,11 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
                     "step-halving found no non-decreasing step at "
                     f"iteration {iteration}"
                 )
-            moved[pending[stuck]] = False
             pending = pending[~stuck]
 
+        live = np.array([errors[b] is None for b in rows], dtype=bool)
         worst = np.abs(beta[rows] * scale[rows]).max(1)
-        diverged = moved & (worst > COEF_BOUND)
+        diverged = live & (worst > COEF_BOUND)
         for b, value in zip(rows[diverged], worst[diverged]):
             i = int(np.abs(beta[b] * scale[b]).argmax())  # the coefficient at worst
             name = ("intercept" if i == 0 else pattern_index(p).label(i - 1)
@@ -529,7 +528,7 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
                 f"divergence bound {COEF_BOUND}", masks, y, weights[b], p,
             )
         small = np.abs(t[:, None] * step).max(1) <= STEP_TOL
-        rows = rows[moved & ~diverged & ~small]
+        rows = rows[live & ~diverged & ~small]
     for b in rows:
         errors[b] = ConvergenceError(
             f"no convergence after {MAX_ITER} Newton iterations"

@@ -161,21 +161,13 @@ class MeasureSpec:
         object.__setattr__(self, "varying", varying)
         object.__setattr__(self, "fixed_mask", fixed_mask)
         nj = len(varying)
-        if self.kind == "OR":
-            if self.order is not None and not 1 <= self.order <= nj:
-                raise OrderRangeError(
-                    f"order {self.order} outside 1..{nj} for kind OR"
-                )
-        elif self.kind in ("EOR", "AP"):
-            if self.order is None or not 1 <= self.order <= nj:
-                raise OrderRangeError(
-                    f"{self.kind} requires order in 1..{nj}, got {self.order}"
-                )
-        else:  # SI quantifies interaction only, so order 1 is meaningless
-            if self.order is None or not 2 <= self.order <= nj:
-                raise OrderRangeError(
-                    f"SI requires order in 2..{nj}, got {self.order}"
-                )
+        low = 2 if self.kind == "SI" else 1  # SI quantifies interaction only
+        order = 1 if self.kind == "OR" and self.order is None else self.order
+        if order is None or not low <= order <= nj:
+            raise OrderRangeError(
+                f"order {order} outside 1..{nj} for kind OR" if self.kind == "OR"
+                else f"{self.kind} requires order in {low}..{nj}, got {order}"
+            )
         spec_plan(self.p, self)
 
     @property
@@ -383,14 +375,12 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     Evaluated with every varying factor on.  Quantifies the contribution
     of increments of order >= ``order``: at order 1 the whole effect of
     the varying factors, at order ``len(J)`` only the top interaction.
+    ``fixed`` may be None.  Raises :class:`MeasureSpec`'s errors for an
+    ``EOR`` spec: ``OrderRangeError`` for an order outside ``1..len(J)``,
+    ``ValueError`` for a bad ``fixed``.
     """
-    varying, fixed_mask = _validate_fixed(params.p, fixed)
-    nj = len(varying)
-    if not 1 <= order <= nj:
-        raise OrderRangeError(f"order must be in 1..{nj}, got {order}")
-    plan = _spec_terms(params.p, varying, fixed_mask, order)
-    a, b, _ = _plan_parts(params.or_table, plan)
-    return float(a - b)
+    a, b, _ = measure_parts(params, MeasureSpec(params.p, "EOR", order, fixed or {}))
+    return a - b
 
 
 _PLANS = {}  # the plan table of each factor count: see _spec_terms

@@ -226,22 +226,14 @@ def run_all(fast=True):
     points = 20 if fast else 100
     results = []
 
-    err = expansion_identity_error(p_values=p_values, draws=draws)
-    results.append(
-        CheckResult(
-            "expansion-identity",
+    for name, suite in (("expansion-identity", expansion_identity_error),
+                        ("prediction-equivalence", prediction_equivalence_error)):
+        err = suite(p_values=p_values, draws=draws)
+        results.append(CheckResult(
+            name,
             err <= 1e-12,
             f"max rel err {err:.2e} (tol 1e-12, p in {p_values}, {draws} draws)",
-        )
-    )
-    err = prediction_equivalence_error(p_values=p_values, draws=draws)
-    results.append(
-        CheckResult(
-            "prediction-equivalence",
-            err <= 1e-12,
-            f"max rel err {err:.2e} (tol 1e-12, p in {p_values}, {draws} draws)",
-        )
-    )
+        ))
     ok = alternating_binomial_ok(n_max=12)
     results.append(
         CheckResult(

@@ -191,7 +191,9 @@ def simulate(design: SimDesign) -> CaseControlDataset:
 
 
 def true_measure(design: SimDesign, spec: MeasureSpec) -> float:
-    """Measure evaluated at the design's true parameters (coverage target)."""
-    if spec.p != design.p:
-        raise ValueError("spec factor count disagrees with the design")
+    """Measure evaluated at the design's true parameters (coverage target).
+
+    Raises as :func:`~interodds.measures.measure` does: a ``ValueError``
+    that names both factor counts where ``spec``'s is not the design's.
+    """
     return measure(design.psi_true, spec)

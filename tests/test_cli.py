@@ -47,6 +47,15 @@ def test_measure_label_with_held_factors():
     assert label3.endswith("order >= 2 (2nd & higher order interaction)")
 
 
+def test_render_text_notes_the_ridge_fallback():
+    fit = {"n": 10, "n_cases": 5, "n_controls": 5, "loglik": -6.0,
+           "iterations": 4, "converged": True}
+    note = "  note: ridge fallback used during factorization"
+    for used in (False, True):
+        report = {"fit": fit | {"ridge_used": used}, "notes": [], "measures": []}
+        assert (note in cli.render_text(report).splitlines()) == used
+
+
 # ------------------------------------------------------------------- fixtures
 
 
@@ -336,6 +345,34 @@ def test_exit_code_separation(tmp_path):
     assert code == 4
 
 
+FOUR_RECORDS = b"y,v1,v2\n1,1,0\n0,0,1\n1,1,1\n0,0,0\n"
+
+
+@pytest.mark.parametrize("text, extra, code, message", [
+    # the intercept, v1, v2 and v1:v2 need at least 5 records
+    (FOUR_RECORDS, ["--risk-factors", "v1,v2", "--measure", "OR"], 4,
+     "fit error: need at least 5 records to fit 4 coefficients, got 4"),
+    (FOUR_RECORDS, ["--risk-factors", "v1", "--covariates", "y", "--measure", "OR"], 3,
+     "data error: unparseable cells: row 0 col 'y': column selected more than once"),
+    (FOUR_RECORDS, ["--risk-factors", "v1", "--measure", "EOR:2:1"], 2,
+     "error: bad measure token 'EOR:2:1'; expected KIND or KIND:ORDER"),
+    (b"y,v1\xff\n1,1\n0,0\n", ["--risk-factors", "v1", "--measure", "OR"], 3,
+     "data error: unparseable cells: row 0 col '<file>': not UTF-8 text "
+     "(invalid start byte 0xff)"),
+    (b"y,v1,z\n1,1,0\n0,0,\xff\n", ["--risk-factors", "v1", "--measure", "OR"], 3,
+     "data error: unparseable cells: row 0 col '<file>': not UTF-8 text "
+     "(invalid start byte 0xff)"),
+], ids=["too-few-records", "outcome-as-covariate", "bad-token", "non-utf8-header",
+        "non-utf8-body"])
+def test_analyze_exit_code_names_the_fault(tmp_path, capsys, text, extra, code,
+                                          message):
+    path = tmp_path / "data.csv"
+    path.write_bytes(text)
+    assert main(["analyze", "--data", str(path), "--outcome", "y", *extra]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message + "\n" and captured.out == ""
+
+
 def test_analyze_names_the_negative_prediction_behind_ap_out_of_range(
     tmp_path, capsys
 ):
@@ -426,6 +463,9 @@ def test_simulate_command_rejects_zero_cases(tmp_path, capsys):
     ("psi = 0.6931471805599453, 1.0986122886681098, 0.4054651081081644",
      "psi = 0.5, abc, 0.1",
      "line 7: psi: expected numbers separated by commas, got '0.5, abc, 0.1'"),
+    ("p = 2", "p 2", "line 2: expected 'key = value', got 'p 2\\n'"),
+    ("measures =", "fix = v3=1\nmeasures =",
+     "line 11: fix: fix entry 'v3=1' is outside v1..v2"),
 ])
 def test_simulate_names_the_bad_design_value(tmp_path, capsys, old, new, message):
     design_path = tmp_path / "design.txt"
@@ -435,6 +475,26 @@ def test_simulate_names_the_bad_design_value(tmp_path, capsys, old, new, message
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}"), err
     assert "unpack" not in err and "int()" not in err and "float" not in err
+
+
+def test_simulate_reports_an_infeasible_design_and_an_unwritable_output(
+    tmp_path, capsys
+):
+    design_path = tmp_path / "design.txt"
+    # p = 2, q = 0: the intercept alone puts cases out of reach
+    design_path.write_text(DESIGN.replace("q = 1", "q = 0").replace(
+        "kappa = -0.4, 0.3", "kappa = -30").replace("z1 = normal(0, 1)\n", ""))
+    code = main(["simulate", "--design", str(design_path), "--out", str(tmp_path / "x.csv")])
+    assert code == 2
+    assert capsys.readouterr().err == "error: expected case rate 2.42e-13 is below 1e-6\n"
+    assert not (tmp_path / "x.csv").exists()
+
+    design_path.write_text(DESIGN)
+    out_path = tmp_path / "missing" / "x.csv"
+    assert main(["simulate", "--design", str(design_path), "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: [Errno 2] ") and str(out_path) in captured.err
+    assert captured.out == ""
 
 
 def test_simulate_then_analyze_round_trip(tmp_path, capsys):

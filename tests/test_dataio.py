@@ -142,6 +142,20 @@ def test_empty_file(tmp_path):
         load_csv(path, "y", ["v1"])
 
 
+@pytest.mark.parametrize("text", [
+    b"y,v1\xff,z\n1,1,0.5\n0,0,1.5\n",  # in the header
+    b"y,v1,z\n1,1,0.5\n0,0,1.5\xff\n",  # in a data row
+], ids=["header", "body"])
+def test_text_that_is_not_utf8_is_a_parse_error(tmp_path, text):
+    path = tmp_path / "latin.csv"
+    path.write_bytes(text)
+    with pytest.raises(CsvParseError) as caught:
+        load_csv(path, "y", ["v1"], ["z"])
+    assert caught.value.problems == [
+        (0, "<file>", "not UTF-8 text (invalid start byte 0xff)")
+    ]
+
+
 def test_byte_order_mark_and_crlf_accepted(tmp_path):
     path = tmp_path / "excel.csv"
     path.write_bytes(b"\xef\xbb\xbfy,v1,z\r\n1,1,0.5\r\n0,0,1.5\r\n1,0,2.5\r\n")

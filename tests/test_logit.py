@@ -747,6 +747,21 @@ def test_certificate_decides_as_eigvalsh(name):
     assert not expected_ridge[cleared].any()
 
 
+def test_ridge_fallback_touches_only_the_marked_matrices():
+    info, _ = certificate_stacks()["singular_and_indefinite"]
+    before = info.copy()
+    used = np.array([True, True, False])
+    ridged = logit._ridged(info, used)
+    assert info.tobytes() == before.tobytes()  # the input is not written
+    assert ridged[2].tobytes() == info[2].tobytes()
+    k = info.shape[-1]
+    for b in (0, 1):
+        expected = info[b] + 1e-10 * np.trace(info[b]) / k * np.eye(k)
+        assert ridged[b].tobytes() == expected.tobytes()
+        assert np.linalg.eigvalsh(ridged[b])[0] > 0
+    assert logit._ridged(info, np.zeros(3, dtype=bool)) is info
+
+
 def separating_batch():
     """Two ordinary fits and one whose records separate on v1.
 

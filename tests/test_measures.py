@@ -1,3 +1,4 @@
+import re
 from dataclasses import FrozenInstanceError
 from math import fsum
 
@@ -169,6 +170,24 @@ def test_expansion_identity_small_grid():
 def test_excess_running_example():
     assert close(excess_or(RUN2, {}, 2), 5.0)
     assert close(excess_or(RUN2, {}, 1), 8.0)
+
+
+def test_excess_is_the_eor_spec_parts_difference():
+    params = random_params(3, np.random.default_rng(11))
+    for fixed in iter_splits(3):
+        nj = 3 - len(fixed)
+        for order in range(1, nj + 1):
+            a, b, _ = measure_parts(
+                params, MeasureSpec(p=3, kind="EOR", order=order, fixed=fixed)
+            )
+            got = excess_or(params, fixed, order)
+            assert type(got) is float and got.hex() == (a - b).hex()
+        for order in (0, nj + 1):
+            with pytest.raises(
+                OrderRangeError, match=rf"^EOR requires order in 1\.\.{nj}, got {order}$"
+            ):
+                excess_or(params, fixed, order)
+    assert excess_or(params, None, 2) == excess_or(params, {}, 2)
 
 
 def test_excess_multiplicative_margins_still_positive():
@@ -349,6 +368,28 @@ def test_spec_order_bounds():
     with pytest.raises(OrderRangeError):
         MeasureSpec(p=2, kind="EOR")  # order required
     MeasureSpec(p=2, kind="OR")  # order optional for the joint odds ratio
+
+
+@pytest.mark.parametrize("kind, order, fixed, message", [
+    ("OR", 0, {}, "order 0 outside 1..3 for kind OR"),
+    ("OR", 4, {}, "order 4 outside 1..3 for kind OR"),
+    ("OR", 3, {1: 0}, "order 3 outside 1..2 for kind OR"),
+    ("EOR", None, {}, "EOR requires order in 1..3, got None"),
+    ("EOR", 0, {}, "EOR requires order in 1..3, got 0"),
+    ("EOR", 4, {}, "EOR requires order in 1..3, got 4"),
+    ("AP", None, {}, "AP requires order in 1..3, got None"),
+    ("AP", 0, {}, "AP requires order in 1..3, got 0"),
+    ("AP", 3, {0: 1}, "AP requires order in 1..2, got 3"),
+    ("SI", None, {}, "SI requires order in 2..3, got None"),
+    ("SI", 1, {}, "SI requires order in 2..3, got 1"),
+    ("SI", 4, {}, "SI requires order in 2..3, got 4"),
+])
+def test_spec_order_messages(kind, order, fixed, message):
+    with pytest.raises(OrderRangeError, match=f"^{re.escape(message)}$"):
+        MeasureSpec(p=3, kind=kind, order=order, fixed=fixed)
+    nj = 3 - len(fixed)
+    for good in ([None, 1, nj] if kind == "OR" else [2 if kind == "SI" else 1, nj]):
+        assert MeasureSpec(p=3, kind=kind, order=good, fixed=fixed).order == good
 
 
 def test_spec_fixed_validation():

@@ -204,3 +204,10 @@ def test_true_measure_values():
     )
     null_design = make_design(psi_true=StructuralParams.zeros(2))
     assert true_measure(null_design, MeasureSpec(p=2, kind="AP", order=2)) == 0.0
+
+
+def test_true_measure_names_both_factor_counts():
+    with pytest.raises(
+        ValueError, match=r"^spec has 3 risk factors but the parameters have 2$"
+    ):
+        true_measure(make_design(), MeasureSpec(p=3, kind="OR"))
