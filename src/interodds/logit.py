@@ -398,6 +398,106 @@ def _ridged(info, used):
     return info
 
 
+def _fit_checks(masks, zt, y, p, weights):
+    """Each fit's error before it iterates, or None, and its coefficient scales.
+
+    Fits with the same records share one rank check.  The scales are 1 but
+    for each covariate's weighted SD, by which ``COEF_BOUND`` reads a slope.
+    """
+    if weights.ndim != 2 or weights.shape[1] != len(y) or not (
+            (weights >= 0) & (weights < np.inf)).all():
+        raise ValueError("weights must be finite and non-negative, one row of n per fit")
+    nfits, ncols = len(weights), (1 << p) + len(zt)
+    n = weights.sum(1)
+    if (n < ncols + 1).any():
+        raise ValueError(
+            f"need at least {ncols + 1} records to fit {ncols} coefficients, "
+            f"got {n.min():g}"
+        )
+    both = (weights @ y > 0) & (weights @ (1 - y) > 0)
+    scale = np.ones((nfits, ncols))
+    for i, z in enumerate(zt, start=1 << p):
+        dev = z - z.mean()  # then the weighted mean of dev is near 0
+        mean = weights @ dev / n
+        spread = weights @ np.square(dev, out=dev) / n - mean**2
+        scale[:, i] = np.sqrt(np.maximum(spread, 0.0))
+    errors = np.full(nfits, None)
+    checked = {}
+    for b in range(nfits):
+        has = weights[b] > 0
+        key = has.tobytes()
+        if both[b] and key not in checked:
+            # no copy where the fit has every record: a fresh copy of a
+            # large design costs more in page faults than the check itself
+            own = (masks, zt) if has.all() else (masks[has], zt.compress(has, 1))
+            try:
+                _check_design(*own, p)
+                checked[key] = None
+            except SingularDesignError as exc:
+                checked[key] = exc
+        errors[b] = checked[key] if both[b] else EmptyClassError(
+            "both cases and controls are required for fitting")
+    return errors, scale
+
+
+def _newton_step(evaluate, rows, moving, ridge, beta, loglik, score, info):
+    """Step each fit of ``rows`` that ``moving`` marks, writing its new point.
+
+    The Newton step (with :func:`_ridged`'s ridge where ``ridge`` marks) is
+    halved until the loglik does not decrease.  Returns each fit's accepted
+    step, zero where it does not move, and which fits stalled: no trial down
+    to 2^-34 of the full step was accepted.
+    """
+    step = np.zeros((len(rows), beta.shape[1]))
+    pending = np.flatnonzero(moving)
+    step[pending] = np.linalg.solve(_ridged(info[rows[pending]], ridge[pending]),
+                                    score[rows[pending]][..., None])[..., 0]
+    origin, floor = beta[rows], loglik[rows]
+    t, stalled = np.ones(len(rows)), np.zeros(len(rows), dtype=bool)
+    while pending.size:
+        candidate = origin[pending] + t[pending, None] * step[pending]
+        trial = evaluate(candidate, rows[pending])
+        up = trial[0] >= floor[pending]
+        done = rows[pending[up]]
+        beta[done], loglik[done], score[done], info[done] = (
+            a[up] for a in (candidate, *trial))
+        pending = pending[~up]
+        t[pending] *= 0.5
+        stuck = t[pending] <= 2.0 ** -34
+        stalled[pending[stuck]] = True
+        pending = pending[~stuck]
+    return t[:, None] * step, stalled
+
+
+def _guards(iteration, rows, cond, stalled, scaled, masks, zt, y, weights, p):
+    """The error that ends each fit of ``rows`` at this iteration, or None.
+
+    In order: a condition number ``cond`` (NaN where certified) above
+    ``COND_CAP``, SeparationError; a stalled step-halving, ConvergenceError;
+    a coefficient beyond ``COEF_BOUND``, slopes per SD (``scaled``), SeparationError.
+    """
+    worst = np.abs(scaled).max(1)
+    verdicts = np.full(len(rows), None)
+    for i in np.flatnonzero((cond > COND_CAP) | stalled | (worst > COEF_BOUND)):
+        if cond[i] > COND_CAP:
+            verdicts[i] = _separation_error(
+                f"information matrix condition number {cond[i]:.3g} exceeds "
+                f"{COND_CAP:.0e}", masks, y, weights[rows[i]], p, zt,
+            )
+        elif stalled[i]:
+            verdicts[i] = ConvergenceError(
+                f"step-halving found no non-decreasing step at iteration {iteration}")
+        else:
+            c = int(np.abs(scaled[i]).argmax())  # the coefficient at worst
+            name = ("intercept" if c == 0 else pattern_index(p).label(c - 1)
+                    if c < 1 << p else f"covariate {c - (1 << p) + 1} (per SD)")
+            verdicts[i] = _separation_error(
+                f"coefficient magnitude {worst[i]:.3g} of {name} exceeds the "
+                f"divergence bound {COEF_BOUND}", masks, y, weights[rows[i]], p,
+            )
+    return verdicts
+
+
 def fit_batch(masks, covariates, outcome, p, weights, start=None):
     """Newton/step-halving ML fits of one model per row of ``weights``.
 
@@ -407,133 +507,42 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
     classes when its cases and its controls have positive total weight.
     ``start`` is an optional (B, 2^p + q) array of starting coefficients.
     A fit on the distinct records weighted by their counts is the fit on
-    the records themselves, up to the order of summation.  Every fit runs
-    its own checks, convergence test, step-halving and guards, and its
-    numbers do not depend on the other rows.  A fit's
-    :class:`InterOddsError` (the ones listed in :func:`fit_logit`) is
-    recorded in ``errors`` instead of raised.
-
-    Each iteration tests every fit's information against
-    ``COND_CAP`` and adds a tiny ridge where it is not positive
-    definite (:func:`_conditioning`).  One stacked Cholesky clears the
-    well-conditioned fits; only the others go through ``eigvalsh``, so
-    every decision, message and condition number is eigvalsh's.
-
-    Raises
-    ------
-    ValueError
-        ``weights`` is not a (B, n) array of non-negative weights, or a fit
-        has fewer weighted records than coefficients plus one.
+    the records themselves, up to the order of summation.  Each fit's
+    numbers do not depend on the other rows, and its
+    :class:`InterOddsError` (see :func:`fit_logit`) is recorded in
+    ``errors`` instead of raised.  Raises ValueError when ``weights`` is
+    not a (B, n) array of finite non-negative weights, or a fit has fewer
+    weighted records than coefficients plus one.
     """
     zt = np.ascontiguousarray(covariates.T)  # a view for column-major records
-    y = np.asarray(outcome)
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 2 or weights.shape[1] != len(y) or (weights < 0).any():
-        raise ValueError("weights must be non-negative, one row of n per fit")
-    nfits, ncols = len(weights), (1 << p) + len(zt)
-    n = weights.sum(1)
-    if (n < ncols + 1).any():
-        raise ValueError(
-            f"need at least {ncols + 1} records to fit {ncols} coefficients, "
-            f"got {n.min():g}"
-        )
-    both = (weights @ y > 0) & (weights @ (1 - y) > 0)
-    scale = np.ones((nfits, ncols))  # COEF_BOUND reads a slope per weighted SD
-    for i, z in enumerate(zt, start=1 << p):
-        dev = z - z.mean()  # then the weighted mean of dev is near 0
-        mean = weights @ dev / n
-        spread = weights @ np.square(dev, out=dev) / n - mean**2
-        scale[:, i] = np.sqrt(np.maximum(spread, 0.0))
-    errors = [None] * nfits
-    checked = {}  # fits with the same records share one rank check
-    for b in range(nfits):
-        if not both[b]:
-            errors[b] = EmptyClassError(
-                "both cases and controls are required for fitting"
-            )
-            continue
-        has = weights[b] > 0
-        key = has.tobytes()
-        if key not in checked:
-            # no copy where the fit has every record: a fresh copy of a
-            # large design costs more in page faults than the check itself
-            own = (masks, zt) if has.all() else (masks[has], zt.compress(has, 1))
-            try:
-                _check_design(*own, p)
-                checked[key] = None
-            except SingularDesignError as exc:
-                checked[key] = exc
-        errors[b] = checked[key]
-
+    y, weights = np.asarray(outcome), np.asarray(weights, dtype=float)
+    errors, scale = _fit_checks(masks, zt, y, p, weights)
+    nfits, ncols = scale.shape
     evaluate = _evaluator(masks, zt, y, weights, p)
     beta = np.zeros((nfits, ncols)) if start is None else (
         np.array(start, dtype=float).reshape(nfits, ncols))
     loglik, score = np.zeros(nfits), np.zeros((nfits, ncols))
     info = np.zeros((nfits, ncols, ncols))
-    iterations = np.zeros(nfits, dtype=np.int64)
-    ridge_used = np.zeros(nfits, dtype=bool)
-    rows = np.flatnonzero([error is None for error in errors])  # still iterating
+    iterations, ridge_used = np.zeros(nfits, np.int64), np.zeros(nfits, bool)
+    rows = np.flatnonzero(np.equal(errors, None))  # still iterating
     if rows.size:
         loglik[rows], score[rows], info[rows] = evaluate(beta[rows], rows)
-
     for iteration in range(1, MAX_ITER + 1):
         iterations[rows] = iteration
-        gnorm = np.abs(score[rows]).max(1)
-        rows = rows[gnorm > SCORE_TOL * (1.0 + np.abs(loglik[rows]))]
+        rows = rows[np.abs(score[rows]).max(1) > SCORE_TOL * (1.0 + np.abs(loglik[rows]))]
         if not rows.size:
             break
         cond, ridge = _conditioning(info[rows], COND_CAP)
-        singular = cond > COND_CAP
-        for b, c in zip(rows[singular], cond[singular]):
-            errors[b] = _separation_error(
-                f"information matrix condition number {c:.3g} exceeds "
-                f"{COND_CAP:.0e}", masks, y, weights[b], p, zt,
-            )
-        rows, ridge = rows[~singular], ridge[~singular]
-        system = _ridged(info[rows], ridge)
-        ridge_used[rows] |= ridge
-        step = np.linalg.solve(system, score[rows][..., None])[..., 0]
-
-        # halve each fit's step until its loglik does not decrease; the
-        # accepted trial's coefficients, loglik, score and information stay
-        origin, floor = beta[rows], loglik[rows]
-        t = np.ones(len(rows))
-        pending = np.arange(len(rows))
-        while pending.size:
-            candidate = origin[pending] + t[pending, None] * step[pending]
-            trial = evaluate(candidate, rows[pending])
-            up = trial[0] >= floor[pending]
-            done = rows[pending[up]]
-            beta[done], loglik[done], score[done], info[done] = (
-                a[up] for a in (candidate, *trial))
-            pending = pending[~up]
-            t[pending] *= 0.5
-            stuck = t[pending] <= 2.0 ** -34
-            for b in rows[pending[stuck]]:
-                errors[b] = ConvergenceError(
-                    "step-halving found no non-decreasing step at "
-                    f"iteration {iteration}"
-                )
-            pending = pending[~stuck]
-
-        live = np.array([errors[b] is None for b in rows], dtype=bool)
-        worst = np.abs(beta[rows] * scale[rows]).max(1)
-        diverged = live & (worst > COEF_BOUND)
-        for b, value in zip(rows[diverged], worst[diverged]):
-            i = int(np.abs(beta[b] * scale[b]).argmax())  # the coefficient at worst
-            name = ("intercept" if i == 0 else pattern_index(p).label(i - 1)
-                    if i < 1 << p else f"covariate {i - (1 << p) + 1} (per SD)")
-            errors[b] = _separation_error(
-                f"coefficient magnitude {value:.3g} of {name} exceeds the "
-                f"divergence bound {COEF_BOUND}", masks, y, weights[b], p,
-            )
-        small = np.abs(t[:, None] * step).max(1) <= STEP_TOL
-        rows = rows[live & ~diverged & ~small]
-    for b in rows:
-        errors[b] = ConvergenceError(
-            f"no convergence after {MAX_ITER} Newton iterations"
-        )
-    return BatchFit(beta, loglik, score, info, iterations, ridge_used, errors)
+        moving = ~(cond > COND_CAP)  # cond is NaN where certified below the cap
+        ridge_used[rows] |= moving & ridge
+        step, stalled = _newton_step(
+            evaluate, rows, moving, ridge, beta, loglik, score, info)
+        errors[rows] = _guards(iteration, rows, cond, stalled, beta[rows] * scale[rows],
+                               masks, zt, y, weights, p)
+        rows = rows[np.equal(errors[rows], None) & (np.abs(step).max(1) > STEP_TOL)]
+    errors[rows] = [ConvergenceError(f"no convergence after {MAX_ITER} Newton iterations")
+                    for _ in rows]
+    return BatchFit(beta, loglik, score, info, iterations, ridge_used, errors.tolist())
 
 
 def fit_design(masks, covariates, outcome, p, start=None):

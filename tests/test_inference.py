@@ -1,3 +1,4 @@
+import hashlib
 import pickle
 from collections import Counter
 from itertools import combinations
@@ -778,6 +779,24 @@ def test_bootstrap_records_each_failed_refit_by_error_class():
     # a resample without either exposed record has a constant column; one
     # without the exposed case or the exposed control separates
     assert set(expected) == {None, "SingularDesignError", "SeparationError"}
+
+
+@pytest.mark.parametrize("make_data, seed, expected", [
+    # one batch of 200 refits, all converged
+    (lambda: discrete_dataset(seed=21), 9,
+     "6d9f6322010ec7370186967948b4ad7573ceaa2f1bc8cb12cff671c36a18da16"),
+    # refits ending in SingularDesignError and SeparationError, up to the
+    # failure that crosses the limit
+    (degenerate_dataset, 3,
+     "e28672b7ab879c951bfedffe8244c4f17ea1bc23fcc0291ba48758fc91e0e03b"),
+], ids=["converged", "failing"])
+def test_refits_are_pinned_bit_for_bit(make_data, seed, expected):
+    # tied to numpy's vector exp and LAPACK, which may round differently
+    # on another build
+    replicates = bootstrap_replicates(make_data(), 200, seed)
+    digest = hashlib.sha256(np.asarray(replicates.psi, dtype="<f8").tobytes())
+    digest.update(repr(replicates.errors).encode())
+    assert digest.hexdigest() == expected
 
 
 def discrete_dataset(seed=0, n0=400, n1=400, p=2):

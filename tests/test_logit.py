@@ -491,9 +491,30 @@ def test_too_few_records_rejected():
 
 def test_iteration_budget_respected():
     data = small_dataset(n=600, seed=14)
-    with pytest.raises(ConvergenceError):
+    with pytest.raises(ConvergenceError, match="^no convergence after 1 Newton iterations$"):
         with mock.patch.multiple(logit, MAX_ITER=1, SCORE_TOL=1e-14, STEP_TOL=0.0):
             fit_logit(data)
+
+
+def test_stalled_step_halving_names_its_iteration():
+    # every evaluation after the first reads a loglik of -inf, so no trial
+    # is accepted: the full step and 33 halvings, then the fit stops
+    evaluations, make = [], logit._evaluator
+
+    def falling(*args):
+        evaluate = make(*args)
+
+        def worse(beta, rows):
+            loglik, score, info = evaluate(beta, rows)
+            evaluations.append(len(rows))
+            return loglik if len(evaluations) == 1 else loglik - np.inf, score, info
+        return worse
+
+    message = "^step-halving found no non-decreasing step at iteration 1$"
+    with mock.patch.object(logit, "_evaluator", falling):
+        with pytest.raises(ConvergenceError, match=message):
+            fit_logit(small_dataset(n=400, seed=3))
+    assert evaluations == [1] * 35
 
 
 def test_fit_is_pinned_bit_for_bit():
@@ -631,6 +652,11 @@ def test_batch_weights_must_be_non_negative_one_row_per_fit():
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     with pytest.raises(ValueError, match="weights"):
         fit_batch(masks, z, y, 2, np.r_[-1.0, np.ones(data.n - 1)][None])
+    for bad in (np.inf, np.nan):  # one weight of the second fit of two
+        weights = np.ones((2, data.n))
+        weights[1, 0] = bad
+        with pytest.raises(ValueError, match="^weights must be finite and non-negative"):
+            fit_batch(masks, z, y, 2, weights)
     with pytest.raises(ValueError, match="weights"):
         fit_batch(masks, z, y, 2, np.ones((1, data.n - 1)))
     with pytest.raises(ValueError, match="weights"):
