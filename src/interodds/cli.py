@@ -25,7 +25,6 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -106,46 +105,6 @@ def measure_label(kind, order, varying_names, held, subset_fit=False) -> str:
     return " | ".join(parts)
 
 
-@dataclass
-class AnalysisConfig:
-    data_path: str
-    outcome: str
-    risk_factors: list
-    covariates: list = field(default_factory=list)
-    fixed: list = field(default_factory=list)  # [(column, level), ...]
-    measures: list = field(default_factory=list)  # [(kind, order), ...]
-    alpha: float = 0.05
-    ci_method: str = "delta"  # delta | boot | both
-    n_boot: int = 1000
-    seed: int = 0
-    output_format: str = "text"
-    subset_fit: bool = False
-
-    def __post_init__(self):
-        if not self.risk_factors:
-            raise ValueError("at least one risk-factor column is required")
-        if len(set(self.risk_factors)) != len(self.risk_factors):
-            raise ValueError("risk-factor columns must be distinct")
-        fixed_cols = [c for c, _ in self.fixed]
-        if len(set(fixed_cols)) != len(fixed_cols):
-            raise ValueError("each --fix column may appear only once")
-        unknown = [c for c in fixed_cols if c not in self.risk_factors]
-        if unknown:
-            raise ValueError(f"--fix columns must be risk factors: {unknown}")
-        if len(fixed_cols) >= len(self.risk_factors):
-            raise ValueError("at least one risk factor must remain varying")
-        if not self.measures:
-            raise ValueError("at least one --measure is required")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.ci_method not in ("delta", "boot", "both"):
-            raise ValueError(f"unknown ci method {self.ci_method!r}")
-        if self.ci_method != "delta" and self.n_boot < MIN_BOOT:
-            raise ValueError(
-                f"need at least {MIN_BOOT} bootstrap replicates, got {self.n_boot}"
-            )
-
-
 def _report_from_estimate(rep):
     out = {
         "method": rep.method,
@@ -166,26 +125,25 @@ def _report_from_estimate(rep):
     return out
 
 
-def run_analysis(config: AnalysisConfig):
+def run_analysis(args):
     """Load, fit once, evaluate every requested measure.
 
-    Returns ``(report, exit_code)`` where ``report`` is a plain dict ready
-    for any renderer.  Per-measure failures are recorded in the report
-    without aborting the remaining measures.
+    ``args`` holds the ``analyze`` options as :func:`_config_from_args`
+    leaves them.  Returns ``(report, exit_code)`` where ``report`` is a
+    plain dict ready for any renderer.  Per-measure failures are recorded
+    in the report without aborting the remaining measures.
     """
-    data = load_csv(
-        config.data_path, config.outcome, config.risk_factors, config.covariates
-    )
+    data = load_csv(args.data, args.outcome, args.risk_factors, args.covariates)
 
-    held = list(config.fixed)
-    varying_names = [c for c in config.risk_factors if c not in dict(held)]
-    if config.subset_fit:
+    held = args.fix
+    varying_names = [c for c in args.risk_factors if c not in dict(held)]
+    if args.subset_fit:
         # keep only records at the held levels and drop those columns from
         # the model: a smaller fit instead of fixing levels inside measures
         keep = np.ones(data.n, dtype=bool)
         for col, level in held:
-            keep &= data.exposures[:, config.risk_factors.index(col)] == level
-        cols = [config.risk_factors.index(c) for c in varying_names]
+            keep &= data.exposures[:, args.risk_factors.index(col)] == level
+        cols = [args.risk_factors.index(c) for c in varying_names]
         if not keep.any():
             raise EmptyClassError("no records left at the held factor levels")
         data = CaseControlDataset(
@@ -196,10 +154,8 @@ def run_analysis(config: AnalysisConfig):
         factor_names = varying_names
         spec_fixed = {}
     else:
-        factor_names = list(config.risk_factors)
-        spec_fixed = {
-            config.risk_factors.index(col): level for col, level in held
-        }
+        factor_names = args.risk_factors
+        spec_fixed = {args.risk_factors.index(col): level for col, level in held}
 
     fit = fit_logit(data)
 
@@ -218,7 +174,7 @@ def run_analysis(config: AnalysisConfig):
         "intercept": float(fit.params.kappa[0]),
         "kappa": {
             name: float(value)
-            for name, value in zip(config.covariates, fit.params.kappa[1:])
+            for name, value in zip(args.covariates, fit.params.kappa[1:])
         },
         "psi": {
             name: float(value)
@@ -232,14 +188,13 @@ def run_analysis(config: AnalysisConfig):
     entries = []
     any_failed = False
     replicates = None  # built at the first bootstrap interval, then shared
-    for kind, order in config.measures:
+    for kind, order in args.measure:
         try:
             spec = MeasureSpec(
                 p=data.p, kind=kind, order=order, fixed=spec_fixed
             )
         except InterOddsError as exc:
-            label = measure_label(kind, order, varying_names, held,
-                                  config.subset_fit)
+            label = measure_label(kind, order, varying_names, held, args.subset_fit)
             entries.append(
                 {"label": label, "kind": kind, "order": order,
                  "method": None, "error": str(exc)}
@@ -248,22 +203,20 @@ def run_analysis(config: AnalysisConfig):
             continue
 
         label = measure_label(spec.kind, spec.effective_order, varying_names,
-                              held, config.subset_fit)
+                              held, args.subset_fit)
         base = {"label": label, "kind": spec.kind, "order": spec.effective_order}
-        if config.ci_method in ("delta", "both"):
+        if args.ci in ("delta", "both"):
             try:
-                rep = delta_ci(fit, spec, alpha=config.alpha)
+                rep = delta_ci(fit, spec, alpha=args.alpha)
                 entries.append(base | _report_from_estimate(rep))
             except InterOddsError as exc:
                 entries.append(base | {"method": "DELTA", "error": str(exc)})
                 any_failed = True
-        if config.ci_method in ("boot", "both"):
+        if args.ci in ("boot", "both"):
             try:
                 if replicates is None:
-                    replicates = bootstrap_replicates(
-                        data, config.n_boot, config.seed
-                    )
-                rep = bootstrap_ci(fit, replicates, spec, alpha=config.alpha)
+                    replicates = bootstrap_replicates(data, args.n_boot, args.seed)
+                rep = bootstrap_ci(fit, replicates, spec, alpha=args.alpha)
                 entries.append(base | _report_from_estimate(rep))
             except InterOddsError as exc:
                 entry = base | {"method": "BOOTSTRAP_PERCENTILE", "error": str(exc)}
@@ -341,32 +294,43 @@ def _split_columns(text):
     return [c.strip() for c in str(text).split(",") if c.strip()]
 
 
-def _config_from_args(args) -> AnalysisConfig:
+def _config_from_args(args):
+    """Parse and check the ``analyze`` options in place.
+
+    The column lists become lists of names, each ``--fix`` a ``(column,
+    level)`` pair and the ``--measure`` flags one ``(kind, order)`` list.
+    Raises ValueError for a usage error.
+    """
     fixed = []
     for item in args.fix:
         name, sep, level = str(item).partition("=")
         if not sep or level.strip() not in ("0", "1"):
             raise ValueError(f"--fix expects COL=0 or COL=1, got {item!r}")
         fixed.append((name.strip(), int(level)))
-    measures = []
-    for flag in args.measure:
-        for token in str(flag).split(","):
-            if token.strip():
-                measures.append(parse_measure_token(token))
-    return AnalysisConfig(
-        data_path=args.data,
-        outcome=args.outcome,
-        risk_factors=_split_columns(args.risk_factors),
-        covariates=_split_columns(args.covariates),
-        fixed=fixed,
-        measures=measures,
-        alpha=args.alpha,
-        ci_method=args.ci,
-        n_boot=args.n_boot,
-        seed=args.seed,
-        output_format=args.format,
-        subset_fit=args.subset_fit,
-    )
+    args.fix = fixed
+    args.measure = [parse_measure_token(token) for flag in args.measure
+                    for token in str(flag).split(",") if token.strip()]
+    args.risk_factors = factors = _split_columns(args.risk_factors)
+    args.covariates = _split_columns(args.covariates)
+    if not factors:
+        raise ValueError("at least one risk-factor column is required")
+    if len(set(factors)) != len(factors):
+        raise ValueError("risk-factor columns must be distinct")
+    fixed_cols = [c for c, _ in fixed]
+    if len(set(fixed_cols)) != len(fixed_cols):
+        raise ValueError("each --fix column may appear only once")
+    unknown = [c for c in fixed_cols if c not in factors]
+    if unknown:
+        raise ValueError(f"--fix columns must be risk factors: {unknown}")
+    if len(fixed_cols) >= len(factors):
+        raise ValueError("at least one risk factor must remain varying")
+    if not args.measure:
+        raise ValueError("at least one --measure is required")
+    if not 0.0 < args.alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {args.alpha}")
+    if args.ci != "delta" and args.n_boot < MIN_BOOT:
+        raise ValueError(
+            f"need at least {MIN_BOOT} bootstrap replicates, got {args.n_boot}")
 
 
 def _write_stdout(text):
@@ -389,12 +353,12 @@ def _write_stdout(text):
 
 def cmd_analyze(args) -> int:
     try:
-        config = _config_from_args(args)
+        _config_from_args(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        report, code = run_analysis(config)
+        report, code = run_analysis(args)
     except _DATA_ERRORS as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
@@ -404,7 +368,7 @@ def cmd_analyze(args) -> int:
     except _FIT_ERRORS as exc:
         print(f"fit error: {exc}", file=sys.stderr)
         return EXIT_FIT
-    _write_stdout(render_report(report, config.output_format))
+    _write_stdout(render_report(report, args.format))
     return code
 
 

@@ -30,6 +30,7 @@ from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa:
 from .measures import (
     MeasureSpec,
     StructuralParams,
+    _ReadOnly,
     _frozen,
     _plan_parts,
     kind_value,
@@ -99,32 +100,26 @@ def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
     return measure_value(kind, a, b, c), 1.0 / d, -(a - c) / d**2, (a - b) / d**2
 
 
-def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> tuple:
-    """``(a, b, c, G00, G01, G02, G11, G12, G22)``: a plan's parts and their covariance.
+def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> list:
+    """``[a, b, c, G00, G01, G02, G11, G12, G22]``: a plan's parts and their covariance.
 
-    The parts are :func:`~interodds.measures.measure_parts`'s.  ``G`` reads
-    ``Y = diag(OR) R sigma_psi R' diag(OR)``, the covariance of the odds
-    ratios at all masks (``R`` their downset rows).  The fit keeps ``Y``
-    while ``sigma_psi`` and ``params.psi`` are the same objects, and each
-    entry under its plan's value ``(p, varying, fixed_mask, order)``.  A miss
-    forms, in one stacked pass, every plan in ``measures._PLANS`` (which
-    specs fill when made) that the fit lacks: about 1 ms for the 405 of
-    p = 5.  ``b`` is an ``fsum`` per plan, and ``u = W Y`` and
-    ``G11 = (W * u) 1`` are ``einsum`` sums over blocks of ``2^p`` dense
-    weight rows ``W``: unlike a BLAS product's, their bits do not depend
-    on the block.
+    The parts are :func:`~interodds.measures.measure_parts`'s, and ``G``
+    reads the fit's :attr:`~interodds.logit.FitResult.or_covariance`
+    ``Y``.  The fit keeps each entry under its plan's value ``(p, varying,
+    fixed_mask, order)``.  A miss forms, in one stacked pass, every plan in
+    ``measures._PLANS`` (which specs fill when made) that the fit lacks:
+    about 1 ms for the 405 of p = 5.  ``b`` is an ``fsum`` per plan, and
+    ``u = W Y`` and ``G11 = (W * u) 1`` are ``einsum`` sums over blocks of
+    ``2^p`` dense weight rows ``W``: unlike a BLAS product's, their bits do
+    not depend on the block.
     """
-    psi, cache = fit.params.psi, fit._delta
-    if cache is None or cache[0] is not fit.sigma_psi or cache[1] is not psi:
-        d = downset_rows(psi.p, np.arange(1 << psi.p)) * psi.or_table[:, None]
-        y = _frozen(d.dot(fit.sigma_psi).dot(d.T))[0]
-        cache = fit._delta = (fit.sigma_psi, psi, y, {})
+    entries = fit._delta
     key = (spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
-    entry = cache[3].get(key)
+    entry = entries.get(key)
     if entry is None:
+        psi = fit.params.psi
         spec_plan(psi.p, spec)  # raises for another p; registers an unpickled spec
-        _, _, y, entries = cache
-        table = measures._PLANS[psi.p]
+        y, table = fit.or_covariance, measures._PLANS[psi.p]
         miss = ~np.fromiter(map(entries.__contains__, table[0]), bool, len(table[0]))
         keys, term = [*compress(table[0], miss)], np.repeat(miss, table[3])
         (j, z, n), (m, w) = (c[miss] for c in table[1:4]), (c[term] for c in table[4:])
@@ -264,12 +259,12 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
                           ci_low, ci_high, alpha, "DELTA", None, None, None, note)
 
 
-@dataclass(eq=False)
-class BootstrapReplicates:
+@dataclass(frozen=True, eq=False)
+class BootstrapReplicates(_ReadOnly):
     """Refitted structural coefficients of the bootstrap replicates.
 
-    Row ``b`` of ``psi``, a ``(n_fitted, 2^p - 1)`` array, belongs to
-    replicate ``b``.  ``errors[b]`` is the class name of the error that
+    Row ``b`` of ``psi``, a read-only ``(n_fitted, 2^p - 1)`` copy, belongs
+    to replicate ``b``.  ``errors[b]`` is the class name of the error that
     ended its refit, and ``None`` where the refit succeeded; the row of a
     failed refit is NaN.  Fitting stops once more than 10% of the refits
     have failed, since every measure's interval is then refused, so
@@ -279,6 +274,9 @@ class BootstrapReplicates:
     n_boot: int
     psi: np.ndarray
     errors: list
+
+    def __post_init__(self):
+        object.__setattr__(self, "psi", _frozen(np.array(self.psi, dtype=float))[0])
 
     @property
     def max_failures(self) -> int:
@@ -291,7 +289,8 @@ class BootstrapReplicates:
         Row ``k`` is the :attr:`~interodds.measures.StructuralParams.or_table`
         of the ``k``-th successful refit, bit for bit.
         """
-        return np.exp(log_or_tables(self.psi[[e is None for e in self.errors]]))
+        kept = self.psi[[e is None for e in self.errors]]
+        return _frozen(np.exp(log_or_tables(kept)))[0]
 
 
 def bootstrap_replicates(
@@ -342,8 +341,7 @@ def bootstrap_replicates(
 
     children = np.random.SeedSequence(seed).spawn(n_boot)
     per_batch = max(1, BUDGET // max(ncells, (1 << p) + data.q))
-    replicates = BootstrapReplicates(n_boot, None, [])
-    psi, errors = [], replicates.errors
+    psi, errors, limit = [], [], int(0.10 * n_boot)  # the result's max_failures
     for start in range(0, n_boot, per_batch):
         counts = np.array([draw(c) for c in children[start : start + per_batch]])
         drawn = counts.any(0)
@@ -356,13 +354,12 @@ def bootstrap_replicates(
         batch[[name is not None for name in names]] = np.nan
         psi.append(batch)
         errors += names
-        if len(errors) - errors.count(None) > replicates.max_failures:
+        if len(errors) - errors.count(None) > limit:
             # stop at the failure that crosses the limit
-            cut = [b for b, name in enumerate(errors) if name][replicates.max_failures]
+            cut = [b for b, name in enumerate(errors) if name][limit]
             del errors[cut + 1 :]
             break
-    replicates.psi = np.concatenate(psi)[: len(errors)]
-    return replicates
+    return BootstrapReplicates(n_boot, np.concatenate(psi)[: len(errors)], errors)
 
 
 def _cells(data: CaseControlDataset) -> tuple:

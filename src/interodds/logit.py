@@ -27,8 +27,8 @@ from .errors import (
     SeparationError,
     SingularDesignError,
 )
-from .measures import StructuralParams
-from .patterns import as_masks, lattice_sums, pattern_index
+from .measures import StructuralParams, _ReadOnly, _frozen
+from .patterns import as_masks, downset_rows, lattice_sums, pattern_index
 
 # The Newton loop's limits
 MAX_ITER = 100
@@ -38,14 +38,15 @@ COEF_BOUND = 15.0  # |intercept|, |psi| or |slope| x covariate SD beyond this di
 COND_CAP = 1e12  # information condition numbers above this mean separation
 
 
-@dataclass(eq=False)
-class CaseControlDataset:
+@dataclass(frozen=True, eq=False)
+class CaseControlDataset(_ReadOnly):
     """Case-control records: binary exposures, confounders, 0/1 outcome.
 
     ``exposures`` is (n, p) with entries in {0, 1}, ``covariates`` is
     (n, q) finite floats (q may be 0), ``outcome`` is (n,) in {0, 1}.
     The covariates are held column-major, each covariate's values
-    contiguous, as the fit reads them.
+    contiguous, as the fit reads them.  The exposures and outcome are
+    read-only copies.
     """
 
     exposures: np.ndarray
@@ -70,9 +71,9 @@ class CaseControlDataset:
             raise ValueError("outcome must be 1-D with one entry per record")
         if not ((y == 0) | (y == 1)).all():
             raise ValueError("outcome entries must be 0 or 1")
-        self.exposures = v.astype(np.int8)
-        self.covariates = np.asfortranarray(z)
-        self.outcome = y.astype(np.int8)
+        object.__setattr__(self, "exposures", _frozen(v.astype(np.int8))[0])
+        object.__setattr__(self, "covariates", np.asfortranarray(z))
+        object.__setattr__(self, "outcome", _frozen(y.astype(np.int8))[0])
 
     @property
     def n(self) -> int:
@@ -100,8 +101,8 @@ class CaseControlDataset:
         return as_masks(self.exposures)
 
 
-@dataclass(eq=False)
-class FullParams:
+@dataclass(frozen=True, eq=False)
+class FullParams(_ReadOnly):
     """Structural parameters plus intercept-first nuisance coefficients."""
 
     psi: StructuralParams
@@ -111,15 +112,15 @@ class FullParams:
         kappa = np.array(self.kappa, dtype=float).reshape(-1)
         if kappa.size < 1 or not np.all(np.isfinite(kappa)):
             raise ValueError("kappa must be a finite vector with the intercept first")
-        self.kappa = kappa
+        object.__setattr__(self, "kappa", _frozen(kappa)[0])
 
     @property
     def q(self) -> int:
         return self.kappa.size - 1
 
 
-@dataclass(eq=False)
-class FitResult:
+@dataclass(frozen=True, eq=False)
+class FitResult(_ReadOnly):
     params: FullParams
     sigma_psi: np.ndarray  # structural block of the full inverse information
     loglik: float
@@ -127,12 +128,27 @@ class FitResult:
     converged: bool
     gradient_norm: float
     ridge_used: bool = False
-    # Y and the part covariances by plan value: inference._plan_covariance
-    _delta: tuple = field(default=None, init=False, repr=False)
+    # the part covariances by plan value: inference._plan_covariance
+    _delta: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        sigma = np.array(self.sigma_psi, dtype=float)
+        object.__setattr__(self, "sigma_psi", _frozen(sigma)[0])
 
     @property
     def se_psi(self) -> np.ndarray:
         return np.sqrt(np.diag(self.sigma_psi))
+
+    @cached_property
+    def or_covariance(self) -> np.ndarray:
+        """``Y = diag(OR) R sigma_psi R' diag(OR)``, read-only.
+
+        The covariance of the odds ratios at all ``2^p`` masks, indexed by
+        mask (``R`` their downset rows), formed on first use.
+        """
+        psi = self.params.psi
+        d = downset_rows(psi.p, np.arange(1 << psi.p)) * psi.or_table[:, None]
+        return _frozen(d.dot(self.sigma_psi).dot(d.T))[0]
 
 
 @dataclass(eq=False)
@@ -398,7 +414,7 @@ def _ridged(info, used):
     return info
 
 
-def _fit_checks(masks, zt, y, p, weights):
+def _fit_checks(masks, zt, y, p, weights, start):
     """Each fit's error before it iterates, or None, and its coefficient scales.
 
     Fits with the same records share one rank check.  The scales are 1 but
@@ -407,6 +423,8 @@ def _fit_checks(masks, zt, y, p, weights):
     if weights.ndim != 2 or weights.shape[1] != len(y) or not (
             (weights >= 0) & (weights < np.inf)).all():
         raise ValueError("weights must be finite and non-negative, one row of n per fit")
+    if start is not None and not np.isfinite(start).all():
+        raise ValueError("start entries must all be finite")
     nfits, ncols = len(weights), (1 << p) + len(zt)
     n = weights.sum(1)
     if (n < ncols + 1).any():
@@ -511,12 +529,13 @@ def fit_batch(masks, covariates, outcome, p, weights, start=None):
     numbers do not depend on the other rows, and its
     :class:`InterOddsError` (see :func:`fit_logit`) is recorded in
     ``errors`` instead of raised.  Raises ValueError when ``weights`` is
-    not a (B, n) array of finite non-negative weights, or a fit has fewer
-    weighted records than coefficients plus one.
+    not a (B, n) array of finite non-negative weights, ``start`` has an
+    entry that is not finite, or a fit has fewer weighted records than
+    coefficients plus one.
     """
     zt = np.ascontiguousarray(covariates.T)  # a view for column-major records
     y, weights = np.asarray(outcome), np.asarray(weights, dtype=float)
-    errors, scale = _fit_checks(masks, zt, y, p, weights)
+    errors, scale = _fit_checks(masks, zt, y, p, weights, start)
     nfits, ncols = scale.shape
     evaluate = _evaluator(masks, zt, y, weights, p)
     beta = np.zeros((nfits, ncols)) if start is None else (
@@ -570,7 +589,7 @@ def fit_design(masks, covariates, outcome, p, start=None):
     beta, psi = fits.beta[0], slice(1, 1 << p)
     return FitResult(
         params=FullParams(StructuralParams(beta[psi], p), np.delete(beta, psi)),
-        sigma_psi=np.array(full_cov[psi, psi]),
+        sigma_psi=full_cov[psi, psi],
         loglik=float(fits.loglik[0]),
         iterations=int(fits.iterations[0]),
         converged=True,
@@ -600,5 +619,8 @@ def fit_logit(data: CaseControlDataset, start=None) -> FitResult:
         Iteration budget exhausted without meeting either tolerance.
     EmptyClassError
         All records share one outcome.
+    ValueError
+        Too few records for the coefficients, or a start entry that is not
+        finite.
     """
     return fit_design(data.exposure_masks, data.covariates, data.outcome, data.p, start)

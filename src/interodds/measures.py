@@ -64,8 +64,20 @@ def _frozen(*arrays) -> tuple:
     return arrays
 
 
-@dataclass(eq=False)
-class StructuralParams:
+class _ReadOnly:
+    """A value whose read-only arrays, which numpy unpickles writeable, stay read-only."""
+
+    def __getstate__(self):
+        return vars(self), [k for k, v in vars(self).items()
+                            if isinstance(v, np.ndarray) and not v.flags.writeable]
+
+    def __setstate__(self, state):
+        self.__dict__.update(state[0])
+        _frozen(*map(state[0].get, state[1]))
+
+
+@dataclass(frozen=True, eq=False)
+class StructuralParams(_ReadOnly):
     """The log odds-ratio parameters of the saturated factor model.
 
     Parameters
@@ -76,7 +88,8 @@ class StructuralParams:
     p : int
         Number of binary risk factors.
 
-    The odds-ratio tables are computed on first use.
+    The parameters are immutable (:func:`dataclasses.replace` makes a
+    changed copy), and the odds-ratio tables are computed on first use.
     """
 
     psi: np.ndarray
@@ -93,7 +106,7 @@ class StructuralParams:
             )
         if not np.all(np.isfinite(psi)):
             raise ValueError("psi entries must all be finite")
-        self.psi = _frozen(psi)[0]
+        object.__setattr__(self, "psi", _frozen(psi)[0])
 
     @classmethod
     def zeros(cls, p: int) -> "StructuralParams":

@@ -1,6 +1,10 @@
 import ast
+import dataclasses
+import functools
 import importlib
+import inspect
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -82,6 +86,20 @@ def test_readme_quick_start_imports_are_exported():
     names = set().union(*(_names_imported_from_package(b) for b in blocks))
     assert names, "README has no python block importing from interodds"
     assert names <= set(interodds.__all__), names - set(interodds.__all__)
+
+
+def test_every_dataclass_with_a_cached_property_is_frozen():
+    # a cached value is stale once a field it was derived from is reassigned
+    unfrozen = []
+    for info in pkgutil.iter_modules(interodds.__path__):
+        module = importlib.import_module(f"interodds.{info.name}")
+        for name, cls in inspect.getmembers(module, inspect.isclass):
+            if (cls.__module__ == module.__name__ and dataclasses.is_dataclass(cls)
+                    and not cls.__dataclass_params__.frozen
+                    and any(isinstance(v, functools.cached_property)
+                            for v in vars(cls).values())):
+                unfrozen.append(f"{module.__name__}.{name}")
+    assert unfrozen == []
 
 
 def test_package_imports_without_scipy():

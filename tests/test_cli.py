@@ -301,6 +301,31 @@ def test_exit_code_too_few_bootstrap_replicates(dataset_csv, capsys, monkeypatch
     assert loads == [1]
 
 
+@pytest.mark.parametrize("factors, extra, message", [
+    (",", ["--measure", "OR"], "at least one risk-factor column is required"),
+    ("dr15,dr15", ["--measure", "OR"], "risk-factor columns must be distinct"),
+    ("dr15,a2neg", ["--measure", "OR", "--fix", "dr15=0", "--fix", "dr15=1"],
+     "each --fix column may appear only once"),
+    ("dr15,a2neg", ["--measure", "OR", "--fix", "dr15=0", "--fix", "a2neg=1"],
+     "at least one risk factor must remain varying"),
+    ("dr15,a2neg", ["--measure", " , "], "at least one --measure is required"),
+    ("dr15,a2neg", ["--measure", "OR", "--alpha", "1.5"],
+     "alpha must be in (0, 1), got 1.5"),
+    ("dr15,a2neg", ["--measure", "OR", "--alpha", "0"],
+     "alpha must be in (0, 1), got 0.0"),
+], ids=["no-risk-factor", "duplicate-risk-factors", "fix-twice",
+        "every-factor-fixed", "no-measure", "alpha-above-1", "alpha-0"])
+def test_analyze_usage_errors_read_no_csv(dataset_csv, capsys, monkeypatch,
+                                          factors, extra, message):
+    loads = []
+    monkeypatch.setattr(cli, "load_csv", lambda *args: loads.append(args))
+    code = main(["analyze", "--data", dataset_csv, "--outcome", "y",
+                 "--risk-factors", factors, *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+    assert loads == []
+
+
 def test_exit_code_bad_measure_token(dataset_csv):
     assert main(analyze_args(dataset_csv, "--measure", "WAT:1")) == 2
 

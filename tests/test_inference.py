@@ -1,6 +1,7 @@
 import hashlib
 import pickle
 from collections import Counter
+from dataclasses import FrozenInstanceError, fields, replace
 from itertools import combinations
 from math import sqrt
 from statistics import NormalDist
@@ -41,7 +42,7 @@ from interodds.measures import (
     measure_value,
     spec_plan,
 )
-from interodds.patterns import pattern_index
+from interodds.patterns import downset_rows, pattern_index
 from interodds.selfcheck import gradient_fd_error, iter_splits
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
@@ -241,8 +242,7 @@ def test_delta_ci_collapses_with_zero_variance():
 
 
 def test_delta_ci_requires_converged_fit():
-    fit = make_fit(RUN2, np.eye(3))
-    fit.converged = False
+    fit = replace(make_fit(RUN2, np.eye(3)), converged=False)
     with pytest.raises(ValueError):
         delta_ci(fit, MeasureSpec(p=2, kind="AP", order=2))
 
@@ -464,9 +464,9 @@ def test_delta_ci_is_the_reference_bit_for_bit():
     rng = np.random.default_rng(2017)
     fits = [random_fit(5, rng, scale) for scale in (0.3, 0.8, 1.5)]
     indefinite = random_fit(5, rng, 0.5)
-    indefinite.sigma_psi = -indefinite.sigma_psi
+    indefinite = replace(indefinite, sigma_psi=-indefinite.sigma_psi)
     fits += [indefinite, random_fit(5, rng, 0.0), *sweep_fits()]
-    fits[-1].sigma_psi = np.zeros((31, 31))
+    fits[-1] = replace(fits[-1], sigma_psi=np.zeros((31, 31)))
     seen = set()
     for fit in fits:
         for alpha in (0.05, 0.2):
@@ -505,12 +505,12 @@ def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
         delta_ci(fit, specs[0])
         assert len(formed) == first_pass
         first = [bits(delta_ci, fit, spec) for spec in specs]
-        y, entries = fit._delta[2], dict(fit._delta[3])
+        y, entries = fit.or_covariance, dict(fit._delta)
         assert len(formed) == len(entries) == len(plans) < len(specs)
         assert [bits(delta_ci, fit, spec) for spec in specs] == first
         assert len(formed) == len(plans)  # the second pass formed nothing
-        assert fit._delta[2] is y
-        assert all(fit._delta[3][key] is entry for key, entry in entries.items())
+        assert fit.or_covariance is y
+        assert all(fit._delta[key] is entry for key, entry in entries.items())
 
 
 def test_specs_made_on_an_empty_table_are_formed_in_one_pass(monkeypatch):
@@ -524,7 +524,7 @@ def test_specs_made_on_an_empty_table_are_formed_in_one_pass(monkeypatch):
     monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
     fit = random_fit(5, np.random.default_rng(31), 0.5)
     delta_ci(fit, specs[0])
-    assert len(formed) == len(fit._delta[3]) == 405
+    assert len(formed) == len(fit._delta) == 405
     for spec in specs:
         assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec), spec
     assert len(formed) == 405
@@ -541,32 +541,16 @@ def test_stacked_pass_makeup_does_not_change_bits(monkeypatch):
         outcome(delta_ci, registering, spec)
     a = random_fit(5, rng, 0.8)
     delta_ci(a, specs[0])
-    assert len(a._delta[3]) == len(measures._PLANS[5][0]) == 405
+    assert len(a._delta) == len(measures._PLANS[5][0]) == 405
     b = make_fit(StructuralParams(a.params.psi.psi.copy(), 5), a.sigma_psi.copy())
     monkeypatch.setattr(measures, "_PLANS", {})
     for i in rng.permutation(len(specs)):
-        formed = len(b._delta[3]) if b._delta else 0
+        formed = len(b._delta)
         for alpha in (0.05, 0.2):
             expected = bits(delta_ci, a, specs[i], alpha)
             assert bits(delta_ci, b, specs[i], alpha) == expected, specs[i]
-        assert len(b._delta[3]) - formed in (0, 1)
-    assert len(b._delta[3]) == 405
-
-
-def test_delta_ci_follows_a_reassigned_covariance_or_fit():
-    rng = np.random.default_rng(8)
-    fit, other = random_fit(5, rng, 0.5), random_fit(5, rng, 0.5)
-    spec = MeasureSpec(p=5, kind="EOR", order=2, fixed={4: 1})
-    before = delta_ci(fit, spec)
-    fit.sigma_psi = 4.0 * fit.sigma_psi
-    rep = delta_ci(fit, spec)
-    assert rep.point == before.point
-    assert rep.se_transformed == pytest.approx(2.0 * before.se_transformed, rel=1e-12)
-    assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec)
-    fit.params = other.params
-    fresh = make_fit(other.params.psi, fit.sigma_psi)
-    assert bits(delta_ci, fit, spec) == bits(delta_ci, fresh, spec)
-    assert delta_ci(fit, spec).point != before.point
+        assert len(b._delta) - formed in (0, 1)
+    assert len(b._delta) == 405
 
 
 def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
@@ -579,7 +563,7 @@ def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
     delta_ci(fit, first)
     saved = pickle.dumps(fit)
     loaded = pickle.loads(saved)
-    assert loaded._delta[0] is loaded.sigma_psi and len(loaded._delta[3]) == 1
+    assert len(loaded._delta) == 1
     for spec in (first, other):
         assert bits(delta_ci, loaded, spec) == bits(delta_ci, fit, spec)
     assert bits(delta_ci, fit, other) != bits(delta_ci, fit, first)
@@ -591,16 +575,64 @@ def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
     loaded = pickle.loads(saved)
     for i in reversed(range(len(specs))):
         assert bits(delta_ci, loaded, specs[i]) == expected[i], specs[i]
-    assert next(iter(measures._PLANS[2][0])) != next(iter(loaded._delta[3]))
+    assert next(iter(measures._PLANS[2][0])) != next(iter(loaded._delta))
 
 
 def test_cached_odds_ratio_covariance_is_read_only():
     fit = random_fit(3, np.random.default_rng(4), 0.5)
     delta_ci(fit, MeasureSpec(p=3, kind="AP", order=2))
-    y = fit._delta[2]
+    y = fit.or_covariance
     assert y.shape == (8, 8) and not y.flags.writeable
     with pytest.raises(ValueError):
         y[0, 0] = 1.0
+
+
+def test_odds_ratio_covariance_is_formed_once_and_pickled_with_the_fit():
+    fit = random_fit(3, np.random.default_rng(4), 0.5)
+    y = fit.or_covariance
+    assert fit.or_covariance is y
+    jac = downset_rows(3, np.arange(8)) * fit.params.psi.or_table[:, None]
+    assert y.tobytes() == jac.dot(fit.sigma_psi).dot(jac.T).tobytes()
+    loaded = pickle.loads(pickle.dumps(fit))
+    assert vars(loaded)["or_covariance"].tobytes() == y.tobytes()
+    assert not loaded.or_covariance.flags.writeable
+
+
+def test_fits_and_replicates_are_frozen_and_own_their_arrays():
+    sigma = np.eye(3)
+    fit = make_fit(RUN2, sigma)
+    replicates = BootstrapReplicates(200, np.zeros((200, 3)), [None] * 200)
+    data = CaseControlDataset(np.array([[0, 1], [1, 0]]), np.zeros((2, 0)),
+                              np.array([0, 1]))
+    for value in (RUN2, fit.params, fit, replicates, data):
+        for f in fields(value):
+            with pytest.raises(FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+    sigma[0, 0] = 2.0  # the fit holds its own copy
+    assert fit.sigma_psi[0, 0] == 1.0
+    replicates.or_tables  # filled before pickling
+    loaded = pickle.loads(pickle.dumps((fit, replicates, data)))
+    for fit, replicates, data in ((fit, replicates, data), loaded):
+        arrays = [fit.sigma_psi, fit.params.kappa, fit.params.psi.psi, replicates.psi,
+                  replicates.or_tables, data.exposures, data.outcome]
+        assert not any(array.flags.writeable for array in arrays)
+        assert data.covariates.flags.writeable
+
+
+def test_a_replaced_fit_forms_its_own_intervals():
+    rng = np.random.default_rng(8)
+    fit, other = random_fit(5, rng, 0.5), random_fit(5, rng, 0.5)
+    spec = MeasureSpec(p=5, kind="EOR", order=2, fixed={4: 1})
+    before = delta_ci(fit, spec)
+    scaled = replace(fit, sigma_psi=4.0 * fit.sigma_psi)
+    rep = delta_ci(scaled, spec)
+    assert rep.point == before.point
+    assert rep.se_transformed == pytest.approx(2.0 * before.se_transformed, rel=1e-12)
+    assert bits(delta_ci, scaled, spec) == bits(delta_ci_reference, scaled, spec)
+    moved = replace(fit, params=other.params)
+    assert bits(delta_ci, moved, spec) == bits(delta_ci, make_fit(
+        other.params.psi, fit.sigma_psi), spec)
+    assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec)
 
 
 def test_delta_ci_or_interval_overflows_to_inf_without_a_warning():

@@ -669,6 +669,20 @@ def test_batch_weights_must_be_non_negative_one_row_per_fit():
     assert np.array_equal(dropped.info, kept.info)
 
 
+def test_a_start_that_is_not_finite_is_refused():
+    data = small_dataset(n=100, seed=17)
+    masks, z, y = data.exposure_masks, data.covariates, data.outcome
+    message = "^start entries must all be finite$"
+    with pytest.raises(ValueError, match=message):
+        fit_design(masks, z, y, 2, start=[np.nan, 0, 0, 0, 0])
+    with pytest.raises(ValueError, match=message):
+        fit_batch(masks, z, y, 2, np.ones((1, data.n)), start=[[np.inf, 0, 0, 0, 0]])
+    with pytest.raises(ValueError, match=message):  # one entry of the second fit of two
+        fit_batch(masks, z, y, 2, np.ones((2, data.n)),
+                  start=np.r_[np.zeros(9), -np.inf].reshape(2, 5))
+    assert fit_design(masks, z, y, 2, start=np.full(5, 0.1)).converged
+
+
 def test_weighted_record_count_and_class_checks():
     # design rows [1, 0, 0], [1, 1, 0] and [1, 0, 1]
     masks, z = np.array([0, 1, 0]), np.array([[0.0], [0.0], [1.0]])

@@ -1,5 +1,5 @@
 import re
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, replace
 from math import fsum
 
 import numpy as np
@@ -417,6 +417,19 @@ def test_spec_is_frozen_and_validated_once():
     assert (spec.kind, spec.varying, spec.fixed_mask) == ("AP", (0, 2), 0b1000)
     assert MeasureSpec(p=3, kind="OR").varying == (0, 1, 2)
     assert MeasureSpec(p=3, kind="SI", order=2, fixed={2: 1}).varying == (0, 1)
+
+
+def test_params_are_frozen_and_a_replaced_copy_has_fresh_tables():
+    params = StructuralParams.zeros(2)
+    spec = MeasureSpec(p=2, kind="OR")
+    assert measure(params, spec) == 1.0  # fills the cached odds-ratio table
+    with pytest.raises(FrozenInstanceError):
+        params.psi = np.log([2.0, 3.0, 1.0])
+    with pytest.raises(ValueError):
+        params.psi[0] = 1.0
+    assert measure(params, spec) == 1.0
+    changed = replace(params, psi=np.log([2.0, 3.0, 1.0]))
+    assert measure(changed, spec) == pytest.approx(6.0, rel=1e-15)
 
 
 def test_equal_specs_hash_equal():
