@@ -12,14 +12,12 @@ interval.
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import compress
 from math import exp, fsum, log, sqrt, tanh
 from statistics import NormalDist
 from typing import Optional
 
 import numpy as np
 
-from . import measures
 from .errors import (
     BootstrapFailureError,
     NegativeVarianceError,
@@ -31,6 +29,7 @@ from .measures import (
     MeasureSpec,
     StructuralParams,
     _ReadOnly,
+    _family,
     _frozen,
     _plan_parts,
     kind_value,
@@ -81,23 +80,24 @@ def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
     """
     joint, baseline, masks, coef = spec_plan(params.p, spec)
     a, b, c = measure_parts(params, spec)
-    _, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
+    measure_value(spec.kind, a, b, c)  # raises where the synergy index is undefined
+    r0, r1, r2 = _derivatives(spec.kind, a, b, c)
     t = np.r_[r0 * a, r2 * c, coef * params.or_table[masks] * r1]
     return t.dot(downset_rows(params.p, np.r_[joint, baseline, masks]))
 
 
-def _point_and_derivatives(kind: str, a: float, b: float, c: float) -> tuple:
-    """The measure (:func:`measure_value`) and its derivatives by its parts."""
+def _derivatives(kind: str, a: float, b: float, c: float) -> tuple:
+    """A measure's derivatives by its parts, where :func:`measure_value` is defined."""
     if kind == "OR":
-        return a / c, 1.0 / c, 0.0, -a / c**2
+        return 1.0 / c, 0.0, -a / c**2
     if kind == "EOR":
-        return (a - b) / c, 1.0 / c, -1.0 / c, -(a - b) / c**2
+        return 1.0 / c, -1.0 / c, -(a - b) / c**2
     if kind == "AP" and a >= b:
-        return (a - b) / a, b / a**2, -1.0 / a, 0.0
+        return b / a**2, -1.0 / a, 0.0
     if kind == "AP":
-        return (a - b) / b, 1.0 / b, -a / b**2, 0.0
-    d = b - c  # measure_value raises first where the synergy index is undefined
-    return measure_value(kind, a, b, c), 1.0 / d, -(a - c) / d**2, (a - b) / d**2
+        return 1.0 / b, -a / b**2, 0.0
+    d = b - c
+    return 1.0 / d, -(a - c) / d**2, (a - b) / d**2
 
 
 def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> list:
@@ -106,38 +106,29 @@ def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> list:
     The parts are :func:`~interodds.measures.measure_parts`'s, and ``G``
     reads the fit's :attr:`~interodds.logit.FitResult.or_covariance`
     ``Y``.  The fit keeps each entry under its plan's value ``(p, varying,
-    fixed_mask, order)``.  A miss forms, in one stacked pass, every plan in
-    ``measures._PLANS`` (which specs fill when made) that the fit lacks:
-    about 1 ms for the 405 of p = 5.  ``b`` is an ``fsum`` per plan, and
-    ``u = W Y`` and ``G11 = (W * u) 1`` are ``einsum`` sums over blocks of
-    ``2^p`` dense weight rows ``W``: unlike a BLAS product's, their bits do
-    not depend on the block.
+    fixed_mask, order)``.  A miss forms, in one pass, the entries of every
+    plan of the spec's varying set J: each held-level mask and each order,
+    at most ``2^p`` plans.  ``b`` is an ``fsum`` per plan, and ``u = W Y``
+    and ``G11 = (W * u) 1`` are ``einsum`` sums over the plans' dense
+    weight rows ``W``: unlike a BLAS product's, a row's bits do not depend
+    on the other rows.
     """
     entries = fit._delta
     key = (spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
-    entry = entries.get(key)
-    if entry is None:
+    if key not in entries:
         psi = fit.params.psi
-        spec_plan(psi.p, spec)  # raises for another p; registers an unpickled spec
-        y, table = fit.or_covariance, measures._PLANS[psi.p]
-        miss = ~np.fromiter(map(entries.__contains__, table[0]), bool, len(table[0]))
-        keys, term = [*compress(table[0], miss)], np.repeat(miss, table[3])
-        (j, z, n), (m, w) = (c[miss] for c in table[1:4]), (c[term] for c in table[4:])
-        ors, size, rows = psi.or_table, 1 << psi.p, np.repeat(np.arange(len(keys)), n)
-        starts, out = [0, *np.cumsum(n).tolist()], np.empty((9, len(keys)))
-        out[0], out[2], out[3], out[5], out[8] = ors[j], ors[z], y[j, j], y[j, z], y[z, z]
-        for s in range(0, len(keys), size):  # a dense W block is no larger than Y
-            e = min(s + size, len(keys))
-            r, t = np.arange(e - s), slice(starts[s], starts[e])
-            wb = np.zeros((e - s, size))
-            wb[rows[t] - s, m[t]] = w[t]
-            u = np.einsum("rk,kc->rc", wb, y)
-            out[[4, 6, 7], s:e] = u[r, j[s:e]], np.einsum("rk,rk->r", wb, u), u[r, z[s:e]]
+        spec_plan(psi.p, spec)  # raises for another p
+        keys, starts, j, z, rows, m, w = _family(psi.p, spec.varying)
+        y, ors, r = fit.or_covariance, psi.or_table, np.arange(len(keys))
+        wd = np.zeros((len(keys), 1 << psi.p))
+        wd[rows, m] = w
+        u = np.einsum("rk,kc->rc", wd, y)
         terms = (w * ors[m]).tolist()
-        out[1] = [fsum(terms[a:e]) for a, e in zip(starts, starts[1:])]
+        b = [fsum(terms[s:e]) for s, e in zip(starts, starts[1:])]
+        out = np.array([ors[j], b, ors[z], y[j, j], u[r, j], y[j, z],
+                        np.einsum("rk,rk->r", wd, u), u[r, z], y[z, z]])
         entries.update(zip(keys, out.T.tolist()))
-        entry = entries[key]
-    return entry
+    return entries[key]
 
 
 def _unit(x: float) -> float:
@@ -189,10 +180,10 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
 
     The variance of the estimate is ``r' G r``: ``r`` holds the measure's
     analytic derivatives by its joint, predicted and baseline odds ratios,
-    and ``G`` is their 3 x 3 covariance.  A fit's first call forms it, in
-    one stacked pass, for every plan that the specs made so far have added
-    to the plan table (see :func:`_plan_covariance`), so later calls are
-    scalar arithmetic.  The interval is symmetric on the transformed scale
+    and ``G`` is their 3 x 3 covariance.  A fit's first call for a varying
+    set forms it, in one pass, for every plan of that set (see
+    :func:`_plan_covariance`), so later calls for the set are scalar
+    arithmetic.  The interval is symmetric on the transformed scale
     and mapped back, so it respects the measure's natural range; the
     kind's transform (see :data:`TRANSFORM_NAMES`) is written out, its
     derivative, map and inverse in one step.
@@ -213,7 +204,8 @@ def delta_ci(fit: FitResult, spec: MeasureSpec, alpha: float = 0.05) -> Estimate
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
     a, b, c, g00, g01, g02, g11, g12, g22 = _plan_covariance(fit, spec)
-    point, r0, r1, r2 = _point_and_derivatives(spec.kind, a, b, c)
+    point = measure_value(spec.kind, a, b, c)
+    r0, r1, r2 = _derivatives(spec.kind, a, b, c)
     var = (r0 * (r0 * g00 + 2.0 * (r1 * g01 + r2 * g02))
            + r1 * (r1 * g11 + 2.0 * r2 * g12) + r2 * r2 * g22)
     if var < -1e-10:
@@ -268,15 +260,16 @@ class BootstrapReplicates(_ReadOnly):
     ended its refit, and ``None`` where the refit succeeded; the row of a
     failed refit is NaN.  Fitting stops once more than 10% of the refits
     have failed, since every measure's interval is then refused, so
-    ``n_fitted`` may be less than ``n_boot``.
+    ``n_fitted`` may be less than ``n_boot``.  ``errors`` is a tuple.
     """
 
     n_boot: int
     psi: np.ndarray
-    errors: list
+    errors: tuple
 
     def __post_init__(self):
         object.__setattr__(self, "psi", _frozen(np.array(self.psi, dtype=float))[0])
+        object.__setattr__(self, "errors", tuple(self.errors))
 
     @property
     def max_failures(self) -> int:

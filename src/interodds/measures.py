@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import OrderRangeError, UndefinedSynergyError
 from .patterns import (
-    MAX_FACTORS,
+    _check_factor_count,
     alternating_binomial_sum,
     as_mask,
     lattice_sums,
@@ -96,8 +96,7 @@ class StructuralParams(_ReadOnly):
     p: int
 
     def __post_init__(self):
-        if not 1 <= self.p <= MAX_FACTORS:
-            raise ValueError(f"factor count must be in 1..{MAX_FACTORS}, got {self.p}")
+        _check_factor_count(self.p)
         psi = np.array(self.psi, dtype=float)
         if psi.shape != ((1 << self.p) - 1,):
             raise ValueError(
@@ -153,10 +152,10 @@ class MeasureSpec:
     interaction.  The joint odds ratio ("OR") does not use an order.
 
     A spec is immutable and validated once: ``fixed`` is a copy of the
-    mapping passed in, and ``varying`` (J, ascending), ``fixed_mask`` (the
-    factors held at level 1) and the spec's plan (see :func:`spec_plan`)
-    are made with the spec.  Specs hash by the first two in place of the
-    dict, so equal specs hash equal and a spec can key a dict.
+    mapping passed in, and ``varying`` (J, ascending) and ``fixed_mask``
+    (the factors held at level 1) are made with the spec, which compiles
+    nothing (see :func:`spec_plan`).  Specs hash by these two in place of
+    the dict, so equal specs hash equal and a spec can key a dict.
     """
 
     p: int
@@ -167,6 +166,7 @@ class MeasureSpec:
     fixed_mask: int = field(init=False, repr=False, compare=False, hash=True)
 
     def __post_init__(self):
+        _check_factor_count(self.p)
         object.__setattr__(self, "kind", canonical_kind(self.kind))
         fixed = dict(self.fixed)
         varying, fixed_mask = _validate_fixed(self.p, fixed)
@@ -181,7 +181,6 @@ class MeasureSpec:
                 f"order {order} outside 1..{nj} for kind OR" if self.kind == "OR"
                 else f"{self.kind} requires order in {low}..{nj}, got {order}"
             )
-        spec_plan(self.p, self)
 
     @property
     def effective_order(self) -> int:
@@ -396,34 +395,39 @@ def excess_or(params: StructuralParams, fixed, order: int) -> float:
     return a - b
 
 
-_PLANS = {}  # the plan table of each factor count: see _spec_terms
-
-
+@lru_cache(maxsize=100_000)
 def _spec_terms(p, varying, fixed_mask, order):
     """The compiled plan of a measure spec: which odds ratios, with which weights.
 
     A plan is ``(joint, baseline, masks, coef)``: two patterns, then the
     prediction terms of order below ``order`` and their weights in the
-    predicted part.  ``_PLANS[p]`` holds every plan compiled in this process,
-    append-only: a dict from plan value to plan, then the plans' joint and
-    baseline masks, term counts, and flat term masks and weights.
+    predicted part.
     """
-    key = (p, varying, fixed_mask, order)
-    if p not in _PLANS:
-        _PLANS[p] = [{}, *[np.zeros(0, int)] * 4, np.zeros(0)]
-    table = _PLANS[p]
-    plan = table[0].get(key)
-    if plan is None:
-        full = _sublattice(varying, fixed_mask)[1]
-        masks, coef = _prediction_terms(p, varying, len(full) - 1, fixed_mask, order - 1)
-        plan = table[0][key] = (int(full[-1]), int(fixed_mask), masks, coef)
-        new = ([plan[0]], [fixed_mask], [len(masks)], masks, coef)
-        table[1:] = [np.concatenate(pair) for pair in zip(table[1:], new)]
-    return plan
+    full = _sublattice(varying, fixed_mask)[1]
+    masks, coef = _prediction_terms(p, varying, len(full) - 1, fixed_mask, order - 1)
+    return int(full[-1]), int(fixed_mask), masks, coef
+
+
+@lru_cache(maxsize=100_000)
+def _family(p, varying):
+    """Every plan of the varying set J: one per held-level mask and order.
+
+    That is ``2^(p - |J|) * |J| <= 2^p`` plans.  Returns their values ``(p,
+    varying, fixed_mask, order)``, where each plan's terms start, its joint
+    and baseline masks, then each term's plan, mask and weight, flat.
+    """
+    held = tuple(j for j in range(p) if j not in varying)
+    keys = tuple((p, varying, mask, order) for mask in _sublattice(held, 0)[1].tolist()
+                 for order in range(1, len(varying) + 1))
+    joint, baseline, masks, coef = zip(*(_spec_terms(*key) for key in keys))
+    counts = [len(m) for m in masks]
+    return keys, (0, *np.cumsum(counts).tolist()), *_frozen(
+        np.array(joint), np.array(baseline), np.repeat(np.arange(len(keys)), counts),
+        np.concatenate(masks), np.concatenate(coef))
 
 
 def spec_plan(p: int, spec: MeasureSpec) -> tuple:
-    """The plan of ``spec`` for ``p`` factors; an unpickled spec's is compiled here."""
+    """The plan of ``spec`` for ``p`` factors, compiled on first use."""
     if p != spec.p:
         raise ValueError(
             f"spec has {spec.p} risk factors but the parameters have {p}"

@@ -26,11 +26,16 @@ import numpy as np
 MAX_FACTORS = 20
 
 
+def _check_factor_count(p: int) -> None:
+    """Refuse a factor count outside ``1..MAX_FACTORS`` before it sizes anything."""
+    if not 1 <= p <= MAX_FACTORS:
+        raise ValueError(f"factor count must be in 1..{MAX_FACTORS}, got {p}")
+
+
 def as_mask(bits) -> int:
     """Pack a 0/1 sequence into a bitmask (factor j -> bit j)."""
     bits = tuple(map(int, bits))
-    if not 1 <= len(bits) <= MAX_FACTORS:
-        raise ValueError(f"pattern length must be in 1..{MAX_FACTORS}, got {len(bits)}")
+    _check_factor_count(len(bits))
     if not {0, 1}.issuperset(bits):
         raise ValueError(f"pattern entries must be 0 or 1, got {bits}")
     mask = 0
@@ -79,8 +84,7 @@ class PatternIndex:
     """
 
     def __init__(self, p: int):
-        if not 1 <= p <= MAX_FACTORS:
-            raise ValueError(f"factor count must be in 1..{MAX_FACTORS}, got {p}")
+        _check_factor_count(p)
         self.p = p
         self.masks = _canonical_masks(p)[1:]  # drop the zero pattern
         self.masks.setflags(write=False)
@@ -108,10 +112,8 @@ def subpatterns(v) -> list:
     pattern and ``v`` itself.
     """
     bits = tuple(int(b) for b in v)
-    p = len(bits)
-    masks = _canonical_masks(p)
-    below = masks[(masks & ~as_mask(bits)) == 0]
-    return [as_bits(m, p) for m in below.tolist()]
+    mask, masks = as_mask(bits), _canonical_masks(len(bits))  # checks, then sizes
+    return [as_bits(m, len(bits)) for m in masks[(masks & ~mask) == 0].tolist()]
 
 
 def downset_rows(p: int, masks) -> np.ndarray:

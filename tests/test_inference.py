@@ -467,10 +467,12 @@ def test_delta_ci_is_the_reference_bit_for_bit():
     indefinite = replace(indefinite, sigma_psi=-indefinite.sigma_psi)
     fits += [indefinite, random_fit(5, rng, 0.0), *sweep_fits()]
     fits[-1] = replace(fits[-1], sigma_psi=np.zeros((31, 31)))
+    fits += [random_fit(6, rng, scale) for scale in (0.5, 1.0)]  # up to 32 plans a pass
+    specs = {5: specs, 6: all_specs(6)}
     seen = set()
     for fit in fits:
         for alpha in (0.05, 0.2):
-            for spec in specs:
+            for spec in specs[fit.params.psi.p]:
                 expected = bits(delta_ci_reference, fit, spec, alpha)
                 assert bits(delta_ci, fit, spec, alpha) == expected, spec
                 seen.add(expected[0] if isinstance(expected, tuple) else "DELTA")
@@ -495,15 +497,11 @@ def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
     formed = []
     real = inference.fsum  # the predicted part's sum, once per formed entry
     monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
-    # the specs were made before the table was emptied, so the first fit
-    # registers each plan at its first call; the second finds them all
-    # registered and forms every entry in its first pass
-    monkeypatch.setattr(measures, "_PLANS", {})
-    for seed, first_pass in ((5, 1), (6, len(plans))):
+    for seed in (5, 6):
         fit = random_fit(4, np.random.default_rng(seed), 0.5)
         formed.clear()
-        delta_ci(fit, specs[0])
-        assert len(formed) == first_pass
+        delta_ci(fit, specs[0])  # varies all four factors: orders 1..4
+        assert len(formed) == len(fit._delta) == 4
         first = [bits(delta_ci, fit, spec) for spec in specs]
         y, entries = fit.or_covariance, dict(fit._delta)
         assert len(formed) == len(entries) == len(plans) < len(specs)
@@ -513,69 +511,79 @@ def test_part_covariance_is_formed_once_per_fit_and_plan(monkeypatch):
         assert all(fit._delta[key] is entry for key, entry in entries.items())
 
 
-def test_specs_made_on_an_empty_table_are_formed_in_one_pass(monkeypatch):
-    # a spec adds its plan to the table when it is made, so a fresh fit's
-    # first interval forms the entries of all 405 p=5 plans at once
-    monkeypatch.setattr(measures, "_PLANS", {})
+def test_specs_compile_nothing_and_an_interval_forms_its_varying_set(monkeypatch):
+    compiled = []
+    real_terms = measures._spec_terms
+    monkeypatch.setattr(measures, "_spec_terms",
+                        lambda *key: compiled.append(key) or real_terms(*key))
     specs = all_specs(5)
-    assert len(measures._PLANS[5][0]) == 405
+    assert compiled == []  # making a spec compiles no plan
     formed = []
     real = inference.fsum  # the predicted part's sum, once per formed entry
     monkeypatch.setattr(inference, "fsum", lambda terms: formed.append(1) or real(terms))
     fit = random_fit(5, np.random.default_rng(31), 0.5)
-    delta_ci(fit, specs[0])
-    assert len(formed) == len(fit._delta) == 405
+    delta_ci(fit, MeasureSpec(p=5, kind="AP", order=1, fixed={0: 1, 3: 0}))
+    # every held-level mask of factors 0 and 3, and every order of J = (1, 2, 4)
+    assert sorted(fit._delta) == [(5, (1, 2, 4), mask, order)
+                                  for mask in (0, 1, 8, 9) for order in (1, 2, 3)]
+    assert len(formed) == 12
     for spec in specs:
+        before, nj = len(fit._delta), len(spec.varying)
         assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec), spec
-    assert len(formed) == 405
+        assert len(fit._delta) - before in (0, (1 << (5 - nj)) * nj)
+    assert len(formed) == len(fit._delta) == 405
 
 
 def test_stacked_pass_makeup_does_not_change_bits(monkeypatch):
-    # fit A forms every p=5 plan in one pass; fit B, the same numbers in new
-    # objects, forms each plan alone, in random order, on an empty table
+    # fit A forms each varying set's plans in one pass; fit B, the same
+    # numbers in new objects, forms each plan alone, in random order
     specs = all_specs(5)
     rng = np.random.default_rng(29)
-    monkeypatch.setattr(measures, "_PLANS", {})
-    registering = random_fit(5, rng, 0.5)
-    for spec in specs:
-        outcome(delta_ci, registering, spec)
     a = random_fit(5, rng, 0.8)
-    delta_ci(a, specs[0])
-    assert len(a._delta) == len(measures._PLANS[5][0]) == 405
     b = make_fit(StructuralParams(a.params.psi.psi.copy(), 5), a.sigma_psi.copy())
-    monkeypatch.setattr(measures, "_PLANS", {})
+    alphas = (0.05, 0.2)
+    expected = [[bits(delta_ci, a, spec, alpha) for alpha in alphas] for spec in specs]
+    assert len(a._delta) == 405
+    family, wanted = inference._family, []
+
+    def one_plan(p, varying):
+        keys, starts, joint, baseline, rows, masks, coef = family(p, varying)
+        k = keys.index(wanted[-1])
+        s, e = starts[k], starts[k + 1]
+        return ((keys[k],), (0, e - s), joint[k : k + 1], baseline[k : k + 1],
+                rows[s:e] - k, masks[s:e], coef[s:e])
+
+    monkeypatch.setattr(inference, "_family", one_plan)
     for i in rng.permutation(len(specs)):
+        spec = specs[i]
+        wanted.append((5, spec.varying, spec.fixed_mask, spec.effective_order))
         formed = len(b._delta)
-        for alpha in (0.05, 0.2):
-            expected = bits(delta_ci, a, specs[i], alpha)
-            assert bits(delta_ci, b, specs[i], alpha) == expected, specs[i]
+        assert [bits(delta_ci, b, spec, alpha) for alpha in alphas] == expected[i], spec
         assert len(b._delta) - formed in (0, 1)
     assert len(b._delta) == 405
 
 
-def test_cached_part_covariance_never_answers_for_another_plan(monkeypatch):
-    # an unpickled fit keeps its cache: the entry of the plan it holds
-    # answers, and the other plan's misses.  The specs are made before the
-    # table is emptied, so the fit's first pass forms only the first plan
+def test_cached_part_covariance_never_answers_for_another_plan():
+    # an unpickled fit keeps its cache: the entries of the varying set it
+    # holds answer, and another set's plans miss and are formed then
     fit = random_fit(2, np.random.default_rng(3), 0.5)
-    first, other = (MeasureSpec(p=2, kind="EOR", order=k) for k in (1, 2))
-    monkeypatch.setattr(measures, "_PLANS", {})
+    first = MeasureSpec(p=2, kind="EOR", order=1)
+    other = MeasureSpec(p=2, kind="EOR", order=1, fixed={1: 1})
     delta_ci(fit, first)
     saved = pickle.dumps(fit)
     loaded = pickle.loads(saved)
-    assert len(loaded._delta) == 1
+    assert list(loaded._delta) == [(2, (0, 1), 0, 1), (2, (0, 1), 0, 2)]
     for spec in (first, other):
         assert bits(delta_ci, loaded, spec) == bits(delta_ci, fit, spec)
     assert bits(delta_ci, fit, other) != bits(delta_ci, fit, first)
-    # in a fresh process the table is empty, and its plans are registered in
-    # another order: entries are keyed by plan value, never by table row
+    # entries are keyed by plan value, so the order in which a fit meets
+    # the specs does not matter
     specs = all_specs(2)
     expected = [bits(delta_ci, fit, spec) for spec in specs]
-    monkeypatch.setattr(measures, "_PLANS", {})
     loaded = pickle.loads(saved)
     for i in reversed(range(len(specs))):
         assert bits(delta_ci, loaded, specs[i]) == expected[i], specs[i]
-    assert next(iter(measures._PLANS[2][0])) != next(iter(loaded._delta))
+    assert loaded._delta == fit._delta
 
 
 def test_cached_odds_ratio_covariance_is_read_only():
@@ -617,6 +625,18 @@ def test_fits_and_replicates_are_frozen_and_own_their_arrays():
                   replicates.or_tables, data.exposures, data.outcome]
         assert not any(array.flags.writeable for array in arrays)
         assert data.covariates.flags.writeable
+
+
+def test_replicate_errors_cannot_change():
+    # a replicate's error is read by or_tables, which is cached: an error
+    # changed after it was filled would count a refit its tables still use
+    replicates = BootstrapReplicates(200, np.zeros((200, 3)), [None] * 200)
+    assert replicates.or_tables.shape == (200, 4)
+    with pytest.raises(TypeError):
+        replicates.errors[0] = "SeparationError"
+    report = bootstrap_ci(make_fit(RUN2, np.eye(3)), replicates,
+                          MeasureSpec(p=2, kind="EOR", order=2))
+    assert report.n_failed == 0 and replicates.errors == (None,) * 200
 
 
 def test_a_replaced_fit_forms_its_own_intervals():
@@ -806,7 +826,7 @@ def test_bootstrap_records_each_failed_refit_by_error_class():
     data = degenerate_dataset()
     replicates = bootstrap_replicates(data, 200, 3)
     expected = gathered_errors(data, 200, 3)[: len(replicates.errors)]
-    assert replicates.errors == expected
+    assert list(replicates.errors) == expected
     assert [e is None for e in expected] == np.isfinite(replicates.psi).all(1).tolist()
     # a resample without either exposed record has a constant column; one
     # without the exposed case or the exposed control separates
@@ -827,7 +847,7 @@ def test_refits_are_pinned_bit_for_bit(make_data, seed, expected):
     # on another build
     replicates = bootstrap_replicates(make_data(), 200, seed)
     digest = hashlib.sha256(np.asarray(replicates.psi, dtype="<f8").tobytes())
-    digest.update(repr(replicates.errors).encode())
+    digest.update(repr(list(replicates.errors)).encode())
     assert digest.hexdigest() == expected
 
 
@@ -942,7 +962,7 @@ def test_bootstrap_failures_counted_per_spec():
         "SI": refit_failed + si_undefined,
     }
     refit_errors = gathered_errors(data, 200, seed=2)
-    assert replicates.errors == refit_errors
+    assert list(replicates.errors) == refit_errors
     refit_classes = Counter(filter(None, refit_errors))
     assert reports["EOR"].failures == reports["AP"].failures == refit_classes
     assert reports["SI"].failures == refit_classes + Counter(

@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import FrozenInstanceError, replace
 from math import fsum
 
@@ -20,6 +21,7 @@ from interodds.measures import (
     predicted_or,
     predicted_or_increments,
 )
+from interodds.patterns import MAX_FACTORS, PatternIndex, subpatterns
 from interodds.selfcheck import (
     expansion_identity_error,
     iter_splits,
@@ -88,6 +90,24 @@ def test_structural_params_validation():
         StructuralParams(np.zeros(2), 2)  # needs 3 entries
     with pytest.raises(ValueError):
         StructuralParams(np.array([np.inf, 0.0, 0.0]), 2)
+
+
+@pytest.mark.parametrize("p", [0, -1, MAX_FACTORS + 1])
+def test_factor_count_is_refused_before_anything_is_sized(p):
+    makers = [PatternIndex, lambda p: StructuralParams(np.zeros(1), p),
+              lambda p: MeasureSpec(p=p, kind="OR")]
+    if p > 0:  # a pattern of p factors
+        makers.append(lambda p: subpatterns((0,) * p))
+    tracemalloc.start()
+    try:
+        for make in makers:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"factor count must be in 1..{MAX_FACTORS}, got {p}")):
+                make(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a 21-factor table alone is 16 MB
 
 
 # ----------------------------------------------------------------- increments
