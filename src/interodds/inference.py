@@ -316,9 +316,10 @@ def bootstrap_replicates(
         raise ValueError(
             f"need at least {MIN_BOOT} bootstrap replicates, got {n_boot}"
         )
-    cell_of, first = _cells(data)
+    masks = data.exposure_masks
+    cell_of, first = _cells(data, masks)
     ncells, p = len(first), data.p
-    mask_cells = data.exposure_masks[first]
+    mask_cells = masks[first]
     zt_cells = data.covariates.T[:, first]  # rows, so fit_batch's transpose is a view
     y_cells = data.outcome[first]
     case_cells = cell_of[data.outcome == 1]
@@ -355,15 +356,15 @@ def bootstrap_replicates(
     return BootstrapReplicates(n_boot, np.concatenate(psi)[: len(errors)], errors)
 
 
-def _cells(data: CaseControlDataset) -> tuple:
-    """Each record's cell and each cell's first record.
+def _cells(data: CaseControlDataset, masks: np.ndarray) -> tuple:
+    """Each record's cell and each cell's first record, given the records' ``masks``.
 
     A cell is a distinct (outcome, exposure mask, covariates) record.  Cells
     are numbered in the order of their first records, which keeps runs of
     one exposure mask as short as in the data: ``bincount`` by mask is
     slowest when consecutive cells share a bin.
     """
-    keys = (*data.covariates.T[::-1], data.exposure_masks, data.outcome)
+    keys = (*data.covariates.T[::-1], masks, data.outcome)
     order = np.lexsort(keys)
     new = np.zeros(data.n, dtype=bool)  # where a sorted record starts a cell
     new[:1] = True

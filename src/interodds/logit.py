@@ -45,8 +45,8 @@ class CaseControlDataset(_ReadOnly):
     ``exposures`` is (n, p) with entries in {0, 1}, ``covariates`` is
     (n, q) finite floats (q may be 0), ``outcome`` is (n,) in {0, 1}.
     The covariates are held column-major, each covariate's values
-    contiguous, as the fit reads them.  The exposures and outcome are
-    read-only copies.
+    contiguous, as the fit reads them.  The exposures, covariates and
+    outcome are read-only copies.
     """
 
     exposures: np.ndarray
@@ -72,7 +72,7 @@ class CaseControlDataset(_ReadOnly):
         if not ((y == 0) | (y == 1)).all():
             raise ValueError("outcome entries must be 0 or 1")
         object.__setattr__(self, "exposures", _frozen(v.astype(np.int8))[0])
-        object.__setattr__(self, "covariates", np.asfortranarray(z))
+        object.__setattr__(self, "covariates", _frozen(np.array(z, order="F"))[0])
         object.__setattr__(self, "outcome", _frozen(y.astype(np.int8))[0])
 
     @property
@@ -95,9 +95,9 @@ class CaseControlDataset(_ReadOnly):
     def n0(self) -> int:
         return self.n - self.n1
 
-    @cached_property
+    @property
     def exposure_masks(self) -> np.ndarray:
-        """Each record's exposure pattern as a bitmask (factor j is bit j)."""
+        """Each record's pattern as a bitmask (factor j is bit j); new on each read."""
         return as_masks(self.exposures)
 
 

@@ -24,6 +24,7 @@ over K).
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from itertools import compress
 from math import fsum
 from typing import Mapping, NamedTuple, Optional
 
@@ -250,55 +251,45 @@ def _varying_of(p, held_mask):
 
 
 def _pattern(p: int, v_j, fixed, order=None) -> tuple:
-    """``(varying, fixed_mask, v_j's local mask)``, with ``order`` in ``0..|v_j|``."""
+    """``(on, fixed_mask)``: the factors ``v_j`` turns on; ``order`` in ``0..|on|``."""
     varying, fixed_mask = _validate_fixed(p, fixed)
     if len(v_j) != len(varying):
         raise ValueError(
             f"expected {len(varying)} levels for the varying factors, got {len(v_j)}"
         )
-    vj_local = 0
-    for i, b in enumerate(v_j):
-        if b == 1:
-            vj_local |= 1 << i
-        elif b != 0:
-            raise ValueError(f"levels must be 0 or 1, got {tuple(v_j)}")
-    d = vj_local.bit_count()
-    if order is not None and not 0 <= order <= d:
-        raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
-    return varying, fixed_mask, vj_local
+    bits = tuple(v_j)
+    if bits.count(0) + bits.count(1) != len(bits):
+        raise ValueError(f"levels must be 0 or 1, got {bits}")
+    on = tuple(compress(varying, bits))
+    if order is not None and not 0 <= order <= len(on):
+        raise OrderRangeError(f"prediction order must be in 0..{len(on)}, got {order}")
+    return on, fixed_mask
 
 
 @lru_cache(maxsize=100_000)
-def _sublattice(varying, fixed_mask):
-    """The ``(local, full, size)`` table of every pattern of the varying factors.
+def _sublattice(factors, fixed_mask):
+    """The ``(full, size)`` table of every pattern of ``factors``.
 
-    Entry ``w`` belongs to the mask ``w`` over the varying factors: ``full``
-    is its full-pattern mask, with the held factors at their fixed levels,
-    and ``size`` its count of factors on.
+    Entry ``w`` belongs to the mask ``w`` over ``factors``: ``full`` is its
+    full-pattern mask, with the other factors at their ``fixed_mask``
+    levels, and ``size`` its count of factors on.
     """
-    local = np.arange(1 << len(varying), dtype=np.int64)
+    local = np.arange(1 << len(factors), dtype=np.int64)
     full = np.full(len(local), fixed_mask, dtype=np.int64)
-    for i, j in enumerate(varying):
+    for i, j in enumerate(factors):
         full |= (local >> i & 1) << j
-    return _frozen(local, full, np.bitwise_count(local).astype(np.int64))
-
-
-def _below(varying, vj_local, fixed_mask, order):
-    """The ``_sublattice`` rows of the patterns ``w <= v_j`` with ``|w| <= order``."""
-    local, full, size = _sublattice(varying, fixed_mask)
-    keep = (local & ~vj_local == 0) & (size <= order)
-    return local[keep], full[keep], size[keep]
+    return _frozen(full, np.bitwise_count(local).astype(np.int64))
 
 
 @lru_cache(maxsize=100_000)
-def _increment_terms(p, varying, vj_local, fixed_mask):
+def _increment_terms(on, fixed_mask):
     """Gather masks and signs for one alternating-sign increment."""
-    _, masks, size = _below(varying, vj_local, fixed_mask, len(varying))
-    return _frozen(masks, np.where((vj_local.bit_count() - size) & 1, -1.0, 1.0))
+    masks, size = _sublattice(on, fixed_mask)
+    return _frozen(masks, np.where((len(on) - size) & 1, -1.0, 1.0))
 
 
 @lru_cache(maxsize=100_000)
-def _prediction_terms(p, varying, vj_local, fixed_mask, order):
+def _prediction_terms(on, fixed_mask, order):
     """Gather masks and closed-form coefficients for a truncated prediction.
 
     The coefficient of the odds ratio at subpattern w (|w| <= order < |v_J|)
@@ -306,10 +297,11 @@ def _prediction_terms(p, varying, vj_local, fixed_mask, order):
     :func:`~interodds.patterns.alternating_binomial_sum` of
     ``C(|v_J| - |w|, l)`` over ``l <= order - |w|``.
     """
-    d = vj_local.bit_count()
-    _, masks, size = _below(varying, vj_local, fixed_mask, order)
-    coeffs = [alternating_binomial_sum(d - k, order - k) for k in size.tolist()]
-    return _frozen(masks, np.array(coeffs, dtype=float))
+    full, size = _sublattice(on, fixed_mask)
+    keep = size <= order
+    coeffs = [alternating_binomial_sum(len(on) - k, order - k)
+              for k in size[keep].tolist()]
+    return _frozen(full[keep], np.array(coeffs, dtype=float))
 
 
 def odds_ratio(params: StructuralParams, v) -> float:
@@ -345,8 +337,8 @@ def or_increment(params: StructuralParams, v_j, fixed=None) -> float:
     return _increment(params, *_pattern(params.p, v_j, fixed))
 
 
-def _increment(params: StructuralParams, varying, fixed_mask, vj_local) -> float:
-    masks, signs = _increment_terms(params.p, varying, vj_local, fixed_mask)
+def _increment(params: StructuralParams, on, fixed_mask) -> float:
+    masks, signs = _increment_terms(on, fixed_mask)
     # alternating sums cancel heavily; fsum keeps the increment correctly
     # rounded instead of accumulating error term by term
     return fsum((signs * params.or_table[masks]).tolist())
@@ -359,12 +351,10 @@ def predicted_or(params: StructuralParams, v_j, fixed, order: int) -> float:
     ``order`` active factors (the fast path); at ``order == |v_j|`` the
     truncation is vacuous and the exact odds ratio is returned.
     """
-    varying, fixed_mask, vj_local = _pattern(params.p, v_j, fixed, order)
-    if order == vj_local.bit_count():
-        return float(params.or_table[_sublattice(varying, fixed_mask)[1][vj_local]])
-    masks, coeffs = _prediction_terms(
-        params.p, varying, vj_local, fixed_mask, order
-    )
+    on, fixed_mask = _pattern(params.p, v_j, fixed, order)
+    if order == len(on):
+        return float(params.or_table[_sublattice(on, fixed_mask)[0][-1]])
+    masks, coeffs = _prediction_terms(on, fixed_mask, order)
     return fsum((coeffs * params.or_table[masks]).tolist())
 
 
@@ -376,9 +366,10 @@ def predicted_or_increments(params: StructuralParams, v_j, fixed, order: int) ->
     own ``fsum``.  Slower than the closed form but definitionally
     transparent; kept as a cross-check.
     """
-    varying, fixed_mask, vj_local = _pattern(params.p, v_j, fixed, order)
-    below = _below(varying, vj_local, fixed_mask, order)[0].tolist()
-    return fsum(_increment(params, varying, fixed_mask, w) for w in below)
+    on, fixed_mask = _pattern(params.p, v_j, fixed, order)
+    below = (tuple(j for i, j in enumerate(on) if w >> i & 1)
+             for w in range(1 << len(on)))
+    return fsum(_increment(params, w, fixed_mask) for w in below if len(w) <= order)
 
 
 def excess_or(params: StructuralParams, fixed, order: int) -> float:
@@ -403,9 +394,8 @@ def _spec_terms(p, varying, fixed_mask, order):
     prediction terms of order below ``order`` and their weights in the
     predicted part.
     """
-    full = _sublattice(varying, fixed_mask)[1]
-    masks, coef = _prediction_terms(p, varying, len(full) - 1, fixed_mask, order - 1)
-    return int(full[-1]), int(fixed_mask), masks, coef
+    masks, coef = _prediction_terms(varying, fixed_mask, order - 1)
+    return int(_sublattice(varying, fixed_mask)[0][-1]), int(fixed_mask), masks, coef
 
 
 @lru_cache(maxsize=100_000)
@@ -417,7 +407,7 @@ def _family(p, varying):
     and baseline masks, then each term's plan, mask and weight, flat.
     """
     held = tuple(j for j in range(p) if j not in varying)
-    keys = tuple((p, varying, mask, order) for mask in _sublattice(held, 0)[1].tolist()
+    keys = tuple((p, varying, mask, order) for mask in _sublattice(held, 0)[0].tolist()
                  for order in range(1, len(varying) + 1))
     joint, baseline, masks, coef = zip(*(_spec_terms(*key) for key in keys))
     counts = [len(m) for m in masks]

@@ -118,6 +118,73 @@ def spec_terms_loop(varying, fixed_mask, order):
     return joint, fixed_mask, pred_masks, coeffs
 
 
+def canonical_masks_loop(p):
+    """The nonzero masks in canonical order: by count of factors on, then
+    by the positions of the factors on, compared in turn."""
+    masks = []
+    for k in range(1, p + 1):
+        level = [m for m in range(1 << p) if bin(m).count("1") == k]
+        masks += sorted(level, key=lambda m: [j for j in range(p) if m >> j & 1])
+    return masks
+
+
+def _cell_counts(exposures, outcome, weights=None):
+    """The weighted case and control counts of each exposure mask."""
+    p = len(exposures[0])
+    n1, n0 = [0.0] * (1 << p), [0.0] * (1 << p)
+    weights = [1.0] * len(outcome) if weights is None else list(weights)
+    for bits, y, w in zip(np.asarray(exposures).tolist(), np.asarray(outcome).tolist(),
+                          weights):
+        mask = 0
+        for j, b in enumerate(bits):
+            mask |= b << j
+        if y == 1:
+            n1[mask] += w
+        else:
+            n0[mask] += w
+    return p, n1, n0
+
+
+def saturated_mle_loop(exposures, outcome, weights=None):
+    """The q = 0 MLE as ``(intercept, psi, sigma_psi)``, in closed form.
+
+    With no covariates the model is saturated in the 2^p exposure cells and
+    fits each cell's log odds exactly: log(n1_m / n0_m), from the cell's
+    weighted case and control counts.  The intercept and psi (canonical
+    order) are the Moebius inverse of those log odds over the pattern
+    lattice, and sigma_psi is the psi block of M diag(1/n1_m + 1/n0_m) M',
+    with M the Moebius matrix: Woolf's variance of each cell's log odds,
+    carried through the expansion.
+    """
+    p, n1, n0 = _cell_counts(exposures, outcome, weights)
+    log_odds = [log(a / b) for a, b in zip(n1, n0)]
+    woolf = [1.0 / a + 1.0 / b for a, b in zip(n1, n0)]
+    rows = []  # the psi rows of M
+    for c in canonical_masks_loop(p):
+        rows.append([0.0 if u & ~c else (-1.0) ** (bin(c).count("1") - bin(u).count("1"))
+                     for u in range(1 << p)])
+    psi = [fsum(r[u] * log_odds[u] for u in range(1 << p)) for r in rows]
+    sigma = [[fsum(r[u] * s[u] * woolf[u] for u in range(1 << p)) for s in rows]
+             for r in rows]
+    return log_odds[0], np.array(psi), np.array(sigma)
+
+
+def saturated_score_loop(exposures, outcome, intercept, psi, weights=None):
+    """The q = 0 score at ``(intercept, psi)``: intercept entry first, then psi's.
+
+    Each cell contributes its residual n1_m - (n1_m + n0_m) theta_m to the
+    intercept and to every psi coordinate whose pattern lies below m.
+    """
+    p, n1, n0 = _cell_counts(exposures, outcome, weights)
+    coords = canonical_masks_loop(p)
+    residual = []
+    for m in range(1 << p):
+        eta = intercept + fsum(x for x, c in zip(psi, coords) if c & ~m == 0)
+        residual.append(n1[m] - (n1[m] + n0[m]) / (1.0 + exp(-eta)))
+    return np.array([fsum(residual)] + [
+        fsum(r for m, r in enumerate(residual) if c & ~m == 0) for c in coords])
+
+
 def excess_or_explicit(params, fixed, order: int) -> float:
     """Hand-expanded excess odds ratio for one, two or three varying factors.
 

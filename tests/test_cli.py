@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,18 @@ def test_analyze_fix_label_and_value(dataset_csv, capsys):
     assert "K: a2neg=0" in report["measures"][0]["label"]
 
 
+def test_renderers_show_an_interval_note(dataset_csv, capsys, monkeypatch):
+    def noted(*args, **kwargs):
+        return replace(real(*args, **kwargs), note="a note")
+
+    real = cli.delta_ci
+    monkeypatch.setattr(cli, "delta_ci", noted)
+    assert main(analyze_args(dataset_csv, "--measure", "AP:2", "--format", "json")) == 0
+    assert json.loads(capsys.readouterr().out)["measures"][0]["note"] == "a note"
+    assert main(analyze_args(dataset_csv, "--measure", "AP:2")) == 0
+    assert "    note: a note" in capsys.readouterr().out.splitlines()
+
+
 def test_analyze_subset_fit(dataset_csv, capsys):
     code = main(
         analyze_args(
@@ -387,8 +400,11 @@ FOUR_RECORDS = b"y,v1,v2\n1,1,0\n0,0,1\n1,1,1\n0,0,0\n"
     (b"y,v1,z\n1,1,0\n0,0,\xff\n", ["--risk-factors", "v1", "--measure", "OR"], 3,
      "data error: unparseable cells: row 0 col '<file>': not UTF-8 text "
      "(invalid start byte 0xff)"),
+    (b"y,v1,v2\n1,1,0\n0,0,0\n1,1,0\n0,0,0\n",
+     ["--risk-factors", "v1,v2", "--measure", "OR", "--fix", "v2=1", "--subset-fit"], 3,
+     "data error: no records left at the held factor levels"),
 ], ids=["too-few-records", "outcome-as-covariate", "bad-token", "non-utf8-header",
-        "non-utf8-body"])
+        "non-utf8-body", "empty-subset-fit"])
 def test_analyze_exit_code_names_the_fault(tmp_path, capsys, text, extra, code,
                                           message):
     path = tmp_path / "data.csv"
@@ -458,6 +474,13 @@ def test_simulate_command_writes_and_prints_truths(tmp_path, capsys):
     first_bytes = out_path.read_bytes()
     main(["simulate", "--design", str(design_path), "--out", str(out_path)])
     assert out_path.read_bytes() == first_bytes
+    # no effect at all: the synergy index has no true value
+    design_path.write_text(DESIGN.replace(
+        "0.6931471805599453, 1.0986122886681098, 0.4054651081081644", "0, 0, 0"))
+    capsys.readouterr()
+    assert main(["simulate", "--design", str(design_path), "--out", str(out_path)]) == 0
+    out = capsys.readouterr().out
+    assert "  SI | J = {v1, v2} | order >= 2 (highest order interaction): undefined (" in out
 
 
 def test_simulate_command_seed_override(tmp_path, capsys):
@@ -491,6 +514,10 @@ def test_simulate_command_rejects_zero_cases(tmp_path, capsys):
     ("p = 2", "p 2", "line 2: expected 'key = value', got 'p 2\\n'"),
     ("measures =", "fix = v3=1\nmeasures =",
      "line 11: fix: fix entry 'v3=1' is outside v1..v2"),
+    ("measures =", "fix = x1=1\nmeasures =",
+     "line 11: fix: bad fix entry 'x1=1'; factors are named v1..v2"),
+    ("measures =", "fix = v1=2\nmeasures =",
+     "line 11: fix: fix level must be 0 or 1 in 'v1=2'"),
 ])
 def test_simulate_names_the_bad_design_value(tmp_path, capsys, old, new, message):
     design_path = tmp_path / "design.txt"

@@ -19,6 +19,7 @@ from interodds.dataio import (
     write_csv,
 )
 from interodds.errors import CsvParseError, EmptyClassError, NonBinaryFactorError
+from interodds.logit import CaseControlDataset
 from interodds.measures import StructuralParams
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
@@ -42,6 +43,14 @@ def test_round_trip_is_value_identical(tmp_path):
     assert np.array_equal(back.exposures, data.exposures)
     assert np.array_equal(back.outcome, data.outcome)
     assert np.array_equal(back.covariates, data.covariates)  # repr-exact floats
+
+
+def test_write_csv_refuses_names_that_do_not_match_the_dataset(tmp_path):
+    data = CaseControlDataset(np.array([[0, 1], [1, 0]]), np.zeros((2, 1)), np.array([0, 1]))
+    for names in ({"risk_names": ["a"]}, {"covariate_names": ["z", "w"]}):
+        with pytest.raises(ValueError, match="^column name lists do not match"):
+            write_csv(data, tmp_path / "x.csv", **names)
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_write_is_deterministic(tmp_path):

@@ -624,7 +624,7 @@ def test_fits_and_replicates_are_frozen_and_own_their_arrays():
         arrays = [fit.sigma_psi, fit.params.kappa, fit.params.psi.psi, replicates.psi,
                   replicates.or_tables, data.exposures, data.outcome]
         assert not any(array.flags.writeable for array in arrays)
-        assert data.covariates.flags.writeable
+        assert not data.covariates.flags.writeable
 
 
 def test_replicate_errors_cannot_change():
@@ -681,6 +681,10 @@ def test_delta_ci_alpha_validation():
     fit = make_fit(RUN2, np.eye(3) * 0.01)
     with pytest.raises(ValueError):
         delta_ci(fit, MeasureSpec(p=2, kind="AP", order=2), alpha=1.2)
+    replicates = BootstrapReplicates(200, np.zeros((200, 3)), [None] * 200)
+    for alpha in (0.0, 1.0):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\)"):
+            bootstrap_ci(fit, replicates, MeasureSpec(p=2, kind="AP", order=2), alpha)
 
 
 # ----------------------------------------------------------------- bootstrap

@@ -22,10 +22,9 @@ from interodds.logit import (
     fit_logit,
 )
 from interodds.measures import StructuralParams
-from interodds.patterns import pattern_index
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
-from oracles import downset_indicator
+from oracles import downset_indicator, saturated_mle_loop, saturated_score_loop
 
 
 def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
@@ -146,6 +145,33 @@ def test_dataset_validation():
         CaseControlDataset(
             np.array([[0, 1]]), np.array([[np.nan]]), np.array([1])
         )
+    with pytest.raises(ValueError, match="^exposures must be a 2-D array"):
+        CaseControlDataset(np.array([0, 1]), np.zeros((2, 0)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^covariates and exposures disagree"):
+        CaseControlDataset(np.array([[0], [1]]), np.zeros((3, 1)), np.array([0, 1]))
+    with pytest.raises(ValueError, match="^outcome must be 1-D"):
+        CaseControlDataset(np.array([[0], [1]]), np.zeros((2, 0)), np.array([[0, 1]]))
+    for kappa in ([], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^kappa must be a finite vector"):
+            FullParams(StructuralParams.zeros(2), kappa)
+
+
+def test_a_dataset_owns_its_covariates():
+    z = np.asfortranarray(np.zeros((4, 1)))  # a copy-free column-major input
+    data = CaseControlDataset(np.array([[0], [1], [1], [0]]), z, np.array([0, 1, 1, 0]))
+    z[0, 0] = 99.0
+    assert data.covariates[0, 0] == 0.0
+    assert data.covariates.flags.f_contiguous and not data.covariates.flags.writeable
+
+
+def test_a_write_into_the_masks_leaves_the_dataset_and_its_fit_unchanged():
+    data = small_dataset(n=400, seed=3)
+    want = data.exposures @ np.array([1, 2])
+    before = fit_logit(data).params.psi.psi
+    masks = data.exposure_masks
+    masks[:10] = 0
+    assert np.array_equal(data.exposure_masks, want)
+    assert fit_logit(data).params.psi.psi.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 3, 9])
@@ -597,24 +623,6 @@ def collapsed_cells(data):
     return cells[:, 0].astype(np.int64), cells[:, 1:-1], cells[:, -1], counts
 
 
-def saturated_mle(data):
-    """Closed-form MLE of psi and its covariance for q = 0.
-
-    The saturated model fits every exposure cell's log odds exactly, so
-    psi is the Moebius inversion of the cell log odds log(a / b), and the
-    covariance is M diag(1/a + 1/b) M' for the inversion matrix M.
-    """
-    masks = data.exposure_masks
-    a = np.bincount(masks[data.outcome == 1], minlength=1 << data.p)
-    b = np.bincount(masks[data.outcome == 0], minlength=1 << data.p)
-    M = np.zeros((len(pattern_index(data.p).masks), 1 << data.p))
-    for row, m in enumerate(pattern_index(data.p).masks.tolist()):
-        for u in range(1 << data.p):
-            if u & ~m == 0:
-                M[row, u] = (-1) ** (bin(m).count("1") - bin(u).count("1"))
-    return M @ np.log(a / b), (M * (1.0 / a + 1.0 / b)) @ M.T
-
-
 @pytest.mark.parametrize("p", [1, 2, 3])
 def test_fit_matches_closed_form_saturated_mle(p):
     rng = np.random.default_rng(40 + p)
@@ -622,7 +630,7 @@ def test_fit_matches_closed_form_saturated_mle(p):
     v = rng.integers(0, 2, size=(n, p))
     y = rng.random(n) < 1.0 / (1.0 + np.exp(0.5 - 0.4 * v.sum(axis=1)))
     data = CaseControlDataset(v, np.zeros((n, 0)), y.astype(np.int8))
-    psi, sigma = saturated_mle(data)
+    _, psi, sigma = saturated_mle_loop(data.exposures, data.outcome)
 
     fit = fit_logit(data)
     assert np.max(np.abs(fit.params.psi.psi - psi)) <= 1e-6
@@ -633,6 +641,54 @@ def test_fit_matches_closed_form_saturated_mle(p):
     beta, weighted_sigma, _ = weighted_fit(masks, z, y_cells, p, counts)
     assert np.max(np.abs(beta[1 : 1 << p] - psi)) <= 1e-6
     assert np.max(np.abs(weighted_sigma - sigma)) <= 1e-6
+
+
+# today's Newton loop stops short of the MLE: these bound its distance
+Q0_PSI_TOL = 1e-5  # unit-floor relative
+Q0_SIGMA_TOL = 1e-6  # relative to sigma_psi's largest entry
+
+
+def q0_dataset(p, balanced, n=20_000):
+    """No covariates; every cell holds cases and controls."""
+    rng = np.random.default_rng(100 * p + balanced)
+    if balanced:  # n / 2^p records per cell
+        masks = np.arange(n) % (1 << p)
+        v = (masks[:, None] >> np.arange(p)) & 1
+    else:  # factor j is on with probability 0.2 up to 0.6
+        v = (rng.random((n, p)) < np.linspace(0.2, 0.6, p)).astype(int)
+        masks = v @ (1 << np.arange(p))
+    eta = rng.uniform(-1.0, 1.0, 1 << p)[masks]
+    y = (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(int)
+    return CaseControlDataset(v, np.zeros((n, 0)), y)
+
+
+def assert_meets_the_q0_oracle(psi, sigma_psi, want_psi, want_sigma):
+    assert unit_floor_error(psi, want_psi) <= Q0_PSI_TOL
+    assert np.max(np.abs(sigma_psi - want_sigma)) <= Q0_SIGMA_TOL * np.max(np.abs(want_sigma))
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 5])
+def test_q0_fit_meets_the_exact_oracle(p, balanced):
+    data = q0_dataset(p, balanced)
+    intercept, psi, sigma = saturated_mle_loop(data.exposures, data.outcome)
+    score = saturated_score_loop(data.exposures, data.outcome, intercept, psi)
+    assert np.max(np.abs(score)) <= 1e-10
+    fit = fit_logit(data)
+    assert_meets_the_q0_oracle(fit.params.psi.psi, fit.sigma_psi, psi, sigma)
+
+
+def test_weighted_q0_refit_meets_the_exact_oracle():
+    data = q0_dataset(5, False)
+    weights = np.random.default_rng(5).integers(0, 3, size=data.n).astype(float)
+    weights[:3] = 0.5, 1.25, 2.75  # fractional frequency weights
+    intercept, psi, sigma = saturated_mle_loop(data.exposures, data.outcome, weights)
+    score = saturated_score_loop(data.exposures, data.outcome, intercept, psi, weights)
+    assert np.max(np.abs(score)) <= 1e-10
+    beta, sigma_psi, _ = weighted_fit(
+        data.exposure_masks, data.covariates, data.outcome, 5, weights)
+    assert abs(beta[0] - intercept) <= Q0_PSI_TOL * max(1.0, abs(intercept))
+    assert_meets_the_q0_oracle(beta[1:32], sigma_psi, psi, sigma)
 
 
 def test_weighted_fit_equals_fit_on_repeated_records():

@@ -252,12 +252,13 @@ def test_compiled_plans_match_the_loop_oracle_bit_for_bit():
             varying, fixed_mask = spec.varying, spec.fixed_mask
             for vj in range(1 << len(varying)):
                 d = vj.bit_count()
-                got = measures._increment_terms(p, varying, vj, fixed_mask)
+                on = tuple(j for i, j in enumerate(varying) if vj >> i & 1)
+                got = measures._increment_terms(on, fixed_mask)
                 for g, w in zip(got, increment_terms_loop(varying, vj, fixed_mask),
                                 strict=True):
                     same_bytes(g, w)
                 for order in range(d):
-                    got = measures._prediction_terms(p, varying, vj, fixed_mask, order)
+                    got = measures._prediction_terms(on, fixed_mask, order)
                     want = prediction_terms_loop(varying, vj, fixed_mask, order)
                     for g, w in zip(got, want, strict=True):
                         same_bytes(g, w)

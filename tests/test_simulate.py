@@ -152,11 +152,18 @@ def test_estimation_error_shrinks_with_sample_size():
     assert mae[5000] > mae[10000] > mae[20000]
 
 
-def test_unreachable_prevalence():
+def test_unreachable_prevalence(monkeypatch):
     with pytest.raises(PrevalenceError):
         simulate(make_design(kappa_true=np.array([-30.0, 0.0])))
     with pytest.raises(PrevalenceError):
         simulate(make_design(kappa_true=np.array([30.0, 0.0])))
+    # the first batch sets the draw cap; no later batch holds a case
+    first = _population_batch(make_design(), np.random.default_rng(0), None)
+    batches = iter([first])
+    monkeypatch.setitem(simulate.__globals__, "_population_batch", lambda *args: next(
+        batches, (first[0], first[1], np.zeros_like(first[2]))))
+    with pytest.raises(PrevalenceError, match="^gave up after [0-9]+ population draws"):
+        simulate(make_design(n1=5000))
 
 
 def test_exposure_dependence_sign():
@@ -180,6 +187,12 @@ def test_design_validation():
         make_design(z_models=())
     with pytest.raises(ValueError):
         ConfounderModel.discrete([0, 1], [0.5, 0.6])
+    with pytest.raises(ValueError, match="^levels and probs must be nonempty and equal"):
+        ConfounderModel.discrete([0, 1, 2], [0.5, 0.5])
+    with pytest.raises(ValueError, match="^psi_true factor count disagrees with p$"):
+        make_design(psi_true=StructuralParams.zeros(3))
+    with pytest.raises(ValueError, match="^kappa_true must be finite$"):
+        make_design(kappa_true=np.array([np.nan, 0.0]))
     with pytest.raises(ValueError):
         ConfounderModel.normal(sd=0.0)
 
