@@ -10,17 +10,17 @@ interaction increment.
 import numpy as np
 
 from interodds import StructuralParams, odds_ratio, or_increment
-from interodds.patterns import subpatterns
 
 psi = StructuralParams(np.log([2.0, 3.0, 1.5]), p=2)
+patterns = ((0, 0), (1, 0), (0, 1), (1, 1))  # every pattern below (1, 1)
 
 print("odds ratios by exposure pattern")
-for v in subpatterns((1, 1)):
+for v in patterns:
     print(f"  OR{v} = {odds_ratio(psi, v):.4g}")
 
 print("\nadditive increments (baseline, factor 1, factor 2, interaction)")
 total = 0.0
-for v in subpatterns((1, 1)):
+for v in patterns:
     inc = or_increment(psi, v)
     total += inc
     print(f"  increment{v} = {inc:+.4g}")

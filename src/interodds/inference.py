@@ -27,7 +27,6 @@ from .errors import (
 from .logit import CaseControlDataset, FitResult, fit_batch, fit_design  # noqa: F401
 from .measures import (
     MeasureSpec,
-    StructuralParams,
     _ReadOnly,
     _family,
     _frozen,
@@ -35,12 +34,11 @@ from .measures import (
     kind_value,
     log_or_tables,
     measure,
-    measure_parts,
+    measure_parts,  # noqa: F401  not called here: the tracer wraps it by name
     measure_value,
     si_defined,
     spec_plan,
 )
-from .patterns import downset_rows
 
 # Relative gap below which the attributable-proportion denominator is
 # treated as tied; the gradient then follows the joint-OR branch.
@@ -68,22 +66,6 @@ def normal_quantile(beta: float) -> float:
     if not 0.0 < beta < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {beta}")
     return _STANDARD_NORMAL.inv_cdf(beta)
-
-
-def measure_gradient(params: StructuralParams, spec: MeasureSpec) -> np.ndarray:
-    """Gradient of the measure w.r.t. the structural coefficients.
-
-    Chain rule through the parts and the plan's downset rows, formed per
-    call.  The attributable proportion is not differentiable where joint
-    and predicted tie; the joint-branch subgradient is used there (ties
-    have measure zero for continuous estimates).
-    """
-    joint, baseline, masks, coef = spec_plan(params.p, spec)
-    a, b, c = measure_parts(params, spec)
-    measure_value(spec.kind, a, b, c)  # raises where the synergy index is undefined
-    r0, r1, r2 = _derivatives(spec.kind, a, b, c)
-    t = np.r_[r0 * a, r2 * c, coef * params.or_table[masks] * r1]
-    return t.dot(downset_rows(params.p, np.r_[joint, baseline, masks]))
 
 
 def _derivatives(kind: str, a: float, b: float, c: float) -> tuple:

@@ -11,10 +11,11 @@ alternating-sign combinations of those odds ratios over sublattices:
   additive interaction.
 * :func:`predicted_or` -- the odds ratio reconstructed from increments of
   order at most ``i`` (a truncated expansion).
-* :func:`excess_or` -- what the truncation leaves unexplained.
 * :func:`measure` -- the joint odds ratio, excess odds ratio, attributable
   proportion and synergy index, all functions of the triple
-  (joint OR, predicted OR, baseline OR).
+  (joint OR, predicted OR, baseline OR).  The excess odds ratio is what
+  the truncation leaves unexplained, joint minus predicted, over the
+  baseline.
 
 A measure always concerns a set J of varying factors; the remaining
 factors K are held fixed at user-chosen levels, so every odds ratio here
@@ -334,11 +335,7 @@ def or_increment(params: StructuralParams, v_j, fixed=None) -> float:
         it is a plain difference of odds ratios; for two or more factors
         it measures additive interaction net of all lower orders.
     """
-    return _increment(params, *_pattern(params.p, v_j, fixed))
-
-
-def _increment(params: StructuralParams, on, fixed_mask) -> float:
-    masks, signs = _increment_terms(on, fixed_mask)
+    masks, signs = _increment_terms(*_pattern(params.p, v_j, fixed))
     # alternating sums cancel heavily; fsum keeps the increment correctly
     # rounded instead of accumulating error term by term
     return fsum((signs * params.or_table[masks]).tolist())
@@ -356,34 +353,6 @@ def predicted_or(params: StructuralParams, v_j, fixed, order: int) -> float:
         return float(params.or_table[_sublattice(on, fixed_mask)[0][-1]])
     masks, coeffs = _prediction_terms(on, fixed_mask, order)
     return fsum((coeffs * params.or_table[masks]).tolist())
-
-
-def predicted_or_increments(params: StructuralParams, v_j, fixed, order: int) -> float:
-    """Reference implementation of :func:`predicted_or`: sum the increments.
-
-    Literally adds :func:`or_increment` over every subpattern of ``v_j``
-    with at most ``order`` active factors: the ``fsum`` of each increment's
-    own ``fsum``.  Slower than the closed form but definitionally
-    transparent; kept as a cross-check.
-    """
-    on, fixed_mask = _pattern(params.p, v_j, fixed, order)
-    below = (tuple(j for i, j in enumerate(on) if w >> i & 1)
-             for w in range(1 << len(on)))
-    return fsum(_increment(params, w, fixed_mask) for w in below if len(w) <= order)
-
-
-def excess_or(params: StructuralParams, fixed, order: int) -> float:
-    """Joint odds ratio minus its prediction from orders below ``order``.
-
-    Evaluated with every varying factor on.  Quantifies the contribution
-    of increments of order >= ``order``: at order 1 the whole effect of
-    the varying factors, at order ``len(J)`` only the top interaction.
-    ``fixed`` may be None.  Raises :class:`MeasureSpec`'s errors for an
-    ``EOR`` spec: ``OrderRangeError`` for an order outside ``1..len(J)``,
-    ``ValueError`` for a bad ``fixed``.
-    """
-    a, b, _ = measure_parts(params, MeasureSpec(params.p, "EOR", order, fixed or {}))
-    return a - b
 
 
 @lru_cache(maxsize=100_000)

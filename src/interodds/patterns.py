@@ -56,11 +56,6 @@ def as_masks(exposures) -> np.ndarray:
     return masks
 
 
-def as_bits(mask: int, p: int) -> tuple:
-    """Unpack a bitmask into a length-``p`` tuple of 0/1 ints."""
-    return tuple((mask >> j) & 1 for j in range(p))
-
-
 def _canonical_masks(p: int) -> np.ndarray:
     """All 2^p masks in canonical order (cardinality, then one-positions).
 
@@ -103,17 +98,6 @@ class PatternIndex:
 @lru_cache(maxsize=None)
 def pattern_index(p: int) -> PatternIndex:
     return PatternIndex(p)
-
-
-def subpatterns(v) -> list:
-    """All patterns ``w <= v`` in canonical order, zero pattern included.
-
-    The result has exactly ``2^|v|`` entries and always contains the zero
-    pattern and ``v`` itself.
-    """
-    bits = tuple(int(b) for b in v)
-    mask, masks = as_mask(bits), _canonical_masks(len(bits))  # checks, then sizes
-    return [as_bits(m, len(bits)) for m in masks[(masks & ~mask) == 0].tolist()]
 
 
 def downset_rows(p: int, masks) -> np.ndarray:

@@ -3,9 +3,13 @@
 These walk randomized grids and verify the algebraic identities the whole
 package rests on: the additive expansion of odds ratios into increments,
 the closed form of the truncated prediction, the alternating binomial
-identity behind its coefficients, and the analytic measure gradients
+identity behind its coefficients, and the delta-method standard errors
 against central finite differences.  The CLI ``check`` subcommand runs
 small versions of all four; the acceptance tests run the full grids.
+
+The expansion and prediction suites evaluate all draws at once with the
+term tables and row ``fsum`` that the measures use; the gradient suite
+checks :func:`~interodds.inference.delta_ci` itself.
 
 Random draws use per-coordinate log odds ratios uniform in
 ``[-PSI_SCALE, PSI_SCALE]``.  Comparisons use a relative error with a
@@ -14,24 +18,27 @@ near-zero signed combinations stay comparable.
 """
 
 from dataclasses import dataclass
-from math import comb, fsum
+from math import comb, sqrt
 
 import numpy as np
 
-from .inference import measure_gradient
+from .errors import UndefinedSynergyError
+from .inference import delta_ci
+from .logit import FitResult, FullParams
 from .measures import (
     KINDS,
     MeasureSpec,
     StructuralParams,
+    _increment_terms,
+    _plan_parts,
+    _prediction_terms,
+    _sublattice,
+    _validate_fixed,
+    log_or_tables,
     measure,
     measure_parts,
-    odds_ratio,
-    or_increment,
-    predicted_or,
-    spec_plan,
 )
-from .errors import UndefinedSynergyError
-from .patterns import alternating_binomial_sum, downset_rows
+from .patterns import alternating_binomial_sum
 
 # Per-factor odds ratios between exp(-0.75) ~ 0.47 and exp(0.75) ~ 2.1: a
 # realistic effect range that also keeps the alternating sums far from
@@ -40,8 +47,9 @@ from .patterns import alternating_binomial_sum, downset_rows
 PSI_SCALE = 0.75
 
 
-def rel_err(x: float, y: float) -> float:
-    return abs(x - y) / max(1.0, abs(x), abs(y))
+def rel_err(x, y):
+    """The unit-floor relative error, entrywise on arrays."""
+    return np.abs(x - y) / np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
 
 
 def random_params(p: int, rng, scale: float = PSI_SCALE) -> StructuralParams:
@@ -59,31 +67,40 @@ def iter_splits(p: int):
 
 
 def _identity_grid(p_values, draws, seed, stride):
-    """Every (draw, split, pattern ``v_j``) of each ``p``, seeded ``seed + stride * p``.
+    """Every (split, pattern ``v_j``) of each ``p``, for all draws at once.
 
-    Yields ``(params, fixed, v_j bits, incs, below, target)``: ``incs`` are
-    the increments of every pattern of the varying factors, computed once
-    per (split, draw); ``below`` the local masks ``w <= v_j``; ``target`` the
-    odds ratio at ``v_j``.
+    The draws of each ``p`` are one ``(draws, 2^p - 1)`` block from the
+    stream seeded ``seed + stride * p``, row ``k`` the ``k``-th draw's
+    parameters.  Yields ``(ors, fixed_mask, on, incs, below, target)``:
+    the draws' odds-ratio tables, the held-level mask, the factors ``v_j``
+    turns on, the increments of every pattern of the varying factors (one
+    row per draw, computed once per split), the local masks ``w <= v_j``
+    and the odds ratios at ``v_j``.
     """
     for p in p_values:
         rng = np.random.default_rng(seed + stride * p)
-        splits = list(iter_splits(p))
-        for _ in range(draws):
-            params = random_params(p, rng)
-            for fixed in splits:
-                varying = tuple(j for j in range(p) if j not in fixed)
-                patterns = [
-                    tuple((w >> i) & 1 for i in range(len(varying)))
-                    for w in range(1 << len(varying))
-                ]
-                incs = [or_increment(params, v, fixed) for v in patterns]
-                for vj, v_bits in enumerate(patterns):
-                    bits = [fixed.get(j, 0) for j in range(p)]
-                    for i, j in enumerate(varying):
-                        bits[j] = v_bits[i]
-                    below = [w for w in range(len(patterns)) if not (w & ~vj)]
-                    yield params, fixed, v_bits, incs, below, odds_ratio(params, bits)
+        ors = np.exp(log_or_tables(rng.uniform(-PSI_SCALE, PSI_SCALE,
+                                               (draws, (1 << p) - 1))))
+        for fixed in iter_splits(p):
+            varying, fixed_mask = _validate_fixed(p, fixed)
+            patterns = [tuple(j for i, j in enumerate(varying) if w >> i & 1)
+                        for w in range(1 << len(varying))]
+            incs = np.array([_fsums(ors, *_increment_terms(on, fixed_mask))
+                             for on in patterns]).T
+            full = _sublattice(varying, fixed_mask)[0]
+            for vj, on in enumerate(patterns):
+                below = [w for w in range(len(patterns)) if not w & ~vj]
+                yield ors, fixed_mask, on, incs, below, ors[:, full[vj]]
+
+
+def _fsums(table, masks, coef):
+    """Each row's ``fsum`` of ``coef`` times its entries at ``masks``."""
+    return _plan_parts(table, (0, 0, masks, coef))[1]
+
+
+def _increment_sums(incs, below):
+    """Each row's ``fsum`` of its increments at the local masks ``below``."""
+    return _fsums(incs, np.array(below), np.ones(len(below)))
 
 
 def expansion_identity_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
@@ -94,7 +111,8 @@ def expansion_identity_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322):
     """
     worst = 0.0
     for _, _, _, incs, below, target in _identity_grid(p_values, draws, seed, 1):
-        worst = max(worst, abs(fsum(incs[w] for w in below) - target) / target)
+        error = np.abs(_increment_sums(incs, below) - target) / target
+        worst = max(worst, float(error.max()))
     return worst
 
 
@@ -103,18 +121,17 @@ def prediction_equivalence_error(p_values=(1, 2, 3, 4), draws=25, seed=20170322)
 
     For every truncation order the closed form must equal the ``fsum`` of
     the increments below the pattern with at most that many factors on;
-    with nothing truncated, both must equal the plain odds ratio.
+    with nothing truncated, the increments must sum to the plain odds ratio.
     """
     worst = 0.0
-    for params, fixed, v_bits, incs, below, target in _identity_grid(
+    for ors, fixed_mask, on, incs, below, target in _identity_grid(
         p_values, draws, seed, 31
     ):
-        d = sum(v_bits)
-        for order in range(d + 1):
-            ref = fsum(incs[w] for w in below if w.bit_count() <= order)
-            closed = predicted_or(params, v_bits, fixed, order)
-            worst = max(worst, rel_err(closed, ref if order < d else target))
-        worst = max(worst, rel_err(ref, target))
+        for order in range(len(on)):
+            ref = _increment_sums(incs, [w for w in below if w.bit_count() <= order])
+            closed = _fsums(ors, *_prediction_terms(on, fixed_mask, order))
+            worst = max(worst, float(rel_err(closed, ref).max()))
+        worst = max(worst, float(rel_err(_increment_sums(incs, below), target).max()))
     return worst
 
 
@@ -150,65 +167,68 @@ def _fd(func, params, step=1e-5):
     return grad
 
 
-def _random_spec(p, rng, kind, hold_one):
-    """A random spec of ``kind``; with ``hold_one``, a factor is held at 1."""
-    low = 2 if kind == "SI" else 1
-    while True:
-        kmask = int(rng.integers(1 << p))
-        fixed = {j: int(rng.integers(2)) for j in range(p) if (kmask >> j) & 1}
-        nj = p - len(fixed)
-        if nj >= low and (not hold_one or 1 in fixed.values()):
-            break
-    order = int(rng.integers(low, nj + 1))
-    return MeasureSpec(p=p, kind=kind, order=order, fixed=fixed)
+def _gradient_points(points, seed, p_values, step):
+    """``points`` random ``(params, spec, gradient, sigma_psi)`` points.
 
-
-def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
-    """Worst error of the analytic gradients against finite differences.
-
-    Checks the three part gradients (each odds ratio of the plan times its
-    downset row) and the assembled measure gradient at random (parameters,
-    spec) points.  The points cycle through the four kinds, and every
-    other round of four holds a factor at level 1, so each kind is also
-    checked where its baseline odds ratio varies with the coefficients
-    (with every held level 0 that gradient is zero).
-    Points where the synergy index is undefined nearby, or where the
-    attributable-proportion denominator is within 1e-6 relative of its
+    ``gradient`` is the :func:`_fd` gradient of the measure and
+    ``sigma_psi`` a random positive definite covariance.  The points cycle
+    through the four kinds, and every other round of four holds a factor
+    at level 1, so each kind is also checked where its baseline odds ratio
+    varies with the coefficients (with every held level 0 that gradient is
+    zero).  Points where the synergy index is undefined nearby, or where
+    the attributable-proportion denominator is within 1e-6 relative of its
     tie, are redrawn (the gradient is not defined there).
     """
     rng = np.random.default_rng(seed)
-    worst = 0.0
     checked = 0
     while checked < points:
         kind = KINDS[checked % 4]
-        low = 3 if kind == "SI" else 2  # factors needed to hold one at 1
-        hold_one = checked // 4 % 2 == 0 and max(p_values) >= low
+        low = 2 if kind == "SI" else 1  # the fewest varying factors of the kind
+        hold_one = checked // 4 % 2 == 0 and max(p_values) > low
         p = int(rng.choice(p_values))
-        if hold_one and p < low:
+        if hold_one and p <= low:
             continue
         params = random_params(p, rng)
-        spec = _random_spec(p, rng, kind, hold_one)
-        a, b, c = measure_parts(params, spec)
+        while True:
+            kmask = int(rng.integers(1 << p))
+            fixed = {j: int(rng.integers(2)) for j in range(p) if (kmask >> j) & 1}
+            nj = p - len(fixed)
+            if nj >= low and (not hold_one or 1 in fixed.values()):
+                break
+        spec = MeasureSpec(p, kind, int(rng.integers(low, nj + 1)), fixed)
+        a, b, _ = measure_parts(params, spec)
         if spec.kind == "AP" and abs(a - b) < 1e-6 * max(a, b):
             continue
         try:
-            analytic = measure_gradient(params, spec)
-            fd_measure = _fd(lambda pr: measure(pr, spec), params, step)
+            gradient = _fd(lambda pr: measure(pr, spec), params, step)
         except UndefinedSynergyError:
             continue
-        fd_joint = _fd(lambda pr: measure_parts(pr, spec).joint, params, step)
-        fd_pred = _fd(lambda pr: measure_parts(pr, spec).predicted, params, step)
-        fd_base = _fd(lambda pr: measure_parts(pr, spec).baseline, params, step)
-        joint, baseline, masks, coef = spec_plan(p, spec)
-        for exact, approx in (
-            (a * downset_rows(p, joint), fd_joint),
-            ((coef * params.or_table[masks]) @ downset_rows(p, masks), fd_pred),
-            (c * downset_rows(p, baseline), fd_base),
-            (analytic, fd_measure),
-        ):
-            for x, y in zip(exact, approx):
-                worst = max(worst, rel_err(float(x), float(y)))
+        root = rng.normal(0.0, 0.1, (params.psi.size, params.psi.size))
         checked += 1
+        yield params, spec, gradient, root @ root.T
+
+
+def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
+    """Worst relative error of delta-method standard errors against finite differences.
+
+    At each point of :func:`_gradient_points`, :func:`delta_ci`'s standard
+    error, mapped back from its transform's scale to the measure's, is
+    compared with ``sqrt(g' sigma_psi g)``, ``g`` the finite-difference
+    gradient of the measure.
+    """
+    worst = 0.0
+    for params, spec, g, sigma in _gradient_points(points, seed, p_values, step):
+        fit = FitResult(FullParams(params, np.zeros(1)), sigma, 0.0, 0, True, 0.0)
+        rep = delta_ci(fit, spec)
+        x = rep.point  # the standard error is on the transform's scale
+        if spec.kind == "EOR":
+            slope = 1.0
+        elif spec.kind == "AP":
+            slope = 2.0 / (1.0 - x * x)
+        else:
+            slope = 1.0 / x
+        want = sqrt(g @ sigma @ g)
+        worst = max(worst, abs(rep.se_transformed / slope - want) / want)
     return worst
 
 

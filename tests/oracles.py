@@ -24,15 +24,17 @@ from interodds.inference import (
     normal_quantile,
 )
 from interodds.measures import (
+    MeasureSpec,
     StructuralParams,
     canonical_kind,
-    excess_or,
     measure,
+    measure_parts,
     measure_value,
     odds_ratio,
+    or_increment,
     spec_plan,
 )
-from interodds.patterns import as_bits, as_mask, downset_rows, pattern_index
+from interodds.patterns import as_mask, downset_rows, pattern_index
 from interodds.selfcheck import iter_splits, random_params, rel_err
 
 
@@ -42,6 +44,24 @@ def downset_indicator(u) -> np.ndarray:
     mask = as_mask(bits)
     masks = pattern_index(len(bits)).masks.tolist()
     return np.array([int(m & ~mask == 0) for m in masks], dtype=np.int8)
+
+
+def part_derivatives(kind, a, b, c):
+    """A measure's derivatives by its joint, predicted and baseline odds ratios.
+
+    The attributable proportion takes its joint-branch subgradient where
+    joint and predicted tie.
+    """
+    if kind == "OR":
+        return 1.0 / c, 0.0, -a / c**2
+    if kind == "EOR":
+        return 1.0 / c, -1.0 / c, -(a - b) / c**2
+    if kind == "AP" and a >= b:
+        return b / a**2, -1.0 / a, 0.0
+    if kind == "AP":
+        return 1.0 / b, -a / b**2, 0.0
+    d = b - c
+    return 1.0 / d, -(a - c) / d**2, (a - b) / d**2
 
 
 def parts_gradients(params, spec):
@@ -59,6 +79,38 @@ def parts_gradients(params, spec):
         joint=ors[0] * rows[0], predicted=(coef * ors[2:]) @ rows[2:],
         baseline=ors[1] * rows[1],
     )
+
+
+def measure_gradient(params, spec):
+    """Gradient of the measure by psi: the chain rule over :func:`parts_gradients`.
+
+    Raises where the measure is undefined, as :func:`measure` does.
+    """
+    a, b, c = measure_parts(params, spec)
+    measure_value(spec.kind, a, b, c)
+    r0, r1, r2 = part_derivatives(spec.kind, a, b, c)
+    g = parts_gradients(params, spec)
+    return r0 * g.joint + r1 * g.predicted + r2 * g.baseline
+
+
+def predicted_or_increments(params, v_j, fixed, order):
+    """Reference for :func:`~interodds.measures.predicted_or`: sum the increments.
+
+    The ``fsum`` of the public :func:`or_increment` over every subpattern
+    of ``v_j`` with at most ``order`` factors on.
+    """
+    or_increment(params, v_j, fixed)  # checks v_j and fixed as predicted_or does
+    d = sum(v_j)
+    if not 0 <= order <= d:
+        raise OrderRangeError(f"prediction order must be in 0..{d}, got {order}")
+    below = [w for w in subpatterns(v_j) if sum(w) <= order]
+    return fsum(or_increment(params, w, fixed) for w in below)
+
+
+def excess_or(params, fixed, order):
+    """Joint odds ratio minus its prediction from orders below ``order``."""
+    a, b, _ = measure_parts(params, MeasureSpec(params.p, "EOR", order, fixed or {}))
+    return a - b
 
 
 def _full_mask(w, varying, fixed_mask):
@@ -128,6 +180,19 @@ def canonical_masks_loop(p):
     return masks
 
 
+def as_bits(mask: int, p: int) -> tuple:
+    """Unpack a bitmask into a length-``p`` tuple of 0/1 ints."""
+    return tuple((mask >> j) & 1 for j in range(p))
+
+
+def subpatterns(v) -> list:
+    """All patterns ``w <= v`` in canonical order, zero pattern included."""
+    bits = tuple(int(b) for b in v)
+    mask = as_mask(bits)
+    return [as_bits(m, len(bits)) for m in [0, *canonical_masks_loop(len(bits))]
+            if not m & ~mask]
+
+
 def _cell_counts(exposures, outcome, weights=None):
     """The weighted case and control counts of each exposure mask."""
     p = len(exposures[0])
@@ -188,8 +253,8 @@ def saturated_score_loop(exposures, outcome, intercept, psi, weights=None):
 def excess_or_explicit(params, fixed, order: int) -> float:
     """Hand-expanded excess odds ratio for one, two or three varying factors.
 
-    The cross-check oracle for :func:`interodds.measures.excess_or`; the
-    formulas below are written out term by term.
+    The cross-check oracle for :func:`excess_or`; the formulas below are
+    written out term by term.
     """
     varying = [j for j in range(params.p) if j not in fixed]
     nj = len(varying)
@@ -388,17 +453,7 @@ def delta_ci_reference(fit, spec, alpha=0.05):
     g11 = float(np.einsum("rk,rk->r", w, u)[0])
     g12, g22 = float(u[0, z]), float(y[z, z])
     point = measure_value(spec.kind, a, b, c)
-    if spec.kind == "OR":
-        r0, r1, r2 = 1.0 / c, 0.0, -a / c**2
-    elif spec.kind == "EOR":
-        r0, r1, r2 = 1.0 / c, -1.0 / c, -(a - b) / c**2
-    elif spec.kind == "AP" and a >= b:
-        r0, r1, r2 = b / a**2, -1.0 / a, 0.0
-    elif spec.kind == "AP":
-        r0, r1, r2 = 1.0 / b, -a / b**2, 0.0
-    else:
-        d = b - c
-        r0, r1, r2 = 1.0 / d, -(a - c) / d**2, (a - b) / d**2
+    r0, r1, r2 = part_derivatives(spec.kind, a, b, c)
     var = (r0 * (r0 * g00 + 2.0 * (r1 * g01 + r2 * g02))
            + r1 * (r1 * g11 + 2.0 * r2 * g12) + r2 * r2 * g22)
     if var < -1e-10:

@@ -19,7 +19,6 @@ from interodds.logit import fit_logit
 from interodds.measures import (
     MeasureSpec,
     StructuralParams,
-    excess_or,
     measure,
     measure_parts,
 )
@@ -32,7 +31,7 @@ from interodds.selfcheck import (
 )
 from interodds.simulate import ConfounderModel, SimDesign, simulate, true_measure
 
-from oracles import excess_oracle_error
+from oracles import excess_or, excess_oracle_error
 
 SEED = 20170322
 

@@ -23,7 +23,6 @@ from interodds.inference import (
     bootstrap_ci,
     bootstrap_replicates,
     delta_ci,
-    measure_gradient,
     normal_quantile,
 )
 from interodds.logit import (
@@ -43,7 +42,13 @@ from interodds.measures import (
     spec_plan,
 )
 from interodds.patterns import downset_rows, pattern_index
-from interodds.selfcheck import gradient_fd_error, iter_splits
+from interodds.selfcheck import (
+    _fd,
+    _gradient_points,
+    gradient_fd_error,
+    iter_splits,
+    rel_err,
+)
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
 from oracles import (
@@ -51,6 +56,7 @@ from oracles import (
     ci_transform,
     delta_ci_reference,
     downset_indicator,
+    measure_gradient,
     parts_gradients,
 )
 
@@ -102,6 +108,18 @@ def test_measure_gradient_null_interaction_coordinate_only():
 
 def test_gradients_match_finite_differences():
     assert gradient_fd_error(points=30, seed=77) <= 1e-6
+
+
+def test_part_and_measure_gradients_match_finite_differences():
+    # the oracle gradients, at the points where `check --full` checks delta_ci
+    worst = 0.0
+    for params, spec, fd_measure, _ in _gradient_points(100, 20170322, (2, 3, 4), 1e-5):
+        g = parts_gradients(params, spec)
+        for name in ("joint", "predicted", "baseline"):
+            fd_part = _fd(lambda pr: getattr(measure_parts(pr, spec), name), params, 1e-5)
+            worst = max(worst, rel_err(getattr(g, name), fd_part).max())
+        worst = max(worst, rel_err(measure_gradient(params, spec), fd_measure).max())
+    assert worst <= 1e-6
 
 
 def test_joint_and_baseline_gradients_nonnegative():

@@ -1,6 +1,7 @@
 import hashlib
 import re
 import tracemalloc
+from math import sqrt
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,8 @@ from interodds.errors import (
     EmptyClassError,
     SeparationError,
     SingularDesignError,
+    TransformRangeError,
+    UndefinedSynergyError,
 )
 from interodds.logit import (
     CaseControlDataset,
@@ -21,10 +24,17 @@ from interodds.logit import (
     fit_design,
     fit_logit,
 )
-from interodds.measures import StructuralParams
+from interodds.measures import MeasureSpec, StructuralParams, measure_parts
+from interodds.selfcheck import iter_splits
 from interodds.simulate import ConfounderModel, SimDesign, simulate
 
-from oracles import downset_indicator, saturated_mle_loop, saturated_score_loop
+from oracles import (
+    ci_transform,
+    downset_indicator,
+    measure_gradient,
+    saturated_mle_loop,
+    saturated_score_loop,
+)
 
 
 def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
@@ -689,6 +699,43 @@ def test_weighted_q0_refit_meets_the_exact_oracle():
         data.exposure_masks, data.covariates, data.outcome, 5, weights)
     assert abs(beta[0] - intercept) <= Q0_PSI_TOL * max(1.0, abs(intercept))
     assert_meets_the_q0_oracle(beta[1:32], sigma_psi, psi, sigma)
+
+
+Q0_SE_TOL = 1e-6  # relative; the fit's psi and sigma_psi stop short of the MLE's
+
+
+@pytest.mark.parametrize("balanced", [True, False], ids=["balanced", "unbalanced"])
+@pytest.mark.parametrize("p", [2, 3])
+def test_q0_delta_se_is_the_delta_method_on_the_closed_form_covariance(p, balanced):
+    data = q0_dataset(p, balanced)
+    fit = fit_logit(data)
+    _, psi, sigma = saturated_mle_loop(data.exposures, data.outcome)
+    exact = StructuralParams(psi, p)
+    checked = total = 0
+    for fixed in iter_splits(p):
+        nj = p - len(fixed)
+        specs = [MeasureSpec(p=p, kind="OR", fixed=fixed)] + [
+            MeasureSpec(p=p, kind=kind, order=order, fixed=fixed)
+            for kind, low in (("EOR", 1), ("AP", 1), ("SI", 2))
+            for order in range(low, nj + 1)
+        ]
+        total += len(specs)
+        for spec in specs:
+            try:
+                rep = inference.delta_ci(fit, spec)
+            except UndefinedSynergyError:
+                with pytest.raises(UndefinedSynergyError):
+                    measure_gradient(exact, spec)
+                continue
+            except TransformRangeError:  # an AP whose prediction is not positive
+                assert measure_parts(exact, spec).predicted <= 0.0
+                continue
+            g = measure_gradient(exact, spec)
+            want = sqrt(g @ sigma @ g)
+            se = rep.se_transformed / ci_transform(spec.kind).derivative(rep.point)
+            assert abs(se - want) <= Q0_SE_TOL * want, spec
+            checked += 1
+    assert checked > 0.8 * total  # the others raise at the fit and at the MLE alike
 
 
 def test_weighted_fit_equals_fit_on_repeated_records():

@@ -13,15 +13,13 @@ from interodds.errors import OrderRangeError, UndefinedSynergyError
 from interodds.measures import (
     MeasureSpec,
     StructuralParams,
-    excess_or,
     measure,
     measure_parts,
     odds_ratio,
     or_increment,
     predicted_or,
-    predicted_or_increments,
 )
-from interodds.patterns import MAX_FACTORS, PatternIndex, subpatterns
+from interodds.patterns import MAX_FACTORS, PatternIndex, as_mask
 from interodds.selfcheck import (
     expansion_identity_error,
     iter_splits,
@@ -32,10 +30,12 @@ from interodds.selfcheck import (
 
 from oracles import (
     downset_indicator,
+    excess_or,
     excess_or_explicit,
     excess_oracle_error,
     increment_sum_terms_loop,
     increment_terms_loop,
+    predicted_or_increments,
     prediction_terms_loop,
     spec_terms_loop,
 )
@@ -97,7 +97,7 @@ def test_factor_count_is_refused_before_anything_is_sized(p):
     makers = [PatternIndex, lambda p: StructuralParams(np.zeros(1), p),
               lambda p: MeasureSpec(p=p, kind="OR")]
     if p > 0:  # a pattern of p factors
-        makers.append(lambda p: subpatterns((0,) * p))
+        makers.append(lambda p: as_mask((0,) * p))
     tracemalloc.start()
     try:
         for make in makers:

@@ -6,13 +6,11 @@ from hypothesis import strategies as st
 from interodds.patterns import (
     MAX_FACTORS,
     alternating_binomial_sum,
-    as_bits,
     as_mask,
     pattern_index,
-    subpatterns,
 )
 
-from oracles import downset_indicator
+from oracles import as_bits, downset_indicator, subpatterns
 
 
 def pattern_tuples(p):
