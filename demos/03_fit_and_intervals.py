@@ -39,7 +39,7 @@ print(f"fitted {data.n} records in {fit.iterations} Newton steps "
 
 print("\nstructural coefficients (log odds-ratio scale)")
 for name, est, se, truth in zip(
-    psi_coordinate_names(3), fit.params.psi.psi, fit.se_psi, design.psi_true.psi
+    psi_coordinate_names(3), fit.psi.psi, fit.se_psi, design.psi_true.psi
 ):
     print(f"  {name:9s} {est:7.3f} (se {se:.3f})   truth {truth:7.3f}")
 

@@ -171,14 +171,14 @@ def run_analysis(args):
         "converged": bool(fit.converged),
         "gradient_norm": float(fit.gradient_norm),
         "ridge_used": bool(fit.ridge_used),
-        "intercept": float(fit.params.kappa[0]),
+        "intercept": float(fit.kappa[0]),
         "kappa": {
             name: float(value)
-            for name, value in zip(args.covariates, fit.params.kappa[1:])
+            for name, value in zip(args.covariates, fit.kappa[1:])
         },
         "psi": {
             name: float(value)
-            for name, value in zip(psi_names, fit.params.psi.psi)
+            for name, value in zip(psi_names, fit.psi.psi)
         },
         "se_psi": {
             name: float(value) for name, value in zip(psi_names, fit.se_psi)

@@ -98,7 +98,7 @@ def _plan_covariance(fit: FitResult, spec: MeasureSpec) -> list:
     entries = fit._delta
     key = (spec.p, spec.varying, spec.fixed_mask, spec.effective_order)
     if key not in entries:
-        psi = fit.params.psi
+        psi = fit.psi
         spec_plan(psi.p, spec)  # raises for another p
         keys, starts, j, z, rows, m, w = _family(psi.p, spec.varying)
         y, ors, r = fit.or_covariance, psi.or_table, np.arange(len(keys))
@@ -381,15 +381,18 @@ def bootstrap_ci(
     BootstrapFailureError
         More than 10% of replicates dropped.
     ValueError
-        alpha outside (0, 1), or a spec whose factor count differs from
-        the fit's.
+        alpha outside (0, 1), or a spec or replicates whose factor count
+        differs from the fit's.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    point = measure(fit.params.psi, spec)
-    tables = replicates.or_tables
-    a, b, c = _plan_parts(tables, spec_plan(tables.shape[1].bit_length() - 1, spec))
+    point = measure(fit.psi, spec)
+    width = replicates.psi.shape[1]  # 2^p - 1, whose bit length is p
+    if width != fit.psi.psi.size:
+        raise ValueError(f"the replicates have {width.bit_length()} risk factors "
+                         f"but the fit has {fit.psi.p}")
+    a, b, c = _plan_parts(replicates.or_tables, spec_plan(fit.psi.p, spec))
     errors = list(replicates.errors)  # a failed refit counts for every measure
     if spec.kind == "SI":  # an undefined measure only for its own
         defined = si_defined(a, b, c)

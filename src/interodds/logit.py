@@ -102,26 +102,11 @@ class CaseControlDataset(_ReadOnly):
 
 
 @dataclass(frozen=True, eq=False)
-class FullParams(_ReadOnly):
-    """Structural parameters plus intercept-first nuisance coefficients."""
+class FitResult(_ReadOnly):
+    """One fit: the estimates ``psi`` and ``kappa`` and the covariance of ``psi``."""
 
     psi: StructuralParams
     kappa: np.ndarray  # length q + 1, kappa[0] is the intercept
-
-    def __post_init__(self):
-        kappa = np.array(self.kappa, dtype=float).reshape(-1)
-        if kappa.size < 1 or not np.all(np.isfinite(kappa)):
-            raise ValueError("kappa must be a finite vector with the intercept first")
-        object.__setattr__(self, "kappa", _frozen(kappa)[0])
-
-    @property
-    def q(self) -> int:
-        return self.kappa.size - 1
-
-
-@dataclass(frozen=True, eq=False)
-class FitResult(_ReadOnly):
-    params: FullParams
     sigma_psi: np.ndarray  # structural block of the full inverse information
     loglik: float
     iterations: int
@@ -132,7 +117,14 @@ class FitResult(_ReadOnly):
     _delta: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
-        sigma = np.array(self.sigma_psi, dtype=float)
+        kappa = np.array(self.kappa, dtype=float).reshape(-1)
+        if kappa.size < 1 or not np.all(np.isfinite(kappa)):
+            raise ValueError("kappa must be a finite vector with the intercept first")
+        sigma, k = np.array(self.sigma_psi, dtype=float), self.psi.psi.size
+        if sigma.shape != (k, k) or not np.all(np.isfinite(sigma)):
+            raise ValueError(
+                f"sigma_psi must be a finite ({k}, {k}) matrix, got shape {sigma.shape}")
+        object.__setattr__(self, "kappa", _frozen(kappa)[0])
         object.__setattr__(self, "sigma_psi", _frozen(sigma)[0])
 
     @property
@@ -146,7 +138,7 @@ class FitResult(_ReadOnly):
         The covariance of the odds ratios at all ``2^p`` masks, indexed by
         mask (``R`` their downset rows), formed on first use.
         """
-        psi = self.params.psi
+        psi = self.psi
         d = downset_rows(psi.p, np.arange(1 << psi.p)) * psi.or_table[:, None]
         return _frozen(d.dot(self.sigma_psi).dot(d.T))[0]
 
@@ -588,7 +580,8 @@ def fit_design(masks, covariates, outcome, p, start=None):
     full_cov = 0.5 * (full_cov + full_cov.T)
     beta, psi = fits.beta[0], slice(1, 1 << p)
     return FitResult(
-        params=FullParams(StructuralParams(beta[psi], p), np.delete(beta, psi)),
+        psi=StructuralParams(beta[psi], p),
+        kappa=np.delete(beta, psi),
         sigma_psi=full_cov[psi, psi],
         loglik=float(fits.loglik[0]),
         iterations=int(fits.iterations[0]),

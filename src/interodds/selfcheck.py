@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import UndefinedSynergyError
 from .inference import delta_ci
-from .logit import FitResult, FullParams
+from .logit import FitResult
 from .measures import (
     KINDS,
     MeasureSpec,
@@ -218,7 +218,7 @@ def gradient_fd_error(points=100, seed=20170322, p_values=(2, 3, 4), step=1e-5):
     """
     worst = 0.0
     for params, spec, g, sigma in _gradient_points(points, seed, p_values, step):
-        fit = FitResult(FullParams(params, np.zeros(1)), sigma, 0.0, 0, True, 0.0)
+        fit = FitResult(params, np.zeros(1), sigma, 0.0, 0, True, 0.0)
         rep = delta_ci(fit, spec)
         x = rep.point  # the standard error is on the transform's scale
         if spec.kind == "EOR":

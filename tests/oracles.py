@@ -382,14 +382,14 @@ def bootstrap_ci_per_replicate(fit, replicates, spec, alpha=0.05):
     and counts the dropped replicates as it goes, raising at the one that
     crosses the 10% limit.
     """
-    point = measure(fit.params.psi, spec)
+    point = measure(fit.psi, spec)
     values = []
     failed = 0
     failures = {}
     for psi, error in zip(replicates.psi, replicates.errors, strict=True):
         if error is None:
             try:
-                values.append(measure(StructuralParams(psi, fit.params.psi.p), spec))
+                values.append(measure(StructuralParams(psi, fit.psi.p), spec))
                 continue
             except InterOddsError as exc:
                 error = type(exc).__name__
@@ -438,7 +438,7 @@ def delta_ci_reference(fit, spec, alpha=0.05):
     if not 0.0 < alpha < 1.0:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
-    params = fit.params.psi
+    params = fit.psi
     j, z, masks, coef = spec_plan(params.p, spec)
     table = params.or_table
     jac = downset_rows(params.p, np.arange(len(table))) * table[:, None]  # dOR/dpsi

@@ -133,7 +133,7 @@ def test_mle_recovery():
         data = simulate(recovery_design(seed))
         fit = fit_logit(data)
         assert fit.gradient_norm <= 1e-8 * (1.0 + abs(fit.loglik))
-        if np.all(np.abs(fit.params.psi.psi - RECOVERY_PSI) <= 4.0 * fit.se_psi):
+        if np.all(np.abs(fit.psi.psi - RECOVERY_PSI) <= 4.0 * fit.se_psi):
             hits += 1
     elapsed = time.perf_counter() - start
     criterion(

@@ -27,6 +27,20 @@ def _names_imported_from_package(source):
     }
 
 
+def _readme_python_blocks():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    return re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+
+
+def _package_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")])
+    )
+    return env
+
+
 def test_every_exported_name_resolves():
     assert len(set(interodds.__all__)) == len(interodds.__all__)
     for name in interodds.__all__:
@@ -50,7 +64,7 @@ PUBLIC = {
 
 # names left to their own modules, each still importable there
 SUBMODULE_ONLY = [
-    ("logit", "FullParams"), ("logit", "fit_design"), ("inference", "fit_design"),
+    ("logit", "fit_design"), ("inference", "fit_design"),
     ("inference", "measure_parts"), ("inference", "measure"),
     ("measures", "KINDS"), ("measures", "MeasureParts"), ("measures", "canonical_kind"),
     ("measures", "predicted_or"),
@@ -80,11 +94,25 @@ def test_demo_imports_are_exported(path):
 
 
 def test_readme_quick_start_imports_are_exported():
-    readme = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    blocks = _readme_python_blocks()
     names = set().union(*(_names_imported_from_package(b) for b in blocks))
     assert names, "README has no python block importing from interodds"
     assert names <= set(interodds.__all__), names - set(interodds.__all__)
+
+
+def test_readme_quick_start_runs_without_scipy():
+    # as CI runs the demos: warnings are errors and scipy cannot be imported
+    blocks = _readme_python_blocks()
+    assert len(blocks) == 1, "README should have one python block, the quick start"
+    script = ("import sys; sys.modules['scipy'] = None; exec(compile("
+              "sys.stdin.read(), 'README.md', 'exec'), {'__name__': '__main__'})")
+    done = subprocess.run(
+        [sys.executable, "-W", "error", "-c", script], input=blocks[0],
+        capture_output=True, text=True, env=_package_env(), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    point, ci_low, ci_high = map(float, re.findall(r"[-+\d.e]+", done.stdout))
+    assert ci_low < point < ci_high
 
 
 def test_every_dataclass_with_a_cached_property_is_frozen():
@@ -107,13 +135,9 @@ def test_package_imports_without_scipy():
         "import sys, interodds, interodds.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(PACKAGE_PARENT), env.get("PYTHONPATH")])
-    )
     done = subprocess.run(
         [sys.executable, "-c", script],
-        capture_output=True, text=True, env=env, timeout=120, check=True,
+        capture_output=True, text=True, env=_package_env(), timeout=120, check=True,
     )
     assert done.stdout.strip() == "[]", done.stdout
 

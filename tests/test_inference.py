@@ -28,7 +28,6 @@ from interodds.inference import (
 from interodds.logit import (
     CaseControlDataset,
     FitResult,
-    FullParams,
     fit_design,
     fit_logit,
 )
@@ -67,7 +66,8 @@ def make_fit(psi, sigma, q=0, kappa=None):
     psi = psi if isinstance(psi, StructuralParams) else StructuralParams(psi, 2)
     kappa = np.zeros(q + 1) if kappa is None else kappa
     return FitResult(
-        params=FullParams(psi=psi, kappa=kappa),
+        psi=psi,
+        kappa=kappa,
         sigma_psi=np.asarray(sigma, dtype=float),
         loglik=-100.0,
         iterations=3,
@@ -366,7 +366,7 @@ def _oracle_transform(kind):
 
 def oracle_delta_ci(fit, spec, alpha=0.05):
     """The delta interval in two steps: part gradients, then the chain rule."""
-    psi = fit.params.psi
+    psi = fit.psi
     parts = measure_parts(psi, spec)
     point = measure_value(spec.kind, *parts)
     g = parts_gradients(psi, spec)
@@ -442,7 +442,7 @@ def test_delta_se_is_the_quadratic_form_of_measure_gradient():
         rep = outcome(delta_ci, fit, spec)
         if isinstance(rep, type):
             continue
-        g = measure_gradient(fit.params.psi, spec)
+        g = measure_gradient(fit.psi, spec)
         sigma = sqrt(g @ fit.sigma_psi @ g)
         se = rep.se_transformed / ci_transform(spec.kind).derivative(rep.point)
         assert abs(se - sigma) <= 1e-12 * sigma, spec
@@ -490,7 +490,7 @@ def test_delta_ci_is_the_reference_bit_for_bit():
     seen = set()
     for fit in fits:
         for alpha in (0.05, 0.2):
-            for spec in specs[fit.params.psi.p]:
+            for spec in specs[fit.psi.p]:
                 expected = bits(delta_ci_reference, fit, spec, alpha)
                 assert bits(delta_ci, fit, spec, alpha) == expected, spec
                 seen.add(expected[0] if isinstance(expected, tuple) else "DELTA")
@@ -558,7 +558,7 @@ def test_stacked_pass_makeup_does_not_change_bits(monkeypatch):
     specs = all_specs(5)
     rng = np.random.default_rng(29)
     a = random_fit(5, rng, 0.8)
-    b = make_fit(StructuralParams(a.params.psi.psi.copy(), 5), a.sigma_psi.copy())
+    b = make_fit(StructuralParams(a.psi.psi.copy(), 5), a.sigma_psi.copy())
     alphas = (0.05, 0.2)
     expected = [[bits(delta_ci, a, spec, alpha) for alpha in alphas] for spec in specs]
     assert len(a._delta) == 405
@@ -617,7 +617,7 @@ def test_odds_ratio_covariance_is_formed_once_and_pickled_with_the_fit():
     fit = random_fit(3, np.random.default_rng(4), 0.5)
     y = fit.or_covariance
     assert fit.or_covariance is y
-    jac = downset_rows(3, np.arange(8)) * fit.params.psi.or_table[:, None]
+    jac = downset_rows(3, np.arange(8)) * fit.psi.or_table[:, None]
     assert y.tobytes() == jac.dot(fit.sigma_psi).dot(jac.T).tobytes()
     loaded = pickle.loads(pickle.dumps(fit))
     assert vars(loaded)["or_covariance"].tobytes() == y.tobytes()
@@ -630,7 +630,7 @@ def test_fits_and_replicates_are_frozen_and_own_their_arrays():
     replicates = BootstrapReplicates(200, np.zeros((200, 3)), [None] * 200)
     data = CaseControlDataset(np.array([[0, 1], [1, 0]]), np.zeros((2, 0)),
                               np.array([0, 1]))
-    for value in (RUN2, fit.params, fit, replicates, data):
+    for value in (RUN2, fit, replicates, data):
         for f in fields(value):
             with pytest.raises(FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
@@ -639,10 +639,29 @@ def test_fits_and_replicates_are_frozen_and_own_their_arrays():
     replicates.or_tables  # filled before pickling
     loaded = pickle.loads(pickle.dumps((fit, replicates, data)))
     for fit, replicates, data in ((fit, replicates, data), loaded):
-        arrays = [fit.sigma_psi, fit.params.kappa, fit.params.psi.psi, replicates.psi,
+        arrays = [fit.sigma_psi, fit.kappa, fit.psi.psi, replicates.psi,
                   replicates.or_tables, data.exposures, data.outcome]
         assert not any(array.flags.writeable for array in arrays)
         assert not data.covariates.flags.writeable
+
+
+def test_a_fit_refuses_kappa_and_sigma_psi_it_cannot_use():
+    for kappa in ([], [0.0, np.inf]):
+        with pytest.raises(ValueError, match="^kappa must be a finite vector"):
+            make_fit(RUN2, np.eye(3), kappa=kappa)
+    refused = [np.eye(7), np.ones((2, 3)), np.eye(3)[0], np.full((3, 3), np.nan),
+               np.diag([1.0, np.inf, 1.0])]
+    message = r"^sigma_psi must be a finite \(3, 3\) matrix"
+    for sigma in refused:
+        with pytest.raises(ValueError, match=message):
+            make_fit(RUN2, sigma)
+    with pytest.raises(ValueError, match=message):
+        replace(make_fit(RUN2, np.eye(3)), sigma_psi=np.eye(7))
+    # a zero or negative definite matrix is left to delta_ci to judge
+    spec = MeasureSpec(p=2, kind="EOR", order=2)
+    assert delta_ci(make_fit(RUN2, np.zeros((3, 3))), spec).se_transformed == 0.0
+    with pytest.raises(NegativeVarianceError):
+        delta_ci(make_fit(RUN2, -np.eye(3)), spec)
 
 
 def test_replicate_errors_cannot_change():
@@ -667,9 +686,9 @@ def test_a_replaced_fit_forms_its_own_intervals():
     assert rep.point == before.point
     assert rep.se_transformed == pytest.approx(2.0 * before.se_transformed, rel=1e-12)
     assert bits(delta_ci, scaled, spec) == bits(delta_ci_reference, scaled, spec)
-    moved = replace(fit, params=other.params)
+    moved = replace(fit, psi=other.psi, kappa=other.kappa)
     assert bits(delta_ci, moved, spec) == bits(delta_ci, make_fit(
-        other.params.psi, fit.sigma_psi), spec)
+        other.psi, fit.sigma_psi), spec)
     assert bits(delta_ci, fit, spec) == bits(delta_ci_reference, fit, spec)
 
 
@@ -689,8 +708,8 @@ def test_delta_ci_rejects_spec_with_other_factor_count():
     delta_ci(fit, MeasureSpec(p=2, kind="EOR", order=2))
     for spec in (MeasureSpec(p=3, kind="OR"),
                  MeasureSpec(p=3, kind="EOR", order=2, fixed={2: 0})):
-        for call in (delta_ci, lambda fit, spec: measure_parts(fit.params.psi, spec),
-                     lambda fit, spec: measure_gradient(fit.params.psi, spec)):
+        for call in (delta_ci, lambda fit, spec: measure_parts(fit.psi, spec),
+                     lambda fit, spec: measure_gradient(fit.psi, spec)):
             with pytest.raises(ValueError, match="3 risk factors.*have 2"):
                 call(fit, spec)
 
@@ -755,7 +774,7 @@ def test_bootstrap_report_fields():
     assert rep.ci_low <= rep.point <= rep.ci_high
     from interodds.measures import measure
 
-    assert rep.point == measure(fit.params.psi, spec)
+    assert rep.point == measure(fit.psi, spec)
 
 
 def test_bootstrap_rejects_spec_with_other_factor_count():
@@ -763,6 +782,19 @@ def test_bootstrap_rejects_spec_with_other_factor_count():
     replicates = bootstrap_replicates(data, 200, seed=1)
     with pytest.raises(ValueError, match="3 risk factors.*have 2"):
         bootstrap_ci(fit_logit(data), replicates, MeasureSpec(p=3, kind="OR"))
+
+
+def test_bootstrap_rejects_replicates_with_other_factor_count():
+    # the spec matches the fit; the replicates are the ones that differ
+    fit = make_fit(RUN2, np.eye(3) * 0.01)
+    spec = MeasureSpec(p=2, kind="EOR", order=2)
+    for p, count in ((3, 3), (1, 1)):
+        replicates = BootstrapReplicates(200, np.zeros((200, (1 << p) - 1)), [None] * 200)
+        with pytest.raises(ValueError, match=f"^the replicates have {count} risk "
+                           "factors but the fit has 2$"):
+            bootstrap_ci(fit, replicates, spec)
+    replicates = BootstrapReplicates(200, np.zeros((200, 3)), [None] * 200)
+    assert bootstrap_ci(fit, replicates, spec).n_failed == 0
 
 
 def degenerate_dataset():
@@ -917,7 +949,7 @@ def test_replicate_refit_on_cells_matches_gathered_refit(
     if make_data is boot_dataset:
         assert min(cells_fitted) > 16
     for b, rows in zip(range(5), resampled_rows(data, 200, seed=9)):
-        expected = gathered_refit(data, rows).params.psi.psi
+        expected = gathered_refit(data, rows).psi.psi
         assert np.max(np.abs(replicates.psi[b] - expected)) <= 1e-9
 
 
@@ -964,7 +996,7 @@ def test_bootstrap_failures_counted_per_spec():
     refit_failed = si_undefined = 0
     for rows in resampled_rows(data, 200, seed=2):
         try:
-            psi = gathered_refit(data, rows).params.psi
+            psi = gathered_refit(data, rows).psi
         except InterOddsError:
             refit_failed += 1
             continue

@@ -18,7 +18,6 @@ from interodds.errors import (
 )
 from interodds.logit import (
     CaseControlDataset,
-    FullParams,
     _evaluator,
     fit_batch,
     fit_design,
@@ -61,9 +60,9 @@ def small_dataset(n=400, seed=0, p=2, q=1, psi=None, kappa=None):
 # pattern-basis arithmetic of ``interodds.logit``.
 
 
-def design_vector(params: FullParams) -> np.ndarray:
+def design_vector(psi: StructuralParams, kappa) -> np.ndarray:
     """The coefficients in design-column order: [kappa0, psi..., kappa1..q]."""
-    return np.concatenate([params.kappa[:1], params.psi.psi, params.kappa[1:]])
+    return np.concatenate([kappa[:1], psi.psi, kappa[1:]])
 
 
 def design_row(v, z) -> np.ndarray:
@@ -89,12 +88,12 @@ def explicit_loglik_score_info(beta, X, y, weights=None):
     return loglik, score, info
 
 
-def loglik_and_derivatives(params: FullParams, data: CaseControlDataset):
-    """The oracle for a parameter object on a dataset's explicit design."""
-    if params.psi.p != data.p or params.q != data.q:
+def loglik_and_derivatives(psi: StructuralParams, kappa, data: CaseControlDataset):
+    """The oracle at ``(psi, kappa)`` on a dataset's explicit design."""
+    if psi.p != data.p or len(kappa) != data.q + 1:
         raise ValueError("parameter dimensions do not match the dataset")
     return explicit_loglik_score_info(
-        design_vector(params), design_matrix(data), data.outcome.astype(float)
+        design_vector(psi, kappa), design_matrix(data), data.outcome.astype(float)
     )
 
 
@@ -161,9 +160,6 @@ def test_dataset_validation():
         CaseControlDataset(np.array([[0], [1]]), np.zeros((3, 1)), np.array([0, 1]))
     with pytest.raises(ValueError, match="^outcome must be 1-D"):
         CaseControlDataset(np.array([[0], [1]]), np.zeros((2, 0)), np.array([[0, 1]]))
-    for kappa in ([], [0.0, np.inf]):
-        with pytest.raises(ValueError, match="^kappa must be a finite vector"):
-            FullParams(StructuralParams.zeros(2), kappa)
 
 
 def test_a_dataset_owns_its_covariates():
@@ -177,11 +173,11 @@ def test_a_dataset_owns_its_covariates():
 def test_a_write_into_the_masks_leaves_the_dataset_and_its_fit_unchanged():
     data = small_dataset(n=400, seed=3)
     want = data.exposures @ np.array([1, 2])
-    before = fit_logit(data).params.psi.psi
+    before = fit_logit(data).psi.psi
     masks = data.exposure_masks
     masks[:10] = 0
     assert np.array_equal(data.exposure_masks, want)
-    assert fit_logit(data).params.psi.psi.tobytes() == before.tobytes()
+    assert fit_logit(data).psi.psi.tobytes() == before.tobytes()
 
 
 @pytest.mark.parametrize("p", [1, 3, 9])
@@ -209,10 +205,8 @@ def test_exposure_masks_hold_no_int64_copy_of_the_exposures(p):
 
 def test_null_params_loglik():
     data = small_dataset(n=200, seed=2)
-    params = FullParams(
-        psi=StructuralParams.zeros(2), kappa=np.zeros(data.q + 1)
-    )
-    loglik, score, info = loglik_and_derivatives(params, data)
+    loglik, score, info = loglik_and_derivatives(
+        StructuralParams.zeros(2), np.zeros(data.q + 1), data)
     assert np.isclose(loglik, -data.n * np.log(2.0))
     # theta = 0.5 everywhere: score is X'(y - 1/2), info is X'X/4
     X = design_matrix(data)
@@ -342,8 +336,8 @@ def test_fit_improves_on_null_and_meets_score_tolerance():
     data = small_dataset(n=600, seed=7)
     fit = fit_logit(data)
     assert fit.converged
-    null = FullParams(psi=StructuralParams.zeros(2), kappa=np.zeros(data.q + 1))
-    null_ll, _, _ = loglik_and_derivatives(null, data)
+    null_ll, _, _ = loglik_and_derivatives(
+        StructuralParams.zeros(2), np.zeros(data.q + 1), data)
     assert fit.loglik >= null_ll
     assert fit.gradient_norm <= 1e-8 * (1.0 + abs(fit.loglik))
 
@@ -352,9 +346,9 @@ def test_refit_from_perturbed_start_reconverges():
     data = small_dataset(n=600, seed=8)
     fit = fit_logit(data)
     rng = np.random.default_rng(9)
-    start = design_vector(fit.params) + 0.1 * rng.normal(size=4 + data.q)
+    start = design_vector(fit.psi, fit.kappa) + 0.1 * rng.normal(size=4 + data.q)
     again = fit_logit(data, start=start)
-    assert np.allclose(again.params.psi.psi, fit.params.psi.psi, atol=1e-6)
+    assert np.allclose(again.psi.psi, fit.psi.psi, atol=1e-6)
 
 
 def test_covariate_shift_leaves_psi_unchanged():
@@ -364,10 +358,10 @@ def test_covariate_shift_leaves_psi_unchanged():
         data.exposures, data.covariates + 5.0, data.outcome
     )
     fit2 = fit_logit(shifted)
-    assert np.allclose(fit2.params.psi.psi, fit.params.psi.psi, atol=1e-8)
-    assert np.allclose(fit2.params.kappa[1:], fit.params.kappa[1:], atol=1e-8)
+    assert np.allclose(fit2.psi.psi, fit.psi.psi, atol=1e-8)
+    assert np.allclose(fit2.kappa[1:], fit.kappa[1:], atol=1e-8)
     assert abs(
-        fit2.params.kappa[0] - (fit.params.kappa[0] - 5.0 * fit.params.kappa[1])
+        fit2.kappa[0] - (fit.kappa[0] - 5.0 * fit.kappa[1])
     ) <= 1e-6
 
 
@@ -381,7 +375,7 @@ def test_null_model_estimates_stay_within_three_se():
         outcome = np.repeat([0, 1], n // 2).astype(np.int8)
         data = CaseControlDataset(exposures, np.zeros((n, 0)), outcome)
         fit = fit_logit(data)
-        if np.all(np.abs(fit.params.psi.psi) <= 3.0 * fit.se_psi):
+        if np.all(np.abs(fit.psi.psi) <= 3.0 * fit.se_psi):
             hits += 1
     assert hits >= 0.95 * reps
 
@@ -412,8 +406,8 @@ def test_covariate_units_do_not_stop_a_fit():
     for scale in (0.01, 1e-4, 100.0):
         rescaled = fit_logit(CaseControlDataset(
             data.exposures, scale * data.covariates, data.outcome))
-        assert np.allclose(rescaled.params.psi.psi, fit.params.psi.psi, rtol=1e-6, atol=0)
-        assert rescaled.params.kappa[1] == pytest.approx(fit.params.kappa[1] / scale, rel=1e-6)
+        assert np.allclose(rescaled.psi.psi, fit.psi.psi, rtol=1e-6, atol=0)
+        assert rescaled.kappa[1] == pytest.approx(fit.kappa[1] / scale, rel=1e-6)
     # a covariate that separates cases from controls still diverges
     rng = np.random.default_rng(1)
     z = 0.01 * (data.outcome - 0.5) + 0.001 * rng.random(data.n)
@@ -566,7 +560,7 @@ def test_fit_is_pinned_bit_for_bit():
     )
     fit = fit_logit(simulate(design))
     digest = hashlib.sha256()
-    for array in (fit.params.psi.psi, fit.sigma_psi, [fit.loglik, fit.iterations]):
+    for array in (fit.psi.psi, fit.sigma_psi, [fit.loglik, fit.iterations]):
         digest.update(np.asarray(array, dtype="<f8").tobytes())
     assert digest.hexdigest() == (
         "8c55029ac58ffdffd56e05b8f1196df5bc15a1771ae6355cfd044ef4d2c853c4"
@@ -595,7 +589,7 @@ def test_fit_memory_grows_linearly_in_q(q):
 def test_sigma_psi_is_block_of_full_inverse():
     data = small_dataset(n=800, seed=15)
     fit = fit_logit(data)
-    _, _, info = loglik_and_derivatives(fit.params, data)
+    _, _, info = loglik_and_derivatives(fit.psi, fit.kappa, data)
     full_inverse = np.linalg.inv(info)
     npsi = 3
     expected = full_inverse[1 : npsi + 1, 1 : npsi + 1]
@@ -614,10 +608,10 @@ def test_fit_params_follow_the_design_column_order():
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     fit = fit_design(masks, z, y, 2)
     beta = fit_batch(masks, z, y, 2, np.ones((1, data.n))).beta[0]
-    assert fit.params.kappa.tolist() == [beta[0], *beta[4:]]
-    assert fit.params.psi.psi.tolist() == beta[1:4].tolist()
-    assert design_vector(fit.params).tolist() == beta.tolist()
-    assert fit.params.q == 2 and len(beta) == 6
+    assert fit.kappa.tolist() == [beta[0], *beta[4:]]
+    assert fit.psi.psi.tolist() == beta[1:4].tolist()
+    assert design_vector(fit.psi, fit.kappa).tolist() == beta.tolist()
+    assert fit.kappa.size == 3 and len(beta) == 6
 
 
 # ------------------------------------------------------- weighted fit, oracle
@@ -643,7 +637,7 @@ def test_fit_matches_closed_form_saturated_mle(p):
     _, psi, sigma = saturated_mle_loop(data.exposures, data.outcome)
 
     fit = fit_logit(data)
-    assert np.max(np.abs(fit.params.psi.psi - psi)) <= 1e-6
+    assert np.max(np.abs(fit.psi.psi - psi)) <= 1e-6
     assert np.max(np.abs(fit.sigma_psi - sigma)) <= 1e-6
 
     masks, z, y_cells, counts = collapsed_cells(data)
@@ -685,7 +679,7 @@ def test_q0_fit_meets_the_exact_oracle(p, balanced):
     score = saturated_score_loop(data.exposures, data.outcome, intercept, psi)
     assert np.max(np.abs(score)) <= 1e-10
     fit = fit_logit(data)
-    assert_meets_the_q0_oracle(fit.params.psi.psi, fit.sigma_psi, psi, sigma)
+    assert_meets_the_q0_oracle(fit.psi.psi, fit.sigma_psi, psi, sigma)
 
 
 def test_weighted_q0_refit_meets_the_exact_oracle():
@@ -745,7 +739,7 @@ def test_weighted_fit_equals_fit_on_repeated_records():
     masks, z, y = data.exposure_masks, data.covariates, data.outcome
     repeated = fit_design(masks[rows], z[rows], y[rows], 2)
     beta, sigma_psi, loglik = weighted_fit(masks, z, y, 2, counts)
-    assert np.allclose(beta, design_vector(repeated.params), rtol=0, atol=1e-9)
+    assert np.allclose(beta, design_vector(repeated.psi, repeated.kappa), rtol=0, atol=1e-9)
     assert np.allclose(sigma_psi, repeated.sigma_psi, rtol=0, atol=1e-12)
     assert loglik == pytest.approx(repeated.loglik, rel=1e-12)
 
@@ -805,8 +799,8 @@ def test_fractional_case_weights_are_not_an_empty_class():
     c = 0.9 / data.n1
     beta, _, _ = weighted_fit(masks, z, y, 2, np.where(y == 1, c, 1.0))
     fit = fit_logit(data)
-    assert np.allclose(beta[1:], design_vector(fit.params)[1:], rtol=0, atol=1e-7)
-    assert beta[0] == pytest.approx(fit.params.kappa[0] + np.log(c), abs=1e-7)
+    assert np.allclose(beta[1:], design_vector(fit.psi, fit.kappa)[1:], rtol=0, atol=1e-7)
+    assert beta[0] == pytest.approx(fit.kappa[0] + np.log(c), abs=1e-7)
 
 
 # ------------------------------------------------- condition certificate

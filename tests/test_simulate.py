@@ -126,7 +126,7 @@ def test_recovery_within_four_se():
     design = make_design(n0=25000, n1=25000, seed=2024)
     data = simulate(design)
     fit = fit_logit(data)
-    err = np.abs(fit.params.psi.psi - RUN2.psi)
+    err = np.abs(fit.psi.psi - RUN2.psi)
     assert np.all(err <= 4.0 * fit.se_psi)
 
 
@@ -147,7 +147,7 @@ def test_estimation_error_shrinks_with_sample_size():
             )
             data = simulate(design)
             fit = fit_logit(data)
-            errs.append(np.mean(np.abs(fit.params.psi.psi - RUN2.psi)))
+            errs.append(np.mean(np.abs(fit.psi.psi - RUN2.psi)))
         mae[n] = float(np.mean(errs))
     assert mae[5000] > mae[10000] > mae[20000]
 
